@@ -1,10 +1,11 @@
 """Command-line harness: describe algebras, run suites, emit reports.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 output I/O failure.  The seed comes from --seed, then the UCZ_SEED
-environment variable, then 42; identical (algebra, seed, samples)
-configurations produce byte-identical JSON reports, so wall time is
-reported only in the text format.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
+(unknown algebra, bad seed, --samples below 1), 3 output I/O failure.
+The seed comes from --seed, then the UCZ_SEED environment variable,
+then 42; identical (algebra, seed, samples) configurations produce
+byte-identical JSON reports, so wall time is reported only in the text
+format.
 """
 
 from __future__ import annotations
@@ -129,9 +130,15 @@ def _selected_suites(choice: str) -> tuple[str, ...]:
     return SUITE_NAMES if choice == "all" else (choice,)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"--samples must be at least 1, got {samples}")
+
+
 def cmd_verify(args) -> int:
     L = algebra_from_descriptor(args.algebra)
     seed = _resolve_seed(args.seed)
+    _check_samples(args.samples)
     start = time.monotonic()
     reports = run_suites(L, _selected_suites(args.suite), seed, args.samples)
     elapsed = time.monotonic() - start
@@ -146,6 +153,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     L = algebra_from_descriptor(args.algebra)
     seed = _resolve_seed(args.seed)
+    _check_samples(args.samples)
     start = time.monotonic()
     reports = run_suites(L, _selected_suites(args.suite), seed, args.samples)
     elapsed = time.monotonic() - start

@@ -27,23 +27,6 @@ def vec(values: Iterable) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} != {len(b)}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
@@ -83,9 +66,6 @@ class Mat:
 
     def row(self, i: int) -> Vector:
         return self._data[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self._data)
 
     def row_list(self) -> list[Vector]:
         return list(self._data)
@@ -160,11 +140,6 @@ class Mat:
         return Mat.from_rows(
             [tuple(row[j] for row in self._data) for j in range(self.cols)], cols=self.rows
         )
-
-    def trace(self) -> Rat:
-        if self.rows != self.cols:
-            raise DimensionError("trace of a non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), _ZERO)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._data for x in row)

@@ -82,7 +82,6 @@ class KostantSlice:
         "triple",
         "ge_basis",
         "degrees",
-        "_deg_of_index",
         "_levels",
         "_solvers",
         "_ge_rows_by_degree",
@@ -102,7 +101,6 @@ class KostantSlice:
             if d.denominator != 1 or int(d) % 2 != 0:
                 raise ConstructionError("ad h eigenvalue is not an even integer")
             deg.append(int(d))
-        self._deg_of_index = deg
         by_degree: dict[int, list[int]] = {}
         for idx, d in enumerate(deg):
             by_degree.setdefault(d, []).append(idx)
@@ -151,9 +149,6 @@ class KostantSlice:
     def contains(self, x: Element) -> bool:
         """Membership in f + g^e."""
         return self.ge_basis.contains((x - self.triple.f).coords)
-
-    def degree_of_index(self, idx: int) -> int:
-        return self._deg_of_index[idx]
 
     def __repr__(self) -> str:
         return f"KostantSlice({self.algebra.descriptor}, degrees={self.degrees})"

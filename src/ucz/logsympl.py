@@ -164,7 +164,11 @@ class Bivector:
     __slots__ = ("point", "matrix")
 
     def __init__(self, point: ChartPoint, matrix: Mat):
-        if matrix.transpose() != matrix.scale(-_ONE):
+        m = matrix.row_list()
+        size = matrix.rows
+        if matrix.cols != size or any(
+            m[i][j] != -m[j][i] for i in range(size) for j in range(i, size)
+        ):
             raise ConstructionError("bivector matrix must be antisymmetric")
         self.point = point
         self.matrix = matrix

@@ -46,6 +46,7 @@ from .wonderful import (
     all_subsets,
     build_orbit_poset,
     build_parabolic,
+    derived_levi,
     fiber_algebra,
     make_boundary_point,
     orbit_dim,
@@ -173,7 +174,7 @@ def fiber_sample(
         if c != 0:
             central = central + L.element(row).scale(c)
     x = central
-    for row in p.derived_p_I.intersect(p.l_I).basis.row_list():
+    for row in derived_levi(p).basis.row_list():
         c = gen.fraction()
         if c != 0:
             x = x + L.element(row).scale(c)

@@ -15,7 +15,7 @@ orbit tables the command line prints.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import ConstructionError, DomainError
 from .exactlin import Mat, Subspace, Vector, kernel
@@ -25,6 +25,7 @@ __all__ = [
     "ParabolicData",
     "build_parabolic",
     "fiber_algebra",
+    "derived_levi",
     "stabilizer_algebra",
     "orbit_dim",
     "closure_contains",
@@ -77,6 +78,7 @@ class ParabolicData:
         "z_l_I",
         "derived_p_I",
         "_fiber",
+        "_derived_levi",
         "_stabilizer",
         "_leaf_projector",
     )
@@ -132,6 +134,7 @@ class ParabolicData:
             raise ConstructionError("derived algebra and Levi center do not split the parabolic")
 
         self._fiber: Subspace | None = None
+        self._derived_levi: Subspace | None = None
         self._stabilizer: Subspace | None = None
         self._leaf_projector = None
 
@@ -199,6 +202,13 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
         raise ConstructionError("fiber algebra has the wrong dimension")
     p._fiber = fiber
     return fiber
+
+
+def derived_levi(p: ParabolicData) -> Subspace:
+    """derived_p_I cap l_I: the semisimple part of the Levi."""
+    if p._derived_levi is None:
+        p._derived_levi = p.derived_p_I.intersect(p.l_I)
+    return p._derived_levi
 
 
 def stabilizer_algebra(p: ParabolicData) -> Subspace:
@@ -314,18 +324,29 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
-    """Translate the basepoint fiber of orbit I by (g1, g2)."""
-    L = p.algebra
-    n = L.dim
-    vectors = []
-    for row in fiber_algebra(p).basis.row_list():
-        left = conjugate(g1, L.element(row[:n]))
-        right = conjugate(g2, L.element(row[n:]))
-        vectors.append(_pair_vector(left.coords, right.coords))
+def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
+    """Ad_g in the basis of L: column k is Ad_g of basis vector k."""
+    images = [conjugate(g, L.basis_element(k)).coords for k in range(L.dim)]
+    return Mat.from_rows(list(zip(*images)), cols=L.dim)
+
+
+def _translated_fiber(p: ParabolicData, ad1: Mat, ad2: Mat) -> Subspace:
+    """The basepoint fiber of orbit I moved by the pair (Ad_g1, Ad_g2)."""
+    n = p.algebra.dim
+    vectors = [
+        _pair_vector(ad1.apply(row[:n]), ad2.apply(row[n:]))
+        for row in fiber_algebra(p).basis.row_list()
+    ]
     realized = Subspace.from_vectors(2 * n, vectors)
     if realized.dim != n:
         raise ConstructionError("translated fiber lost dimension")
+    return realized
+
+
+def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
+    """Translate the basepoint fiber of orbit I by (g1, g2)."""
+    L = p.algebra
+    realized = _translated_fiber(p, _adjoint_matrix(L, g1), _adjoint_matrix(L, g2))
     return BoundaryPoint(L, p.I, g1, g2, realized)
 
 
@@ -341,10 +362,15 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
     """Boundary points fixed by the maximal torus through xi.
 
     xi must be regular and carried into the Cartan subalgebra by the
-    inverse of `diagonalizer`.  The enumeration walks every boundary
-    orbit index (proper subsets of {1..rank}) and every pair of Weyl
-    representatives, keeps the points whose realized fiber contains
-    (xi, xi), and drops duplicates by fiber equality.
+    inverse of `diagonalizer` d.  A point of orbit I translated by
+    (d w1, d w2) contains (xi, xi) exactly when the basepoint fiber
+    contains (Ad(w1^-1) eta, Ad(w2^-1) eta), eta = Ad(d^-1) xi.  Both
+    entries lie in the Cartan, so their u_I and u_I_minus parts vanish
+    and their Levi parts must agree; eta is regular, so w1 = w2.  The
+    enumeration therefore walks every boundary orbit index (proper
+    subsets of {1..rank}) and only the diagonal translates (d w, d w),
+    building each Ad_(d w) once, and drops duplicates by fiber equality:
+    |W / W_I| points remain in orbit I.
     """
     L = xi.algebra
     eta = conjugate(diagonalizer.inverse(), xi)
@@ -352,15 +378,20 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    reps = L.weyl_representatives()
+    translates = []
+    for w in L.weyl_representatives():
+        g = diagonalizer * w
+        translates.append((g, _adjoint_matrix(L, g)))
     pair = (xi, xi)
     found: list[BoundaryPoint] = []
     for I in all_subsets(L.rank):
         if len(I) == L.rank:
             continue
         p = build_parabolic(L, I)
-        for w1, w2 in product(reps, reps):
-            point = make_boundary_point(p, diagonalizer * w1, diagonalizer * w2)
-            if translate_contains(point, pair) and all(point != q for q in found):
+        for g, ad in translates:
+            point = BoundaryPoint(L, p.I, g, g, _translated_fiber(p, ad, ad))
+            if not translate_contains(point, pair):
+                raise ConstructionError("a diagonal Weyl translate misses the torus pair")
+            if all(point != q for q in found):
                 found.append(point)
     return found

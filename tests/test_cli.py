@@ -84,6 +84,15 @@ def test_bad_seed_is_a_usage_error(capsys):
     assert "seed must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_a_usage_error(capsys, command, samples):
+    assert main([command, "A1", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--samples must be at least 1, got {samples}\n"
+
+
 def test_json_report_schema(capsys):
     code = main(["report", "A1", "--samples", "3", "--seed", "7"])
     out = capsys.readouterr().out

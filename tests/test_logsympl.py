@@ -15,6 +15,7 @@ from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants
 from ucz.liealg import GroupElement, conjugate
 from ucz.logsympl import (
+    Bivector,
     bivector_matrix,
     build_chart,
     casimir_check,
@@ -102,6 +103,21 @@ def test_bivector_is_antisymmetric_and_inverse(any_algebra):
             pi = bivector_matrix(point)
             assert pi.matrix.transpose() == -pi.matrix
             assert pi.matrix * omega_matrix(point) == Mat.identity(chart.size)
+
+
+def test_bivector_rejects_a_matrix_that_is_not_antisymmetric(a1):
+    point = build_chart(a1, {1}).basepoint()
+    good = bivector_matrix(point).matrix
+    size = good.rows
+    rows = [list(r) for r in good.row_list()]
+    Bivector(point, good)
+    for i, j in ((0, 0), (0, size - 1), (size - 1, 0)):
+        bad = [list(r) for r in rows]
+        bad[i][j] += 1
+        with pytest.raises(ConstructionError):
+            Bivector(point, Mat.from_rows(bad, cols=size))
+    with pytest.raises(ConstructionError):
+        Bivector(point, Mat.from_rows([r[:-1] for r in rows], cols=size - 1))
 
 
 def test_bivector_entries_are_polynomial(a2):

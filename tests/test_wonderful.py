@@ -5,13 +5,14 @@ closed-orbit codimension equal to the rank, the diagonal fiber on the
 open-orbit index set, and the two torus-fixed boundary points of A1.
 """
 
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 
-from ucz import algebra_from_descriptor
-from ucz.errors import DomainError
-from ucz.exactlin import Subspace
+from ucz import algebra_from_descriptor, wonderful
+from ucz.errors import ConstructionError, DomainError
+from ucz.exactlin import Mat, Subspace
 from ucz.liealg import conjugate
 from ucz.rng import stream
 from ucz.wonderful import (
@@ -19,6 +20,7 @@ from ucz.wonderful import (
     build_orbit_poset,
     build_parabolic,
     closure_contains,
+    derived_levi,
     fiber_algebra,
     make_boundary_point,
     orbit_dim,
@@ -57,6 +59,8 @@ def test_parabolic_dimension_relations(any_algebra):
         assert p.p_I.intersect(p.p_I_minus) == p.l_I
         assert p.derived_p_I.sum(p.z_l_I) == p.p_I
         assert p.derived_p_I.intersect(p.z_l_I).dim == 0
+        assert derived_levi(p) == p.derived_p_I.intersect(p.l_I)
+        assert derived_levi(p) is derived_levi(p)
 
 
 def test_empty_set_gives_the_borel(any_algebra):
@@ -248,3 +252,81 @@ def test_torus_fixed_points_need_a_regular_element(a1, a2):
         torus_fixed_fiber_points(a1.zero(), a1.group_identity())
     with pytest.raises(DomainError):
         torus_fixed_fiber_points(a2.e(0), a2.group_identity())
+
+
+def _levi_blocks(rank: int, I) -> list[int]:
+    """Block sizes of the type A Levi: simple root i joins positions i and i + 1."""
+    sizes = [1]
+    for i in range(1, rank + 1):
+        if i in I:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def test_torus_fixed_points_match_the_pair_brute_force_on_a2(a2):
+    gen = stream(53, "torus-brute")
+    u_plus, u_minus = a2.zero(), a2.zero()
+    for k in range(a2.n_pos):
+        u_plus = u_plus + a2.e(k).scale(gen.fraction())
+        u_minus = u_minus + a2.f(k).scale(gen.fraction())
+    t1, t2 = gen.nonzero_fraction(), gen.nonzero_fraction()
+    torus = a2.torus_element([t1, t2, 1 / (t1 * t2)])
+    d = a2.group_exp(u_plus) * (torus * a2.group_exp(u_minus))
+    assert d != a2.group_identity()
+    s = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
+    xi = conjugate(d, s)
+
+    n = a2.dim
+    brute = []
+    for I in all_subsets(a2.rank):
+        if len(I) == a2.rank:
+            continue
+        base = fiber_algebra(build_parabolic(a2, I))
+        for w1, w2 in product(a2.weyl_representatives(), repeat=2):
+            g1, g2 = d * w1, d * w2
+            realized = Subspace.from_vectors(
+                2 * n,
+                [
+                    tuple(conjugate(g1, a2.element(row[:n])).coords)
+                    + tuple(conjugate(g2, a2.element(row[n:])).coords)
+                    for row in base.basis.row_list()
+                ],
+            )
+            if realized.contains(tuple(xi.coords) * 2) and all(
+                realized != r for _, r, _, _ in brute
+            ):
+                brute.append((I, realized, g1, g2))
+
+    found = torus_fixed_fiber_points(xi, d)
+    assert [(q.I, q.realized_fiber, q.g1, q.g2) for q in found] == brute
+
+
+def test_torus_fixed_orbit_counts_on_a3(a3):
+    xi = a3.from_matrix(
+        Mat.from_rows([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, -6)], cols=4)
+    )
+    points = torus_fixed_fiber_points(xi, a3.group_identity())
+    counts = {}
+    for q in points:
+        counts[q.I] = counts.get(q.I, 0) + 1
+    expected = {
+        I: factorial(a3.rank + 1) // prod(factorial(b) for b in _levi_blocks(a3.rank, I))
+        for I in all_subsets(a3.rank)
+        if len(I) < a3.rank
+    }
+    assert expected[frozenset({1, 3})] == 6
+    assert counts == expected
+    assert len(set(points)) == len(points)
+
+
+def test_enumeration_walks_diagonal_translates_only():
+    # the pair product over Weyl representatives is gone with the brute force
+    assert not hasattr(wonderful, "product")
+
+
+def test_a_translate_missing_the_torus_pair_is_an_error(a1, monkeypatch):
+    monkeypatch.setattr(wonderful, "translate_contains", lambda point, pair: False)
+    with pytest.raises(ConstructionError):
+        torus_fixed_fiber_points(a1.h(0), a1.group_identity())
