@@ -1,7 +1,8 @@
 """Command-line harness: describe algebras, run suites, emit reports.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
-(unknown algebra, bad seed, --samples below 1), 3 output I/O failure.
+(unknown algebra, bad seed, --samples below 1), 3 output I/O failure,
+4 internal error (a library construction or decomposition raised).
 The seed comes from --seed, then the UCZ_SEED environment variable,
 then 42; identical (algebra, seed, samples) configurations produce
 byte-identical JSON reports, so wall time is reported only in the text
@@ -16,7 +17,14 @@ import os
 import sys
 import time
 
-from .errors import UnsupportedAlgebraError
+from .errors import (
+    ConstructionError,
+    DecompositionError,
+    DimensionError,
+    DomainError,
+    PoleError,
+    UnsupportedAlgebraError,
+)
 from .exactlin import Rat
 from .kostant import build_principal_triple, slice_for
 from .liealg import ALGEBRA_DESCRIPTORS, Element, algebra_from_descriptor
@@ -25,6 +33,10 @@ from .wonderful import build_orbit_poset
 
 USAGE_ERROR = 2
 IO_ERROR = 3
+INTERNAL_ERROR = 4
+
+# library errors that mean the workbench itself failed, not a checked claim
+_INTERNAL_ERRORS = (ConstructionError, DecompositionError, DomainError, DimensionError, PoleError)
 
 
 def _format_coeff(c: Rat) -> str:
@@ -231,6 +243,9 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

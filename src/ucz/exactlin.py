@@ -5,11 +5,26 @@ exact; nothing in this module ever rounds.  A `Subspace` is stored as the
 reduced row-echelon basis of its row space, which makes equality of subspaces
 literal equality of the stored data.  All values are immutable after
 construction and safe to share between threads.
+
+Values are coerced once, at the edge: `vec`, `Mat` and `Mat.scale` accept
+ints, strings and other numbers and convert them with `Fraction(x)`, but pass
+an entry that is already a plain `Fraction` through unchanged, so a product or
+sum of matrices is never coerced a second time.  Every stored entry is a plain
+`Fraction`; an instance of a subclass is converted.
+
+Row reduction (`rref`, `rank`, `kernel`, `Subspace`) eliminates over the
+integers: each row is scaled by the lcm of its denominators, rows are
+combined as pv*row - f*prow and divided by their content (gcd) to keep the
+entries small, and only the finished pivot rows are divided by their pivots
+back into `Fraction`s.  `rank` stops after the forward elimination.  The
+result is the same canonical RREF as a Fraction Gauss-Jordan elimination.
+`det` and `inverse` still eliminate over `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DecompositionError, DimensionError
@@ -22,9 +37,14 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _as_fraction(x) -> Rat:
+    """x itself when it is already a Fraction, else Fraction(x)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def vec(values: Iterable) -> Vector:
     """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_as_fraction, values))
 
 
 def is_zero_vec(a: Vector) -> bool:
@@ -37,7 +57,7 @@ class Mat:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in data)
+        rows = tuple(tuple(map(_as_fraction, row)) for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         for row in rows:
@@ -103,7 +123,7 @@ class Mat:
         return Mat([[-a for a in row] for row in self._data])
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return Mat([[c * a for a in row] for row in self._data])
 
     def __mul__(self, other: "Mat") -> "Mat":
@@ -216,44 +236,90 @@ def hstack(*mats: Mat) -> Mat:
     )
 
 
-def _rref_rows(rows: list[list[Rat]], cols: int) -> tuple[list[list[Rat]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators, divided by its content."""
+    out = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _combine(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Primitive integer row pv*row - f*prow, where f = row[c] and pv = prow[c]."""
+    pv, f = prow[c], row[c]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    new = [a * x - b * y for x, y in zip(row, prow)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _echelon(rows: list[list[int]], cols: int) -> list[int]:
+    """In-place integer row echelon form; returns the pivot columns.
+
+    Rows below a pivot are cleared with pv*row - f*prow and kept primitive,
+    so no division but the exact division by a row's content ever occurs.
+    """
     pivots: list[int] = []
+    n = len(rows)
     r = 0
     for c in range(cols):
+        if r == n:
+            break
         pivot = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
+        for rr in range(r, n):
+            if rows[rr][c]:
                 pivot = rr
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
+        prow = rows[r]
+        for rr in range(pivot + 1, n):
+            if rows[rr][c]:
+                rows[rr] = _combine(rows[rr], prow, c)
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return pivots
+
+
+def _pivot_columns(rows: Iterable[Sequence[Rat]], cols: int) -> list[int]:
+    """Pivot columns of the row space, without building the reduced form."""
+    return _echelon(_integer_rows(rows), cols)
+
+
+def _rref_rows(rows: Iterable[Sequence[Rat]], cols: int) -> tuple[list[list[Rat]], list[int]]:
+    """Reduced row echelon form of `rows` as new Fraction rows, and its pivot columns.
+
+    Eliminates over the integers and divides each pivot row by its pivot
+    only at the end; zero rows sink to the bottom.
+    """
+    work = _integer_rows(rows)
+    pivots = _echelon(work, cols)
+    for i in range(len(pivots) - 1, 0, -1):
+        p, prow = pivots[i], work[i]
+        for rr in range(i):
+            if work[rr][p]:
+                work[rr] = _combine(work[rr], prow, p)
+    out = []
+    for prow, p in zip(work, pivots):
+        pv = prow[p]
+        out.append([_ZERO if not x else _ONE if x == pv else Fraction(x, pv) for x in prow])
+    out.extend([_ZERO] * cols for _ in range(len(work) - len(pivots)))
+    return out, pivots
 
 
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form, same shape; zero rows sink to the bottom."""
-    rows = [list(r) for r in m.row_list()]
-    rows, _ = _rref_rows(rows, m.cols)
+    rows, _ = _rref_rows(m.row_list(), m.cols)
     return Mat.from_rows(rows, cols=m.cols)
 
 
 def rank(m: Mat) -> int:
-    rows = [list(r) for r in m.row_list()]
-    _, pivots = _rref_rows(rows, m.cols)
-    return len(pivots)
+    return len(_pivot_columns(m.row_list(), m.cols))
 
 
 class Subspace:
@@ -269,8 +335,7 @@ class Subspace:
         if basis.cols != ambient_dim:
             raise DimensionError("basis width differs from ambient dimension")
         if not _canonical:
-            rows = [list(r) for r in basis.row_list()]
-            rows, pivots = _rref_rows(rows, ambient_dim)
+            rows, pivots = _rref_rows(basis.row_list(), ambient_dim)
             basis = Mat.from_rows(rows[: len(pivots)], cols=ambient_dim)
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -385,8 +450,7 @@ class Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0} of an r x c matrix, as a subspace of Q^c."""
-    rows = [list(r) for r in m.row_list()]
-    rows, pivots = _rref_rows(rows, m.cols)
+    rows, pivots = _rref_rows(m.row_list(), m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []

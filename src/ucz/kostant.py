@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Rat, Subspace, Vector, kernel, rank, solve, vec
+from .exactlin import Mat, Rat, Subspace, Vector, _as_fraction, kernel, rank, solve, vec
 from .liealg import Element, GroupElement, LieAlgebra
 
 _ZERO = Fraction(0)
@@ -226,8 +226,8 @@ class _Dual:
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _as_fraction(re)
+        self.im = _as_fraction(im)
 
     def __add__(self, other):
         other = _as_dual(other)
@@ -248,6 +248,9 @@ class _Dual:
 
     __rmul__ = __mul__
 
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
 
 def _as_dual(x) -> _Dual:
     return x if isinstance(x, _Dual) else _Dual(x)
@@ -260,17 +263,15 @@ def _charpoly_tail(rows: list[list], zero, one) -> list:
     by integers occur.
     """
     m = len(rows)
-    a = rows
+    # products with a zero left factor a[i][t] add nothing
+    nonzero = [[(t, x) for t, x in enumerate(row) if x] for row in rows]
     mk = [[x for x in row] for row in rows]
     coeffs = []
     for k in range(1, m + 1):
         if k > 1:
             shifted = [[mk[i][j] + (coeffs[-1] if i == j else zero) for j in range(m)] for i in range(m)]
             mk = [
-                [
-                    _ring_sum([a[i][t] * shifted[t][j] for t in range(m)], zero)
-                    for j in range(m)
-                ]
+                [_ring_sum([x * shifted[t][j] for t, x in nonzero[i]], zero) for j in range(m)]
                 for i in range(m)
             ]
         tr = _ring_sum([mk[i][i] for i in range(m)], zero)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
-from .exactlin import Mat, Rat, Subspace, Vector, kernel, vec
+from .exactlin import Mat, Rat, Subspace, Vector, _as_fraction, _pivot_columns, kernel, vec
 
 _CARTAN: dict[str, list[list[int]]] = {
     "A1": [[2]],
@@ -275,7 +275,7 @@ class Element:
         return Element(self.algebra, tuple(-a for a in self.coords))
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return Element(self.algebra, tuple(c * a for a in self.coords))
 
     def __mul__(self, c) -> "Element":
@@ -623,10 +623,7 @@ class LieAlgebra:
             stack_rows.append(tuple(mk[(r, c)] for r in range(m) for c in range(m)))
         # columns of R are the flattened basis matrices
         rmat = Mat.from_rows(stack_rows, cols=m * m).transpose()
-        from .exactlin import _rref_rows  # local: pivot bookkeeping on a copy
-
-        rows = [list(r) for r in rmat.transpose().row_list()]
-        _, pivots = _rref_rows(rows, rmat.rows)
+        pivots = _pivot_columns(stack_rows, rmat.rows)
         self._from_matrix_rows = pivots
         square = Mat.from_rows([rmat.row(p) for p in pivots], cols=self.dim)
         self._from_matrix_inv = square.inverse()
@@ -684,7 +681,7 @@ class LieAlgebra:
 
     def torus_element(self, entries: Sequence) -> GroupElement:
         self._require_realization()
-        vals = [Fraction(v) for v in entries]
+        vals = [_as_fraction(v) for v in entries]
         if len(vals) != self.rank + 1:
             raise DomainError("torus element needs rank+1 diagonal entries")
         m = self.rank + 1

@@ -166,8 +166,11 @@ class Bivector:
     def __init__(self, point: ChartPoint, matrix: Mat):
         m = matrix.row_list()
         size = matrix.rows
-        if matrix.cols != size or any(
-            m[i][j] != -m[j][i] for i in range(size) for j in range(i, size)
+        # pairs (m[i][j], m[j][i]) for j >= i; two shared _ZERO objects need no arithmetic
+        if matrix.cols != size or not all(
+            (a is _ZERO and b is _ZERO) or a == -b
+            for i, row in enumerate(m)
+            for a, b in zip(row[i:], [r[i] for r in m[i:]])
         ):
             raise ConstructionError("bivector matrix must be antisymmetric")
         self.point = point

@@ -1,16 +1,27 @@
 """Command-line harness: describe tables, suite runs, reports, exit codes.
 
 Exit code contract: 0 pass, 1 verification failure, 2 usage error, 3
-output I/O failure.  JSON reports must be byte-identical for identical
-(algebra, seed, samples) configurations.
+output I/O failure, 4 internal error.  JSON reports must be byte-identical
+for identical (algebra, seed, samples) configurations.
 """
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ucz import cli
 from ucz.cli import main
+from ucz.errors import (
+    ConstructionError,
+    DecompositionError,
+    DimensionError,
+    DomainError,
+    PoleError,
+)
 
 A1_DESCRIBE = """\
 algebra A1: dim n = 3, rank l = 1, positive roots = 1
@@ -148,3 +159,42 @@ def test_seed_flag_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("UCZ_SEED", "99")
     main(["report", "A1", "--samples", "3", "--seed", "5"])
     assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "error", [ConstructionError, DecompositionError, DomainError, DimensionError, PoleError]
+)
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_library_error_is_an_internal_error(capsys, monkeypatch, command, error):
+    def broken_suites(*args):
+        raise error("no preimage")
+
+    monkeypatch.setattr(cli, "run_suites", broken_suites)
+    assert main([command, "A1", "--samples", "1"]) == cli.INTERNAL_ERROR == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error.__name__}: no preimage\n"
+
+
+def test_other_exceptions_still_propagate(monkeypatch):
+    def broken_suites(*args):
+        raise RuntimeError("a bug, not a library error")
+
+    monkeypatch.setattr(cli, "run_suites", broken_suites)
+    with pytest.raises(RuntimeError):
+        main(["verify", "A1", "--samples", "1"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "ucz", "describe", "A1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == A1_DESCRIBE

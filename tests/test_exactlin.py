@@ -1,10 +1,13 @@
 """Exact rational linear algebra: echelon forms, subspaces, projections.
 
-Every expected value here is either computed by hand or forced by an
-algebraic identity (rank-nullity, Grassmann, projector idempotence), so
-the checks are exact with zero tolerance.
+Every expected value here is computed by hand, forced by an algebraic
+identity (rank-nullity, Grassmann, projector idempotence), or computed by
+the textbook Fraction elimination `oracle_rref` below, which shares no code
+with the integer elimination it checks.  The checks are exact with zero
+tolerance.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -227,3 +230,111 @@ def test_solve_inconsistent_raises():
     a = Mat.from_rows([(1, 0), (1, 0)], cols=2)
     with pytest.raises(DecompositionError):
         solve(a, vec((1, 2)))
+
+
+# -- oracle for the integer elimination ---------------------------------------
+
+
+def oracle_rref(rows, cols):
+    """Textbook Gauss-Jordan over Fraction, sharing no code with exactlin."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def oracle_matrices():
+    """Seeded shapes: empty, zero columns, duplicate rows, tall, wide, negative pivots."""
+    rnd = random.Random(97)
+
+    def entry(density):
+        if rnd.random() > density:
+            return Fraction(0)
+        return Fraction(rnd.randint(-12, 12), rnd.randint(1, 97))
+
+    def dense(r, c, density=0.7):
+        return [[entry(density) for _ in range(c)] for _ in range(r)]
+
+    yield [], 4
+    yield [[], [], []], 0
+    yield [[Fraction(0)] * 5 for _ in range(3)], 5
+    for r, c in ((1, 1), (3, 3), (6, 6), (9, 4), (4, 9), (12, 5), (5, 12)):
+        for density in (0.3, 0.7, 1.0):
+            rows = dense(r, c, density)
+            yield rows, c
+            # the same rows with a zero column, a repeated and a scaled row
+            zcol = rnd.randrange(c + 1)
+            yield [row[:zcol] + [Fraction(0)] + row[zcol:] for row in rows], c + 1
+            yield rows + [rows[0], [Fraction(-7, 97) * x for x in rows[-1]]], c
+            # negative pivots: every leading entry made negative
+            yield [[-abs(x) if j == 0 else x for j, x in enumerate(row)] for row in rows], c
+
+
+def all_fractions(m: Mat) -> bool:
+    return all(type(x) is Fraction for row in m.row_list() for x in row)
+
+
+def test_rref_rank_kernel_match_the_oracle():
+    count = 0
+    for rows, cols in oracle_matrices():
+        m = Mat.from_rows(rows, cols=cols)
+        want, pivots = oracle_rref(rows, cols)
+        got = rref(m)
+        assert got == Mat.from_rows(want, cols=cols)
+        assert got.rows == m.rows and got.cols == cols
+        assert all_fractions(got)
+        assert rank(m) == len(pivots)
+        ker = kernel(m)
+        assert ker.dim == cols - len(pivots)
+        assert all_fractions(ker.basis)
+        for v in ker.basis.row_list():
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        # the kernel's canonical basis is the oracle's RREF of the oracle's null vectors
+        null = []
+        for j in (j for j in range(cols) if j not in pivots):
+            v = [Fraction(0)] * cols
+            v[j] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -want[r][j]
+            null.append(v)
+        canon, cpiv = oracle_rref(null, cols)
+        assert ker.basis == Mat.from_rows(canon[: len(cpiv)], cols=cols)
+        count += 1
+    assert count == 87
+
+
+def test_subspace_basis_entries_are_fractions():
+    s = Subspace.from_vectors(3, [(2, 4, 6), ("1/3", 0, 1)])
+    assert s.basis == Mat.from_rows([(1, 0, 3), (0, 1, 0)], cols=3)
+    assert all_fractions(s.basis)
+
+
+def test_vec_coerces_at_the_edge():
+    v = vec(["1/3", 2, Fraction(1, 2)])
+    assert v == (Fraction(1, 3), Fraction(2), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in v)
+
+    class Half(Fraction):
+        pass
+
+    w = vec([Half(1, 2)])
+    assert w == (Fraction(1, 2),) and type(w[0]) is Fraction
+    assert type(Mat.from_rows([(Half(1, 2),)], cols=1)[0, 0]) is Fraction
+    with pytest.raises(TypeError):
+        vec([object()])
+    with pytest.raises(TypeError):
+        Mat.from_rows([(1, None)], cols=2)
+    with pytest.raises(ValueError):
+        vec(["one third"])

@@ -12,12 +12,13 @@ import pytest
 
 from ucz import algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError
-from ucz.exactlin import Mat
+from ucz.exactlin import Mat, solve
 from ucz.kostant import (
     PrincipalTriple,
     build_principal_triple,
     build_slice,
     in_fiber_product,
+    invariant_system,
     invariants_eval,
     jacobian_rank_at,
     slice_for,
@@ -216,6 +217,26 @@ def test_a2_invariants_of_a_split_element(a2):
     x = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     # det(lambda I - x) = lambda^3 - 7 lambda + 6
     assert invariants_eval(x) == (Fraction(7), Fraction(-6))
+
+
+def test_dual_invariants_match_interpolated_derivatives(type_a_algebra):
+    # x = f + c e_1 has mostly zero entries, so the dual rows hold entries
+    # with a zero value and a nonzero derivative, which must not be skipped
+    L = type_a_algebra
+    system = invariant_system(L)
+    f = build_principal_triple(L).f
+    gen = stream(43, f"dual:{L.descriptor}")
+    # the invariants of x + t d are polynomials in t of degree at most rank + 1
+    ts = range(L.rank + 2)
+    vander = Mat.from_rows([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
+    for _ in range(4):
+        x = f + L.e(0).scale(gen.fraction())
+        d = L.element([gen.fraction() for _ in range(L.dim)])
+        pairs = system.eval_dual(x, d)
+        assert tuple(value for value, _ in pairs) == system.eval(x)
+        samples = [system.eval(x + d.scale(t)) for t in ts]
+        for k, (_, derivative) in enumerate(pairs):
+            assert derivative == solve(vander, tuple(s[k] for s in samples))[1]
 
 
 def test_slice_from_invariants_examples(a1):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ucz import algebra_from_descriptor
+from ucz import algebra_from_descriptor, logsympl
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants
@@ -118,6 +118,36 @@ def test_bivector_rejects_a_matrix_that_is_not_antisymmetric(a1):
             Bivector(point, Mat.from_rows(bad, cols=size))
     with pytest.raises(ConstructionError):
         Bivector(point, Mat.from_rows([r[:-1] for r in rows], cols=size - 1))
+
+
+def test_bivector_accepts_zeros_that_are_not_the_shared_zero(a2):
+    point = build_chart(a2, {1}).basepoint()
+    good = bivector_matrix(point).matrix
+    fresh = [[Fraction(0) if x == 0 else x for x in row] for row in good.row_list()]
+    m = Mat.from_rows(fresh, cols=good.cols)
+    assert not any(x is logsympl._ZERO for row in m.row_list() for x in row)
+    assert Bivector(point, m).matrix == good
+
+
+def test_bivector_rejects_a_nonzero_entry_opposite_the_shared_zero(a2):
+    point = build_chart(a2, {1}).basepoint()
+    rows = [list(r) for r in bivector_matrix(point).matrix.row_list()]
+    size = len(rows)
+    i, j = next(
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if rows[i][j] is logsympl._ZERO and rows[j][i] is logsympl._ZERO and i != j
+    )
+    for value in (Fraction(1), Fraction(-2, 3)):
+        bad = [list(r) for r in rows]
+        bad[i][j] = value
+        assert bad[j][i] is logsympl._ZERO
+        with pytest.raises(ConstructionError):
+            Bivector(point, Mat.from_rows(bad, cols=size))
+        bad[i][j], bad[j][i] = logsympl._ZERO, value
+        with pytest.raises(ConstructionError):
+            Bivector(point, Mat.from_rows(bad, cols=size))
 
 
 def test_bivector_entries_are_polynomial(a2):
