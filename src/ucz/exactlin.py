@@ -144,14 +144,16 @@ class Mat:
         return Mat.from_rows(out, cols=other.cols)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector."""
+        """Matrix times column vector; only the nonzero entries of v are visited."""
         if self.cols != len(v):
             raise DimensionError("matrix/vector size mismatch")
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self._data:
             s = _ZERO
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
+            for j, x in support:
+                a = row[j]
+                if a:
                     s += a * x
             out.append(s)
         return tuple(out)
@@ -329,16 +331,19 @@ class Subspace:
     the canonical basis makes that a data comparison.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: Mat, _canonical: bool = False):
         if basis.cols != ambient_dim:
             raise DimensionError("basis width differs from ambient dimension")
-        if not _canonical:
+        if _canonical:
+            pivots = [next(j for j, x in enumerate(row) if x) for row in basis.row_list()]
+        else:
             rows, pivots = _rref_rows(basis.row_list(), ambient_dim)
             basis = Mat.from_rows(rows[: len(pivots)], cols=ambient_dim)
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivots = pivots
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -373,21 +378,12 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _pivots(self) -> list[int]:
-        piv = []
-        for row in self.basis.row_list():
-            for j, x in enumerate(row):
-                if x != 0:
-                    piv.append(j)
-                    break
-        return piv
-
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v after eliminating against the echelon basis."""
         w = list(vec(v))
         if len(w) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        for row, p in zip(self.basis.row_list(), self._pivots()):
+        for row, p in zip(self.basis.row_list(), self._pivots):
             f = w[p]
             if f != 0:
                 for j in range(p, self.ambient_dim):
@@ -407,7 +403,7 @@ class Subspace:
         if len(w) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
         coeffs = []
-        for row, p in zip(self.basis.row_list(), self._pivots()):
+        for row, p in zip(self.basis.row_list(), self._pivots):
             f = w[p]
             coeffs.append(f)
             if f != 0:

@@ -463,8 +463,9 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         gen = stream(seed, f"wonderful:torus:{L.descriptor}")
         s = _regular_cartan(L, gen)
         d = group_sample(L, gen)
-        points = torus_fixed_fiber_points(conjugate(d, s), d)
-        pair_ok = all(translate_contains(q, (conjugate(d, s), conjugate(d, s))) for q in points)
+        xi = conjugate(d, s)
+        points = torus_fixed_fiber_points(xi, d)
+        pair_ok = all(translate_contains(q, (xi, xi)) for q in points)
         report.add(
             "torus-fixed boundary points",
             1 if (len(points) == expected and pair_ok) else 0,

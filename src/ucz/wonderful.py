@@ -26,6 +26,7 @@ __all__ = [
     "build_parabolic",
     "fiber_algebra",
     "derived_levi",
+    "weyl_translates",
     "stabilizer_algebra",
     "orbit_dim",
     "closure_contains",
@@ -79,6 +80,7 @@ class ParabolicData:
         "derived_p_I",
         "_fiber",
         "_derived_levi",
+        "_weyl_translates",
         "_stabilizer",
         "_leaf_projector",
     )
@@ -135,6 +137,7 @@ class ParabolicData:
 
         self._fiber: Subspace | None = None
         self._derived_levi: Subspace | None = None
+        self._weyl_translates: tuple[tuple[GroupElement, Subspace], ...] | None = None
         self._stabilizer: Subspace | None = None
         self._leaf_projector = None
 
@@ -330,15 +333,14 @@ def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
     return Mat.from_rows(list(zip(*images)), cols=L.dim)
 
 
-def _translated_fiber(p: ParabolicData, ad1: Mat, ad2: Mat) -> Subspace:
-    """The basepoint fiber of orbit I moved by the pair (Ad_g1, Ad_g2)."""
-    n = p.algebra.dim
+def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
+    """A subspace of g x g moved by the pair (Ad_g1, Ad_g2)."""
+    n = ad1.rows
     vectors = [
-        _pair_vector(ad1.apply(row[:n]), ad2.apply(row[n:]))
-        for row in fiber_algebra(p).basis.row_list()
+        _pair_vector(ad1.apply(row[:n]), ad2.apply(row[n:])) for row in space.basis.row_list()
     ]
     realized = Subspace.from_vectors(2 * n, vectors)
-    if realized.dim != n:
+    if realized.dim != space.dim:
         raise ConstructionError("translated fiber lost dimension")
     return realized
 
@@ -346,8 +348,29 @@ def _translated_fiber(p: ParabolicData, ad1: Mat, ad2: Mat) -> Subspace:
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
     """Translate the basepoint fiber of orbit I by (g1, g2)."""
     L = p.algebra
-    realized = _translated_fiber(p, _adjoint_matrix(L, g1), _adjoint_matrix(L, g2))
+    realized = _translate(fiber_algebra(p), _adjoint_matrix(L, g1), _adjoint_matrix(L, g2))
     return BoundaryPoint(L, p.I, g1, g2, realized)
+
+
+@lru_cache(maxsize=None)
+def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
+    """Each Weyl representative w of L with Ad_w, built once per algebra."""
+    return tuple((w, _adjoint_matrix(L, w)) for w in L.weyl_representatives())
+
+
+def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
+    """The basepoint fiber of orbit I moved by (w, w), for w in the Weyl group.
+
+    One pair (w, fiber) per distinct fiber, keeping the first w in the
+    order of `weyl_representatives`: |W / W_I| pairs.  Built once per I.
+    """
+    if p._weyl_translates is None:
+        base = fiber_algebra(p)
+        first: dict[Subspace, GroupElement] = {}
+        for w, ad in _weyl_adjoints(p.algebra):
+            first.setdefault(_translate(base, ad, ad), w)
+        p._weyl_translates = tuple((w, fiber) for fiber, w in first.items())
+    return p._weyl_translates
 
 
 def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> bool:
@@ -366,11 +389,13 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
     (d w1, d w2) contains (xi, xi) exactly when the basepoint fiber
     contains (Ad(w1^-1) eta, Ad(w2^-1) eta), eta = Ad(d^-1) xi.  Both
     entries lie in the Cartan, so their u_I and u_I_minus parts vanish
-    and their Levi parts must agree; eta is regular, so w1 = w2.  The
-    enumeration therefore walks every boundary orbit index (proper
-    subsets of {1..rank}) and only the diagonal translates (d w, d w),
-    building each Ad_(d w) once, and drops duplicates by fiber equality:
-    |W / W_I| points remain in orbit I.
+    and their Levi parts must agree; eta is regular, so w1 = w2.  Only
+    the diagonal translates (d w, d w) remain, over every boundary orbit
+    index (proper subsets of {1..rank}).  Ad_(d w) = Ad_d Ad_w, and
+    Ad_d (+) Ad_d is a linear bijection of g x g, so two translates by
+    (d w, d w) agree exactly when the translates by (w, w) do: the
+    distinct fibers of `weyl_translates`, |W / W_I| in orbit I, are
+    moved by Ad_d alone, built once per call, with witness d w.
     """
     L = xi.algebra
     eta = conjugate(diagonalizer.inverse(), xi)
@@ -378,20 +403,19 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    translates = []
-    for w in L.weyl_representatives():
-        g = diagonalizer * w
-        translates.append((g, _adjoint_matrix(L, g)))
+    ad_d = _adjoint_matrix(L, diagonalizer)
+    # orbit I = {} keeps every w, so every product is used
+    witness = {w: diagonalizer * w for w, _ in _weyl_adjoints(L)}
     pair = (xi, xi)
     found: list[BoundaryPoint] = []
     for I in all_subsets(L.rank):
         if len(I) == L.rank:
             continue
         p = build_parabolic(L, I)
-        for g, ad in translates:
-            point = BoundaryPoint(L, p.I, g, g, _translated_fiber(p, ad, ad))
+        for w, fiber in weyl_translates(p):
+            g = witness[w]
+            point = BoundaryPoint(L, p.I, g, g, _translate(fiber, ad_d, ad_d))
             if not translate_contains(point, pair):
                 raise ConstructionError("a diagonal Weyl translate misses the torus pair")
-            if all(point != q for q in found):
-                found.append(point)
+            found.append(point)
     return found

@@ -338,3 +338,75 @@ def test_vec_coerces_at_the_edge():
         Mat.from_rows([(1, None)], cols=2)
     with pytest.raises(ValueError):
         vec(["one third"])
+
+
+def test_subspace_keeps_the_oracle_pivots():
+    # reduce, contains and coefficients walk the pivots stored at construction
+    rnd = random.Random(83)
+    for rows, cols in oracle_matrices():
+        want, pivots = oracle_rref(rows, cols)
+        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
+        assert space._pivots == pivots
+        coeffs = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in pivots]
+        v = tuple(
+            sum((c * row[j] for c, row in zip(coeffs, want)), Fraction(0)) for j in range(cols)
+        )
+        assert space.contains(v)
+        assert space.coefficients(v) == tuple(coeffs)
+        assert space.reduce(v) == (Fraction(0),) * cols
+    assert Subspace.zero(3)._pivots == []
+    full = Subspace.full(3)
+    assert full._pivots == [0, 1, 2]
+    assert full == Subspace.from_vectors(3, [(0, 0, 5), (0, 2, 1), (1, 1, 1)])
+    assert hash(full) == hash(Subspace.from_vectors(3, [(3, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert full.coefficients((1, 2, 3)) == vec((1, 2, 3))
+    assert not Subspace.zero(3).contains((0, 0, 1))
+
+
+# -- matrix times vector ---------------------------------------------------------
+
+
+def oracle_apply(rows, v):
+    """Row-by-column dot products over Fraction, sharing no code with Mat.apply."""
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def test_apply_matches_the_oracle_dot_product():
+    rnd = random.Random(89)
+
+    def entry(density):
+        if rnd.random() > density:
+            return Fraction(0)
+        return Fraction(rnd.randint(-12, 12), rnd.randint(1, 97))
+
+    def nonzero(k):
+        x = Fraction(rnd.randint(1, 12), rnd.randint(1, 97))
+        return -x if k % 2 else x
+
+    count = 0
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 4), (5, 9), (9, 5)):
+        for density in (0.3, 1.0):
+            rows = [[entry(density) for _ in range(c)] for _ in range(r)]
+            if r:
+                rows[rnd.randrange(r)] = [Fraction(0)] * c
+            m = Mat.from_rows(rows, cols=c)
+            vectors = [(Fraction(0),) * c]
+            vectors += [tuple(Fraction(int(i == j)) for i in range(c)) for j in range(c)]
+            vectors += [tuple(nonzero(k) for k in range(c)) for _ in range(3)]
+            for v in vectors:
+                got = m.apply(v)
+                assert got == oracle_apply(rows, v)
+                assert len(got) == r
+                assert all(type(x) is Fraction for x in got)
+                count += 1
+    assert count == 100
+
+
+def test_apply_size_mismatch_raises():
+    m = Mat.from_rows([(1, 2, 3), (4, 5, 6)], cols=3)
+    with pytest.raises(DimensionError):
+        m.apply(vec((1, 2)))
+    with pytest.raises(DimensionError):
+        m.apply(vec((1, 2, 3, 4)))
+    with pytest.raises(DimensionError):
+        Mat.from_rows([], cols=2).apply(())

@@ -15,6 +15,7 @@ from ucz.errors import ConstructionError, DomainError
 from ucz.exactlin import Mat, Subspace
 from ucz.liealg import conjugate
 from ucz.rng import stream
+from ucz.suites import group_sample
 from ucz.wonderful import (
     all_subsets,
     build_orbit_poset,
@@ -27,6 +28,7 @@ from ucz.wonderful import (
     stabilizer_algebra,
     torus_fixed_fiber_points,
     translate_contains,
+    weyl_translates,
 )
 
 
@@ -319,6 +321,43 @@ def test_torus_fixed_orbit_counts_on_a3(a3):
     assert expected[frozenset({1, 3})] == 6
     assert counts == expected
     assert len(set(points)) == len(points)
+
+
+def test_weyl_translates_are_the_cosets_and_cached(a2, a3):
+    expected = {
+        a2: [6, 3, 3],
+        a3: [24, 12, 12, 12, 4, 6, 4],
+    }
+    for L, sizes in expected.items():
+        proper = [I for I in all_subsets(L.rank) if len(I) < L.rank]
+        assert sizes == [
+            factorial(L.rank + 1) // prod(factorial(b) for b in _levi_blocks(L.rank, I))
+            for I in proper
+        ]
+        reps = L.weyl_representatives()
+        for I, size in zip(proper, sizes):
+            p = build_parabolic(L, I)
+            translates = weyl_translates(p)
+            assert len(translates) == size
+            assert weyl_translates(p) is translates
+            # the first w of each distinct fiber, in Weyl order
+            firsts = {}
+            for w in reps:
+                firsts.setdefault(make_boundary_point(p, w, w).realized_fiber, w)
+            assert list(translates) == [(w, f) for f, w in firsts.items()]
+
+
+def test_torus_fixed_points_match_direct_translation_on_a2(a2):
+    gen = stream(59, "torus-direct")
+    d = group_sample(a2, gen)
+    assert d != a2.group_identity()
+    s = a2.from_matrix(Mat.from_rows([(2, 0, 0), (0, -5, 0), (0, 0, 3)], cols=3))
+    found = torus_fixed_fiber_points(conjugate(d, s), d)
+    assert len(found) == 12
+    for q in found:
+        assert q.g1 == q.g2
+        direct = make_boundary_point(build_parabolic(a2, q.I), q.g1, q.g2)
+        assert q.realized_fiber == direct.realized_fiber
 
 
 def test_enumeration_walks_diagonal_translates_only():
