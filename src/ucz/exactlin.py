@@ -19,6 +19,15 @@ entries small, and only the finished pivot rows are divided by their pivots
 back into `Fraction`s.  `rank` stops after the forward elimination.  The
 result is the same canonical RREF as a Fraction Gauss-Jordan elimination.
 `det` and `inverse` still eliminate over `Fraction`.
+
+No operation whose result is already known is carried out.  Entries are
+tested by truthiness (a `Fraction` is false exactly when it is zero), a
+product with a zero factor is skipped, a zero term of a sum is skipped, and
+an accumulator that is still zero takes the first product itself instead
+of 0 + product.  Scaling by zero gives the zero matrix.  This applies to
+`Mat` sums, differences, scaling, products, `apply`, `det` and `inverse`,
+and to `Subspace.reduce`, `coefficients` and `intersect`; the results are
+the same exact values.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ def vec(values: Iterable) -> Vector:
 
 
 def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 class Mat:
@@ -112,35 +121,49 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("matrix shapes differ in add")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)])
+        return Mat.from_rows(
+            [
+                [a + b if a and b else a or b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._data, other._data)
+            ],
+            cols=self.cols,
+        )
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("matrix shapes differ in sub")
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)])
+        return Mat.from_rows(
+            [
+                [(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._data, other._data)
+            ],
+            cols=self.cols,
+        )
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in row] for row in self._data])
+        rows = [[-a if a else a for a in row] for row in self._data]
+        return Mat.from_rows(rows, cols=self.cols)
 
     def scale(self, c) -> "Mat":
         c = _as_fraction(c)
-        return Mat([[c * a for a in row] for row in self._data])
+        if not c:
+            return Mat.zeros(self.rows, self.cols)
+        rows = [[c * a if a else a for a in row] for row in self._data]
+        return Mat.from_rows(rows, cols=self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
-        # sparse-friendly: skip zero entries of the left factor
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ in mul")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        bdata = other._data
-        for i, arow in enumerate(self._data):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = bdata[k]
-                for j, b in enumerate(brow):
-                    if b != 0:
-                        orow[j] += a * b
+        bsupport = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
+        out = []
+        for arow in self._data:
+            orow = [_ZERO] * other.cols
+            for a, bnz in zip(arow, bsupport):
+                if a:
+                    for j, b in bnz:
+                        s = orow[j]
+                        orow[j] = s + a * b if s else a * b
+            out.append(orow)
         return Mat.from_rows(out, cols=other.cols)
 
     def apply(self, v: Vector) -> Vector:
@@ -154,7 +177,7 @@ class Mat:
             for j, x in support:
                 a = row[j]
                 if a:
-                    s += a * x
+                    s = s + a * x if s else a * x
             out.append(s)
         return tuple(out)
 
@@ -164,7 +187,7 @@ class Mat:
         )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(x for row in self._data for x in row)
 
     def det(self) -> Rat:
         if self.rows != self.cols:
@@ -175,7 +198,7 @@ class Mat:
         for col in range(n):
             pivot = None
             for r in range(col, n):
-                if work[r][col] != 0:
+                if work[r][col]:
                     pivot = r
                     break
             if pivot is None:
@@ -183,14 +206,19 @@ class Mat:
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
                 det = -det
-            pv = work[col][col]
+            prow = work[col]
+            pv = prow[col]
             det *= pv
             for r in range(col + 1, n):
-                f = work[r][col]
-                if f != 0:
-                    f = f / pv
+                row = work[r]
+                f = row[col]
+                if f:
+                    f = -f / pv
                     for j in range(col, n):
-                        work[r][j] -= f * work[col][j]
+                        b = prow[j]
+                        if b:
+                            a = row[j]
+                            row[j] = a + f * b if a else f * b
         return det
 
     def inverse(self) -> "Mat":
@@ -201,7 +229,7 @@ class Mat:
         for col in range(n):
             pivot = None
             for r in range(col, n):
-                if work[r][col] != 0:
+                if work[r][col]:
                     pivot = r
                     break
             if pivot is None:
@@ -209,11 +237,17 @@ class Mat:
             work[col], work[pivot] = work[pivot], work[col]
             pv = work[col][col]
             if pv != 1:
-                work[col] = [x / pv for x in work[col]]
+                work[col] = [x / pv if x else x for x in work[col]]
+            prow = work[col]
+            support = [(j, b) for j, b in enumerate(prow) if b]
             for r in range(n):
-                if r != col and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+                row = work[r]
+                f = row[col]
+                if r != col and f:
+                    f = -f
+                    for j, b in support:
+                        a = row[j]
+                        row[j] = a + f * b if a else f * b
         return Mat([row[n:] for row in work])
 
 
@@ -384,11 +418,8 @@ class Subspace:
         if len(w) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
         for row, p in zip(self.basis.row_list(), self._pivots):
-            f = w[p]
-            if f != 0:
-                for j in range(p, self.ambient_dim):
-                    if row[j] != 0:
-                        w[j] -= f * row[j]
+            if w[p]:
+                _eliminate(w, row, p)
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
@@ -404,13 +435,10 @@ class Subspace:
             raise DimensionError("vector length differs from ambient dimension")
         coeffs = []
         for row, p in zip(self.basis.row_list(), self._pivots):
-            f = w[p]
-            coeffs.append(f)
-            if f != 0:
-                for j in range(p, self.ambient_dim):
-                    if row[j] != 0:
-                        w[j] -= f * row[j]
-        if not is_zero_vec(tuple(w)):
+            coeffs.append(w[p])
+            if w[p]:
+                _eliminate(w, row, p)
+        if not is_zero_vec(w):
             raise DecompositionError("vector lies outside the subspace")
         return tuple(coeffs)
 
@@ -433,15 +461,26 @@ class Subspace:
             u = coeffs[:da]
             point = [_ZERO] * self.ambient_dim
             for cu, row in zip(u, self.basis.row_list()):
-                if cu != 0:
+                if cu:
                     for j, x in enumerate(row):
-                        if x != 0:
-                            point[j] += cu * x
+                        if x:
+                            s = point[j]
+                            point[j] = s + cu * x if s else cu * x
             pts.append(tuple(point))
         result = Subspace.from_vectors(self.ambient_dim, pts)
         if __debug__:
             assert result.dim + rank(vstack(self.basis, other.basis)) == da + db
         return result
+
+
+def _eliminate(w: list[Rat], row: Vector, p: int) -> None:
+    """w -= w[p] * row in place, for an echelon row whose first nonzero entry is at p."""
+    f = -w[p]
+    for j in range(p, len(w)):
+        x = row[j]
+        if x:
+            a = w[j]
+            w[j] = a + f * x if a else f * x
 
 
 def kernel(m: Mat) -> Subspace:

@@ -15,6 +15,14 @@ form, i.e. the LAST list entry is applied first.
 Invariants (type A) are coefficients of the characteristic polynomial of
 the defining realization: for det(lambda I - M) = lambda^m + sum_k a_k
 lambda^(m-k), the reported tuple is (-a_2, ..., -a_m).
+
+Their Jacobian comes from the same Faddeev-LeVerrier run.  The run also
+yields the adjugate adj(lambda I - M) = sum_k B_k lambda^(m-1-k), with
+B_0 = I and B_k = M B_(k-1) + a_k I, and Jacobi's formula
+d det(lambda I - M) = -tr(adj(lambda I - M) dM) gives
+d a_k = -tr(B_(k-1) dM).  So the derivative of the invariant -a_k along
+basis vector j is tr(B_(k-1) R_j), R_j the realization of that vector: one
+exact run gives the whole gradient.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Rat, Subspace, Vector, _as_fraction, kernel, rank, solve, vec
+from .exactlin import Mat, Rat, Subspace, Vector, kernel, rank, solve, vec
 from .liealg import Element, GroupElement, LieAlgebra
 
 _ZERO = Fraction(0)
@@ -220,70 +228,45 @@ def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupE
     return g
 
 
-class _Dual:
-    """Dual numbers a + b eps with eps^2 = 0, over the rationals."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
-
-    def __add__(self, other):
-        other = _as_dual(other)
-        return _Dual(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_dual(other)
-        return _Dual(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return _Dual(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = _as_dual(other)
-        return _Dual(self.re * other.re, self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-
-def _as_dual(x) -> _Dual:
-    return x if isinstance(x, _Dual) else _Dual(x)
-
-
-def _charpoly_tail(rows: list[list], zero, one) -> list:
-    """Faddeev-LeVerrier: coefficients (a_1..a_m) of det(tI - A) = t^m + sum a_k t^(m-k).
-
-    Works over any commutative ring containing the rationals; only divisions
-    by integers occur.
-    """
-    m = len(rows)
-    # products with a zero left factor a[i][t] add nothing
-    nonzero = [[(t, x) for t, x in enumerate(row) if x] for row in rows]
-    mk = [[x for x in row] for row in rows]
-    coeffs = []
-    for k in range(1, m + 1):
-        if k > 1:
-            shifted = [[mk[i][j] + (coeffs[-1] if i == j else zero) for j in range(m)] for i in range(m)]
-            mk = [
-                [_ring_sum([x * shifted[t][j] for t, x in nonzero[i]], zero) for j in range(m)]
-                for i in range(m)
-            ]
-        tr = _ring_sum([mk[i][i] for i in range(m)], zero)
-        coeffs.append(tr * Fraction(-1, k))
-    return coeffs
-
-
-def _ring_sum(items, zero):
-    s = zero
-    for x in items:
-        s = s + x
+def _exact_sum(values) -> Rat:
+    """Sum of the values; zero terms are skipped and the first is taken as it is."""
+    s = _ZERO
+    for v in values:
+        if v:
+            s = s + v if s else v
     return s
+
+
+def _sum_products(pairs) -> Rat:
+    """Sum of x * y over the pairs, with no product of a zero factor."""
+    return _exact_sum(x * y for x, y in pairs if x and y)
+
+
+def _faddeev_leverrier(a: list[Vector]) -> tuple[list[Rat], list[list[list[Rat]]]]:
+    """Characteristic polynomial and adjugate coefficients of the m x m matrix A.
+
+    Returns (c, B) with det(tI - A) = t^m + sum_k c_k t^(m-k), c listing
+    c_1..c_m, and adj(tI - A) = sum_k B[k] t^(m-1-k): B[0] = I,
+    c_k = -tr(A B[k-1]) / k and B[k] = A B[k-1] + c_k I for k < m.
+    """
+    m = len(a)
+    support = [[(t, x) for t, x in enumerate(row) if x] for row in a]
+    b = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
+    adjugate = [b]
+    coeffs: list[Rat] = []
+    for k in range(1, m):
+        b = [[_sum_products((x, b[t][j]) for t, x in row) for j in range(m)] for row in support]
+        tr = _exact_sum(b[i][i] for i in range(m))
+        c = -tr / k if tr else tr
+        coeffs.append(c)
+        if c:
+            for i in range(m):
+                b[i][i] = b[i][i] + c if b[i][i] else c
+        adjugate.append(b)
+    # the last step needs only tr(A B[m-1])
+    tr = _sum_products((x, b[t][i]) for i, row in enumerate(support) for t, x in row)
+    coeffs.append(-tr / m if tr else tr)
+    return coeffs, adjugate
 
 
 class InvariantSystem:
@@ -296,21 +279,34 @@ class InvariantSystem:
         self.algebra = algebra
         self.degrees = tuple(range(2, algebra.rank + 2))
 
+    def _charpoly(self, x: Element) -> tuple[list[Rat], list[list[list[Rat]]]]:
+        return _faddeev_leverrier(self.algebra.realize(x).row_list())
+
+    def _jacobian(self, adjugate: list[list[list[Rat]]]) -> tuple[tuple[Rat, ...], ...]:
+        # the invariant -a_k moves along basis vector j by tr(B_(k-1) R_j),
+        # summed over the nonzero entries (row, col, value) of R_j
+        basis = self.algebra._realization
+        return tuple(
+            tuple(_sum_products((b[col][row], v) for row, col, v in r) for r in basis)
+            for b in adjugate[1:]
+        )
+
     def eval(self, x: Element) -> tuple[Rat, ...]:
-        m = self.algebra.rank + 1
-        mat = self.algebra.realize(x)
-        rows = [[mat[(i, j)] for j in range(m)] for i in range(m)]
-        a = _charpoly_tail(rows, _ZERO, _ONE)
-        return tuple(-a[k] for k in range(1, m))
+        coeffs, _ = self._charpoly(x)
+        return tuple(-c if c else c for c in coeffs[1:])
+
+    def gradient(self, x: Element) -> tuple[tuple[Rat, ...], ...]:
+        """Exact rank x dim Jacobian of the invariants at x, one row per invariant."""
+        _, adjugate = self._charpoly(x)
+        return self._jacobian(adjugate)
 
     def eval_dual(self, x: Element, direction: Element) -> tuple[tuple[Rat, Rat], ...]:
         """Invariants of x + eps*direction as (value, derivative) pairs."""
-        m = self.algebra.rank + 1
-        mx = self.algebra.realize(x)
-        md = self.algebra.realize(direction)
-        rows = [[_Dual(mx[(i, j)], md[(i, j)]) for j in range(m)] for i in range(m)]
-        a = _charpoly_tail(rows, _Dual(0), _Dual(1))
-        return tuple((-a[k].re, -a[k].im) for k in range(1, m))
+        coeffs, adjugate = self._charpoly(x)
+        return tuple(
+            (-c if c else c, _sum_products(zip(row, direction.coords)))
+            for c, row in zip(coeffs[1:], self._jacobian(adjugate))
+        )
 
 
 @lru_cache(maxsize=None)
@@ -367,13 +363,6 @@ def jacobian_rank_at(x: Element, y: Element) -> int:
     L = x.algebra
     L._check_same(y.algebra)
     system = invariant_system(L)
-    rows: list[list[Rat]] = [[] for _ in range(L.rank)]
-    for j in range(L.dim):
-        d = L.basis_element(j)
-        for k, (_, der) in enumerate(system.eval_dual(x, d)):
-            rows[k].append(der)
-    for j in range(L.dim):
-        d = L.basis_element(j)
-        for k, (_, der) in enumerate(system.eval_dual(y, d)):
-            rows[k].append(-der)
-    return rank(Mat.from_rows([tuple(r) for r in rows], cols=2 * L.dim))
+    # the y block enters negated, which does not change the rank
+    rows = [gx + gy for gx, gy in zip(system.gradient(x), system.gradient(y))]
+    return rank(Mat.from_rows(rows, cols=2 * L.dim))

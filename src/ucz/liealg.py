@@ -30,6 +30,8 @@ from typing import Iterable, Sequence
 from .errors import DomainError, UnsupportedAlgebraError
 from .exactlin import Mat, Rat, Subspace, Vector, _as_fraction, _pivot_columns, kernel, vec
 
+_ZERO = Fraction(0)
+
 _CARTAN: dict[str, list[list[int]]] = {
     "A1": [[2]],
     "A2": [[2, -1], [-1, 2]],
@@ -265,18 +267,26 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self.algebra._check_same(other.algebra)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Element(
+            self.algebra,
+            tuple(a + b if a and b else a or b for a, b in zip(self.coords, other.coords)),
+        )
 
     def __sub__(self, other: "Element") -> "Element":
         self.algebra._check_same(other.algebra)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Element(
+            self.algebra,
+            tuple((a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)),
+        )
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        return Element(self.algebra, tuple(-a if a else a for a in self.coords))
 
     def scale(self, c) -> "Element":
         c = _as_fraction(c)
-        return Element(self.algebra, tuple(c * a for a in self.coords))
+        if not c:
+            return Element(self.algebra, (_ZERO,) * len(self.coords))
+        return Element(self.algebra, tuple(c * a if a else a for a in self.coords))
 
     def __mul__(self, c) -> "Element":
         return self.scale(c)
@@ -284,7 +294,7 @@ class Element:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other) -> bool:
         return (
@@ -307,14 +317,20 @@ class Element:
 
 
 class GroupElement:
-    """Determinant-one rational matrix acting on a type A algebra by conjugation."""
+    """Determinant-one rational matrix acting on a type A algebra by conjugation.
+
+    The determinant is checked where a matrix becomes a group element.  det is
+    multiplicative, so products and inverses of group elements, and the
+    identity, have determinant one exactly and are built `_unimodular`,
+    without the check.
+    """
 
     __slots__ = ("mat", "_inv")
 
-    def __init__(self, mat: Mat):
+    def __init__(self, mat: Mat, _unimodular: bool = False):
         if mat.rows != mat.cols:
             raise DomainError("group element must be square")
-        if mat.det() != 1:
+        if not _unimodular and mat.det() != 1:
             raise DomainError("group element must have determinant one")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_inv", None)
@@ -324,7 +340,7 @@ class GroupElement:
 
     @staticmethod
     def identity(size: int) -> "GroupElement":
-        return GroupElement(Mat.identity(size))
+        return GroupElement(Mat.identity(size), _unimodular=True)
 
     def inverse_mat(self) -> Mat:
         inv = object.__getattribute__(self, "_inv")
@@ -334,10 +350,10 @@ class GroupElement:
         return inv
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.inverse_mat())
+        return GroupElement(self.inverse_mat(), _unimodular=True)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.mat * other.mat)
+        return GroupElement(self.mat * other.mat, _unimodular=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.mat == other.mat
@@ -374,7 +390,8 @@ class LieAlgebra:
         self._index_of_root = {r: i for i, r in self._root_of_index.items()}
         self._table = self._build_table()
         self._killing: Mat | None = None
-        self._realization: list[Mat] | None = None
+        # per basis vector, the nonzero (row, col, value) entries of its realization
+        self._realization: list[tuple[tuple[int, int, Rat], ...]] | None = None
         self._from_matrix_rows: list[int] | None = None
         self._from_matrix_inv: Mat | None = None
         self._realize_stack: Mat | None = None
@@ -475,22 +492,21 @@ class LieAlgebra:
     def bracket(self, x: Element, y: Element) -> Element:
         self._check_same(x.algebra)
         self._check_same(y.algebra)
-        acc = [Fraction(0)] * self.dim
-        nzx = [(i, c) for i, c in enumerate(x.coords) if c != 0]
-        nzy = [(j, c) for j, c in enumerate(y.coords) if c != 0]
+        acc = [_ZERO] * self.dim
+        nzx = [(i, c) for i, c in enumerate(x.coords) if c]
+        nzy = [(j, c) for j, c in enumerate(y.coords) if c]
+        table = self._table
         for i, cx in nzx:
             for j, cy in nzy:
                 if i == j:
                     continue
-                if i < j:
-                    terms = self._table.get((i, j))
-                    s = cx * cy
-                else:
-                    terms = self._table.get((j, i))
-                    s = -cx * cy
-                if terms:
-                    for k, c in terms:
-                        acc[k] += s * c
+                terms = table.get((i, j) if i < j else (j, i))
+                if not terms:
+                    continue
+                s = cx * cy if i < j else -cx * cy
+                for k, c in terms:
+                    a = acc[k]
+                    acc[k] = a + s * c if a else s * c
         return Element(self, acc)
 
     def ad(self, x: Element) -> Mat:
@@ -616,11 +632,11 @@ class LieAlgebra:
             ja, jb = self._index_of_root[_rneg(a)], self._index_of_root[_rneg(b)]
             jg = self._index_of_root[_rneg(alpha)]
             real[jg] = (real[ja] * real[jb] - real[jb] * real[ja]).scale(-1 / n)
-        self._realization = [r for r in real]  # type: ignore[list-item]
-        stack_rows = []
-        for k in range(self.dim):
-            mk = self._realization[k]
-            stack_rows.append(tuple(mk[(r, c)] for r in range(m) for c in range(m)))
+        self._realization = [
+            tuple((r, c, v) for r, row in enumerate(mk.row_list()) for c, v in enumerate(row) if v)
+            for mk in real
+        ]
+        stack_rows = [tuple(x for row in mk.row_list() for x in row) for mk in real]
         # columns of R are the flattened basis matrices
         rmat = Mat.from_rows(stack_rows, cols=m * m).transpose()
         pivots = _pivot_columns(stack_rows, rmat.rows)
@@ -633,16 +649,12 @@ class LieAlgebra:
         """Defining-representation matrix of x (type A only)."""
         self._require_realization()
         m = self.rank + 1
-        acc = [[Fraction(0)] * m for _ in range(m)]
-        for k, c in enumerate(x.coords):
-            if c == 0:
-                continue
-            mk = self._realization[k]
-            for r in range(m):
-                for s in range(m):
-                    v = mk[(r, s)]
-                    if v != 0:
-                        acc[r][s] += c * v
+        acc = [[_ZERO] * m for _ in range(m)]
+        for c, entries in zip(x.coords, self._realization):
+            if c:
+                for r, s, v in entries:
+                    a = acc[r][s]
+                    acc[r][s] = a + c * v if a else c * v
         return Mat(acc)
 
     def from_matrix(self, mat: Mat) -> Element:

@@ -329,6 +329,8 @@ class BoundaryPoint:
 
 def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
     """Ad_g in the basis of L: column k is Ad_g of basis vector k."""
+    if g.mat == Mat.identity(g.mat.rows):
+        return Mat.identity(L.dim)
     images = [conjugate(g, L.basis_element(k)).coords for k in range(L.dim)]
     return Mat.from_rows(list(zip(*images)), cols=L.dim)
 

@@ -9,6 +9,7 @@ tolerance.
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -410,3 +411,208 @@ def test_apply_size_mismatch_raises():
         m.apply(vec((1, 2, 3, 4)))
     with pytest.raises(DimensionError):
         Mat.from_rows([], cols=2).apply(())
+
+
+# -- zero-aware kernels ------------------------------------------------------------
+
+
+def sparse_operands(seed):
+    """Seeded mostly-zero (rows, cols) pairs with an all-zero row, and empty shapes."""
+    rnd = random.Random(seed)
+
+    def entry(density):
+        if rnd.random() > density:
+            return Fraction(0)
+        return Fraction(rnd.randint(-9, 9) or 1, rnd.randint(1, 29))
+
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (3, 3), (4, 4), (6, 6), (3, 5), (5, 3)):
+        for density in (0.0, 0.15, 0.4, 1.0):
+            rows = [[entry(density) for _ in range(c)] for _ in range(r)]
+            if r > 1:
+                rows[rnd.randrange(r)] = [Fraction(0)] * c
+            yield rows, c
+
+
+def oracle_det(rows):
+    """Leibniz expansion over all permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_sparse_mat_sum_difference_and_scale_match_the_oracle():
+    rnd = random.Random(101)
+    count = 0
+    for rows, cols in sparse_operands(103):
+        # half of the entries of the other operand are moved to fresh positions
+        other = [
+            [x if rnd.random() < 0.5 else -rows[i - 1][j] for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        a, b = Mat.from_rows(rows, cols=cols), Mat.from_rows(other, cols=cols)
+        pairs = [(x, y) for rx, ry in zip(rows, other) for x, y in zip(rx, ry)]
+        for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+            assert [x for row in got.row_list() for x in row] == [op(x, y) for x, y in pairs]
+            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
+        # a zero result entry comes from cancellation as well as from zero operands
+        assert (a - a).is_zero() and (b - b).is_zero()
+        assert -a == Mat.from_rows([[-x for x in row] for row in rows], cols=cols)
+        assert (-a).cols == cols and all_fractions(-a)
+        for c in (0, Fraction(0), "0", 1, Fraction(-3, 7)):
+            got = a.scale(c)
+            want = [[Fraction(c) * x for x in row] for row in rows]
+            assert got == Mat.from_rows(want, cols=cols)
+            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
+        count += 1
+    assert count == 36
+
+
+def oracle_product(a, b, cols):
+    """Row-by-column sums over Fraction for an a of any shape and b with `cols` columns."""
+    return [
+        [sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def test_sparse_mat_product_and_apply_match_the_oracle():
+    rnd = random.Random(107)
+    count = 0
+    for rows, cols in sparse_operands(109):
+        inner = len(rows)
+        right_cols = rnd.choice((0, 1, 4))
+        right = [
+            [Fraction(rnd.randint(-4, 4), rnd.randint(1, 5)) if rnd.random() < 0.3 else Fraction(0)
+             for _ in range(right_cols)]
+            for _ in range(cols)
+        ]
+        # the transpose-shaped left factor meets rows of zeros on both sides
+        left = [list(col) for col in zip(*rows)] if inner else [[] for _ in range(cols)]
+        got = Mat.from_rows(left, cols=inner) * Mat.from_rows(rows, cols=cols)
+        assert got == Mat.from_rows(oracle_product(left, rows, cols), cols=cols)
+        assert (got.rows, got.cols) == (len(left), cols) and all_fractions(got)
+        got = Mat.from_rows(rows, cols=cols) * Mat.from_rows(right, cols=right_cols)
+        assert got == Mat.from_rows(oracle_product(rows, right, right_cols), cols=right_cols)
+        assert all_fractions(got)
+        assert (got.rows, got.cols) == (len(rows), right_cols)
+        v = tuple(Fraction(j % 3 - 1, 2) for j in range(cols))
+        got = Mat.from_rows(rows, cols=cols).apply(v)
+        assert got == oracle_apply(rows, v) and all(type(x) is Fraction for x in got)
+        count += 1
+    assert count == 36
+
+
+def arrow(n):
+    """Nonzero diagonal, first row and first column: eliminating column 0 fills every zero."""
+
+    def entry(i, j):
+        if i == j:
+            return Fraction(i + 2)
+        return Fraction(1, i + j + 1) if i == 0 or j == 0 else Fraction(0)
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def test_sparse_det_and_inverse_match_the_oracle():
+    count = 0
+    singular = 0
+    squares = [(rows, cols) for rows, cols in sparse_operands(113) if len(rows) == cols]
+    squares += [(arrow(n)[::-1], n) for n in range(2, 7)]
+    for rows, cols in squares:
+        shifted = [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        for square in (rows, shifted):
+            m = Mat.from_rows(square, cols=cols)
+            det = m.det()
+            assert det == oracle_det(square) and type(det) is Fraction
+            if det == 0:
+                with pytest.raises(DecompositionError):
+                    m.inverse()
+                singular += 1
+            else:
+                unit = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+                want, _ = oracle_rref([list(a) + b for a, b in zip(square, unit)], 2 * cols)
+                got = m.inverse()
+                assert got == Mat.from_rows([row[cols:] for row in want], cols=cols)
+                assert all_fractions(got)
+            count += 1
+    assert count == 50
+    assert 0 < singular < count
+
+
+def test_sparse_reduce_and_coefficients_match_the_oracle():
+    rnd = random.Random(127)
+    count = 0
+    for rows, cols in sparse_operands(131):
+        want, pivots = oracle_rref(rows, cols)
+        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
+        vectors = [(Fraction(0),) * cols]
+        vectors += [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
+        vectors += [tuple(x if rnd.random() < 0.3 else Fraction(0) for x in row) for row in rows]
+        for _ in range(2):
+            cs = [Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in pivots]
+            vectors.append(tuple(oracle_product([cs], want, cols)[0]))
+        for v in vectors:
+            # against an RREF basis, the residue is v minus its pivot entries times the rows
+            at_pivots = [v[p] for p in pivots]
+            residue = tuple(
+                v[j] - sum((c * row[j] for c, row in zip(at_pivots, want)), Fraction(0))
+                for j in range(cols)
+            )
+            got = space.reduce(v)
+            assert got == residue and all(type(x) is Fraction for x in got)
+            if any(residue):
+                with pytest.raises(DecompositionError):
+                    space.coefficients(v)
+            else:
+                got = space.coefficients(v)
+                assert got == tuple(at_pivots) and all(type(x) is Fraction for x in got)
+            count += 1
+    assert count > 200
+
+
+def oracle_null(rows, cols):
+    """Null vectors of the rows, read off the oracle's RREF."""
+    want, pivots = oracle_rref(rows, cols)
+    null = []
+    for j in (j for j in range(cols) if j not in pivots):
+        v = [Fraction(0)] * cols
+        v[j] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -want[r][j]
+        null.append(v)
+    return null
+
+
+def test_sparse_intersect_matches_the_annihilator_oracle():
+    # U cap V is the annihilator of ann(U) + ann(V)
+    rnd = random.Random(137)
+
+    def sparse_row(cols):
+        def entry():
+            return Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 4), rnd.randint(1, 6))
+
+        return [entry() if rnd.random() < 0.5 else Fraction(0) for _ in range(cols)]
+
+    shapes = ((1, 0, 1, 0), (3, 1, 1, 1), (5, 1, 2, 1), (5, 2, 1, 1))
+    shapes += ((6, 2, 2, 2), (7, 2, 2, 2), (7, 3, 1, 3), (8, 1, 3, 3))
+    count = proper = 0
+    for cols, shared, extra_u, extra_v in shapes:
+        for _ in range(3):
+            common = [sparse_row(cols) for _ in range(shared)]
+            u = common + [sparse_row(cols) for _ in range(extra_u)]
+            # V holds the shared rows only through sums, so its basis differs from U's
+            v = [[a + b for a, b in zip(row, common[-1])] for row in common[:-1]] + common[-1:]
+            v += [sparse_row(cols) for _ in range(extra_v)]
+            got = Subspace.from_vectors(cols, u).intersect(Subspace.from_vectors(cols, v))
+            ann = oracle_null(u, cols) + oracle_null(v, cols)
+            want, pivots = oracle_rref(oracle_null(ann, cols), cols)
+            assert got.basis == Mat.from_rows(want[: len(pivots)], cols=cols)
+            assert all_fractions(got.basis)
+            proper += 0 < got.dim < min(len(u), len(v))
+            count += 1
+    assert count == 24 and proper > 12

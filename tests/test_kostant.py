@@ -12,7 +12,7 @@ import pytest
 
 from ucz import algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError
-from ucz.exactlin import Mat, solve
+from ucz.exactlin import Mat, rank, solve
 from ucz.kostant import (
     PrincipalTriple,
     build_principal_triple,
@@ -283,3 +283,27 @@ def test_invariants_are_conjugation_invariant(a3):
         x = a3.element([gen.fraction() for _ in range(a3.dim)])
         g = a3.group_exp(nilpos_element(a3, gen))
         assert invariants_eval(conjugate(g, x)) == invariants_eval(x)
+
+
+def test_gradient_matches_dual_derivatives_and_interpolation(type_a_algebra):
+    # at x = 0 and x = f + c e_1 many realized entries are zero while their
+    # derivatives are not; column j of the gradient is the derivative along b_j
+    L = type_a_algebra
+    system = invariant_system(L)
+    f = build_principal_triple(L).f
+    gen = stream(47, f"gradient:{L.descriptor}")
+    ts = range(L.rank + 2)
+    vander = Mat.from_rows([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
+    points = [L.zero(), f] + [f + L.e(0).scale(gen.nonzero_fraction()) for _ in range(2)]
+    for x in points:
+        grad = system.gradient(x)
+        assert len(grad) == L.rank and all(len(row) == L.dim for row in grad)
+        assert all(type(d) is Fraction for row in grad for d in row)
+        for j in range(L.dim):
+            d = L.basis_element(j)
+            assert tuple(row[j] for row in grad) == tuple(der for _, der in system.eval_dual(x, d))
+            samples = [system.eval(x + d.scale(t)) for t in ts]
+            for k, row in enumerate(grad):
+                assert row[j] == solve(vander, tuple(s[k] for s in samples))[1]
+        # the differentials vanish at 0 and are independent at the regular points
+        assert rank(Mat.from_rows(grad, cols=L.dim)) == (0 if x == L.zero() else L.rank)

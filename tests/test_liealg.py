@@ -6,7 +6,7 @@ antisymmetry, invariance) are identities that must hold with no tolerance.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +15,7 @@ from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
 from ucz.liealg import GroupElement, conjugate
 from ucz.rng import stream
+from ucz.suites import group_sample
 
 DIMS = {"A1": 3, "A2": 8, "A3": 15, "B2": 10, "G2": 14}
 POS_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "G2": 6}
@@ -276,3 +277,122 @@ def test_torus_element_and_weyl_representatives(a1, a2):
     assert len(reps) == 6
     assert all(r.mat.det() == 1 for r in reps)
     assert len(set(reps)) == 6
+
+
+# -- zero-aware kernels ------------------------------------------------------------
+
+
+def sparse_elements(L, seed):
+    """Seeded mostly-zero elements: zero, single basis vectors, and sparse mixes."""
+    gen = stream(seed, f"sparse:{L.descriptor}")
+
+    def entry(density):
+        return gen.nonzero_fraction() if gen.randint(0, 99) < 100 * density else 0
+
+    out = [L.zero(), L.basis_element(0), L.basis_element(L.dim - 1).scale(-2)]
+    for density in (0.1, 0.25, 0.5, 1.0):
+        out += [L.element([entry(density) for _ in range(L.dim)]) for _ in range(3)]
+    return out
+
+
+def all_fractions(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+def dense_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def test_sparse_element_arithmetic_matches_the_oracle(any_algebra):
+    L = any_algebra
+    xs = sparse_elements(L, 3)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        for got, want in (
+            (x + y, [a + b for a, b in zip(x.coords, y.coords)]),
+            (x - y, [a - b for a, b in zip(x.coords, y.coords)]),
+            (x - x, [Fraction(0)] * L.dim),
+            (-x, [-a for a in x.coords]),
+        ):
+            assert list(got.coords) == want and all_fractions(got.coords)
+        for c in (0, Fraction(0), 1, Fraction(-5, 3)):
+            got = x.scale(c)
+            assert list(got.coords) == [Fraction(c) * a for a in x.coords]
+            assert all_fractions(got.coords) and got.algebra is L
+
+
+def test_sparse_bracket_matches_the_bilinear_expansion(any_algebra):
+    # [x, y] = sum_ij x_i y_j [b_i, b_j], with the basis brackets for i < j as a
+    # dense table and the others from antisymmetry
+    L = any_algebra
+    n = L.dim
+    b = [L.basis_element(i) for i in range(n)]
+    table = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = L.bracket(b[i], b[j]).coords
+        table[j][i] = tuple(-t for t in table[i][j])
+    xs = sparse_elements(L, 5)
+    for x in xs:
+        for y in xs[::2]:
+            want = [Fraction(0)] * n
+            for i in range(n):
+                for j in range(n):
+                    c = x.coords[i] * y.coords[j]
+                    want = [w + c * t for w, t in zip(want, table[i][j])] if c else want
+            got = L.bracket(x, y)
+            assert list(got.coords) == want and all_fractions(got.coords)
+
+
+def test_sparse_realize_matches_the_dense_sum(type_a_algebra):
+    # realize(x) = sum_j x_j R_j, and realize([x, y]) is the matrix commutator
+    L = type_a_algebra
+    m = L.rank + 1
+    basis = [L.realize(L.basis_element(j)) for j in range(L.dim)]
+
+    def dense(x):
+        return [
+            [sum((c * r[(i, j)] for c, r in zip(x.coords, basis)), Fraction(0)) for j in range(m)]
+            for i in range(m)
+        ]
+
+    xs = sparse_elements(L, 7)
+    for x in xs:
+        got = L.realize(x)
+        assert got == Mat.from_rows(dense(x), cols=m)
+        assert all_fractions(e for row in got.row_list() for e in row)
+        for y in xs[1::3]:
+            xy, yx = dense_product(dense(x), dense(y)), dense_product(dense(y), dense(x))
+            want = [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
+            assert L.realize(L.bracket(x, y)) == Mat.from_rows(want, cols=m)
+
+
+def leibniz_det(mat):
+    n = mat.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= mat[(i, j)]
+        total += term
+    return total
+
+
+def test_products_and_inverses_stay_unimodular(type_a_algebra):
+    # det is checked where a matrix enters; products and inverses skip the check
+    L = type_a_algebra
+    m = L.rank + 1
+    gen = stream(17, f"unimodular:{L.descriptor}")
+    samples = [group_sample(L, gen) for _ in range(4)] + L.weyl_representatives()[:3]
+    for g, h in zip(samples, samples[1:]):
+        product = dense_product(g.mat.row_list(), h.mat.row_list())
+        assert (g * h).mat == Mat.from_rows(product, cols=m)
+        assert (g * g.inverse()).mat == Mat.identity(m)
+        for built in (g * h, g.inverse(), (g * h).inverse()):
+            assert leibniz_det(built.mat) == 1
+    with pytest.raises(DomainError):
+        GroupElement(Mat.from_rows([(1, 1, 0), (0, 2, 0), (0, 0, 1)], cols=3))
+    with pytest.raises(DomainError):
+        L.torus_element([2] * m)

@@ -230,6 +230,24 @@ def test_translated_point_contains_translated_pairs(a2):
         assert translate_contains(point, pair)
 
 
+def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
+    # (g, id) is the moment suite's interior translate; Ad_id is the identity map
+    L = type_a_algebra
+    assert wonderful._adjoint_matrix(L, L.group_identity()) == Mat.identity(L.dim)
+    p = build_parabolic(L, full_set(L))
+    gen = stream(53, f"idtrans:{L.descriptor}")
+    n = L.dim
+    for _ in range(2):
+        g = group_sample(L, gen)
+        assert wonderful._adjoint_matrix(L, g * g.inverse()) == Mat.identity(n)
+        point = make_boundary_point(p, g, L.group_identity())
+        moved = [
+            conjugate(g, L.element(row[:n])).coords + row[n:]
+            for row in fiber_algebra(p).basis.row_list()
+        ]
+        assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
+
+
 def test_torus_fixed_points_of_a1(a1):
     h = a1.h(0)
     points = torus_fixed_fiber_points(h, a1.group_identity())
