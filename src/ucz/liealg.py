@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
-from .exactlin import Mat, Rat, Subspace, Vector, _as_fraction, _pivot_columns, kernel, vec
+from .exactlin import Mat, Rat, Subspace, _as_fraction, _pivot_columns, kernel, vec
 
 _ZERO = Fraction(0)
 
@@ -97,11 +99,11 @@ class RootSystem:
                         changed = True
         mult = 1
         for x in d:
-            mult = mult * x.denominator // _gcd(mult, x.denominator)
+            mult = mult * x.denominator // gcd(mult, x.denominator)
         dd = [int(x * mult) for x in d]
         g = 0
         for x in dd:
-            g = _gcd(g, x)
+            g = gcd(g, x)
         return [x // g for x in dd]
 
     @property
@@ -245,12 +247,6 @@ class RootSystem:
         return val
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 class Element:
     """Lie algebra element as an exact coordinate vector in the fixed basis."""
 
@@ -316,53 +312,143 @@ class Element:
         return f"<{self.algebra.descriptor}: {body}>"
 
 
-class GroupElement:
-    """Determinant-one rational matrix acting on a type A algebra by conjugation.
+IntRows = tuple[tuple[int, ...], ...]
 
-    The determinant is checked where a matrix becomes a group element.  det is
-    multiplicative, so products and inverses of group elements, and the
-    identity, have determinant one exactly and are built `_unimodular`,
-    without the check.
+
+class GroupElement:
+    """Determinant-one rational matrix N / d acting on a type A algebra by conjugation.
+
+    Stored canonically as an integer matrix `num` = N (a tuple of row tuples)
+    over one denominator `den` = d > 0 with gcd(content(N), d) = 1, so equal
+    elements have equal (N, d), and products, inverses and conjugation run in
+    integer arithmetic.  The determinant is checked where a matrix enters:
+    `GroupElement(mat)`, `group_exp`, `torus_element` and
+    `weyl_representatives` compare the Bareiss determinant of N with d^m.
+    det is multiplicative, so products and inverses, and the identity, have
+    determinant one exactly and are built without the check.  `mat` is the
+    same element as a `Mat`, built on first use.
     """
 
-    __slots__ = ("mat", "_inv")
+    __slots__ = ("num", "den", "_mat", "_inv")
 
-    def __init__(self, mat: Mat, _unimodular: bool = False):
+    def __init__(self, mat: Mat):
         if mat.rows != mat.cols:
             raise DomainError("group element must be square")
-        if not _unimodular and mat.det() != 1:
-            raise DomainError("group element must have determinant one")
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_inv", None)
+        num, den = _integer_matrix(mat.row_list())
+        _check_det(num, den)
+        _fill(self, num, den, mat)
 
     def __setattr__(self, *args):
         raise AttributeError("GroupElement is immutable")
 
     @staticmethod
     def identity(size: int) -> "GroupElement":
-        return GroupElement(Mat.identity(size), _unimodular=True)
+        return _group(_identity_rows(size), 1)
 
-    def inverse_mat(self) -> Mat:
-        inv = object.__getattribute__(self, "_inv")
+    def is_identity(self) -> bool:
+        return self.den == 1 and self.num == _identity_rows(len(self.num))
+
+    @property
+    def mat(self) -> Mat:
+        mat = self._mat
+        if mat is None:
+            d = self.den
+            mat = Mat([[Fraction(x, d) for x in row] for row in self.num])
+            object.__setattr__(self, "_mat", mat)
+        return mat
+
+    def inverse(self) -> "GroupElement":
+        """adj(N) / d^(m-1), since det(N) = d^m; cached both ways."""
+        inv = self._inv
         if inv is None:
-            inv = self.mat.inverse()
+            inv = _group(_int_adjugate(self.num), self.den ** (len(self.num) - 1))
+            object.__setattr__(inv, "_inv", self)
             object.__setattr__(self, "_inv", inv)
         return inv
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.inverse_mat(), _unimodular=True)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.mat * other.mat, _unimodular=True)
+        return _group(_int_matmul(self.num, other.num), self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.mat == other.mat
+        return isinstance(other, GroupElement) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"GroupElement({self.mat!r})"
+
+
+def _fill(g: GroupElement, num: IntRows, den: int, mat: Mat | None) -> None:
+    object.__setattr__(g, "num", num)
+    object.__setattr__(g, "den", den)
+    object.__setattr__(g, "_mat", mat)
+    object.__setattr__(g, "_inv", None)
+
+
+def _group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
+    """The element num / den, put in canonical form; its determinant is not checked."""
+    c = gcd(den, *(x for row in num for x in row))
+    g = object.__new__(GroupElement)
+    _fill(g, tuple(tuple(x // c for x in row) for row in num), den // c, None)
+    return g
+
+
+def _checked_group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
+    _check_det(num, den)
+    return _group(num, den)
+
+
+def _check_det(num: Sequence[Sequence[int]], den: int) -> None:
+    if _int_det(num) != den ** len(num):
+        raise DomainError("group element must have determinant one")
+
+
+def _integer_matrix(rows: Sequence[Sequence[Rat]]) -> tuple[IntRows, int]:
+    """(N, d) with rows = N / d, d the lcm of the denominators (so already canonical)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(m: int) -> IntRows:
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * a[k][j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _int_adjugate(rows: Sequence[Sequence[int]]) -> IntRows:
+    """adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j and column i."""
+    n = len(rows)
+
+    def minor(i: int, j: int) -> int:
+        return _int_det([row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i])
+
+    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
 
 
 class LieAlgebra:
@@ -390,11 +476,12 @@ class LieAlgebra:
         self._index_of_root = {r: i for i, r in self._root_of_index.items()}
         self._table = self._build_table()
         self._killing: Mat | None = None
-        # per basis vector, the nonzero (row, col, value) entries of its realization
-        self._realization: list[tuple[tuple[int, int, Rat], ...]] | None = None
-        self._from_matrix_rows: list[int] | None = None
-        self._from_matrix_inv: Mat | None = None
-        self._realize_stack: Mat | None = None
+        # per basis vector, the nonzero integer (row, col, value) entries of its
+        # realization; per coordinate, the (row, col, value) entries that read
+        # it, times _readout_den, off a realized matrix
+        self._realization: list[tuple[tuple[int, int, int], ...]] | None = None
+        self._readout: list[tuple[tuple[int, int, int], ...]] | None = None
+        self._readout_den = 1
         if rs.type_label == "A":
             self._build_realization()
         self.cartan = self._coord_span(self.idx_h(i) for i in range(self.rank))
@@ -532,7 +619,7 @@ class LieAlgebra:
             term = a * term
             if term.is_zero():
                 return total
-            total = total + term.scale(Fraction(1, _factorial(k)))
+            total = total + term.scale(Fraction(1, factorial(k)))
         raise DomainError("exp_ad requires an ad-nilpotent element")
 
     def exp_ad_apply(self, x: Element, y: Element) -> Element:
@@ -598,64 +685,80 @@ class LieAlgebra:
                 f"{self.descriptor} carries no matrix realization; group operations are type A only"
             )
 
+    def _require_acting(self, g: GroupElement) -> None:
+        self._require_realization()
+        if len(g.num) != self.rank + 1:
+            raise DomainError("group element has the wrong size for this algebra")
+
     def _build_realization(self) -> None:
         rs = self.root_system
         m = self.rank + 1
-        real: list[Mat | None] = [None] * self.dim
+        real: list[IntRows | None] = [None] * self.dim
 
-        def unit(r: int, c: int) -> Mat:
-            return Mat.from_rows(
-                [
-                    tuple(Fraction(1) if (i == r and j == c) else Fraction(0) for j in range(m))
-                    for i in range(m)
-                ],
-                cols=m,
-            )
+        def matrix(*entries: tuple[int, int, int]) -> IntRows:
+            out = [[0] * m for _ in range(m)]
+            for r, c, v in entries:
+                out[r][c] = v
+            return tuple(map(tuple, out))
+
+        def bracket_over(ia: int, ib: int, n: int) -> IntRows:
+            ab, ba = _int_matmul(real[ia], real[ib]), _int_matmul(real[ib], real[ia])
+            out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            if any(x % n for row in out for x in row):
+                raise ArithmeticError("the realization table must be integral")
+            return tuple(tuple(x // n for x in row) for row in out)
 
         for i in range(self.rank):
-            real[self.idx_h(i)] = unit(i, i) - unit(i + 1, i + 1)
+            real[self.idx_h(i)] = matrix((i, i, 1), (i + 1, i + 1, -1))
         for k, alpha in enumerate(rs.positive_roots):
             if rs.height(alpha) == 1:
                 i = alpha.index(1)
-                real[self.idx_e(k)] = unit(i, i + 1)
-                real[self.idx_f(k)] = unit(i + 1, i)
+                real[self.idx_e(k)] = matrix((i, i + 1, 1))
+                real[self.idx_f(k)] = matrix((i + 1, i, 1))
         # non-simple root vectors through their extraspecial brackets keeps
         # realization signs consistent with the abstract constants
         for alpha in rs.positive_roots:
             if rs.height(alpha) < 2:
                 continue
             a, b = rs.extraspecial_pair(alpha)
-            n = rs.n_constant(a, b)
-            ia, ib = self._index_of_root[a], self._index_of_root[b]
-            ig = self._index_of_root[alpha]
-            real[ig] = (real[ia] * real[ib] - real[ib] * real[ia]).scale(1 / n)
-            ja, jb = self._index_of_root[_rneg(a)], self._index_of_root[_rneg(b)]
-            jg = self._index_of_root[_rneg(alpha)]
-            real[jg] = (real[ja] * real[jb] - real[jb] * real[ja]).scale(-1 / n)
+            n = int(rs.n_constant(a, b))
+            index = self._index_of_root
+            real[index[alpha]] = bracket_over(index[a], index[b], n)
+            real[index[_rneg(alpha)]] = bracket_over(index[_rneg(a)], index[_rneg(b)], -n)
         self._realization = [
-            tuple((r, c, v) for r, row in enumerate(mk.row_list()) for c, v in enumerate(row) if v)
+            tuple((r, c, v) for r, row in enumerate(mk) for c, v in enumerate(row) if v)
             for mk in real
         ]
-        stack_rows = [tuple(x for row in mk.row_list() for x in row) for mk in real]
-        # columns of R are the flattened basis matrices
-        rmat = Mat.from_rows(stack_rows, cols=m * m).transpose()
-        pivots = _pivot_columns(stack_rows, rmat.rows)
-        self._from_matrix_rows = pivots
-        square = Mat.from_rows([rmat.row(p) for p in pivots], cols=self.dim)
-        self._from_matrix_inv = square.inverse()
-        self._realize_stack = rmat
+        # coordinates are read off the entries at the pivot positions of the
+        # stacked flattened basis matrices
+        stack_rows = [tuple(x for row in mk for x in row) for mk in real]
+        pivots = _pivot_columns(stack_rows, m * m)
+        square = Mat.from_rows([[row[p] for row in stack_rows] for p in pivots], cols=self.dim)
+        inv, self._readout_den = _integer_matrix(square.inverse().row_list())
+        self._readout = [
+            tuple(divmod(p, m) + (v,) for p, v in zip(pivots, row) if v) for row in inv
+        ]
+
+    def _combine(self, ints: Sequence[int]) -> list[list[int]]:
+        """The integer matrix sum_j ints[j] R_j over the realization table."""
+        m = self.rank + 1
+        acc = [[0] * m for _ in range(m)]
+        for k, entries in zip(ints, self._realization):
+            if k:
+                for r, c, v in entries:
+                    acc[r][c] += k * v
+        return acc
+
+    def _realize_int(self, x: Element) -> tuple[list[list[int]], int]:
+        """(Y, D) with realize(x) = Y / D, Y integral, D the lcm of x's denominators."""
+        self._require_realization()
+        den = lcm(*(c.denominator for c in x.coords if c))
+        return self._combine([c.numerator * (den // c.denominator) for c in x.coords]), den
 
     def realize(self, x: Element) -> Mat:
         """Defining-representation matrix of x (type A only)."""
-        self._require_realization()
-        m = self.rank + 1
-        acc = [[_ZERO] * m for _ in range(m)]
-        for c, entries in zip(x.coords, self._realization):
-            if c:
-                for r, s, v in entries:
-                    a = acc[r][s]
-                    acc[r][s] = a + c * v if a else c * v
-        return Mat(acc)
+        rows, den = self._realize_int(x)
+        return Mat([[Fraction(v, den) if v else _ZERO for v in row] for row in rows])
 
     def from_matrix(self, mat: Mat) -> Element:
         """Inverse of realize; raises DomainError off the realized algebra."""
@@ -663,11 +766,22 @@ class LieAlgebra:
         m = self.rank + 1
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        flat = tuple(mat[(r, c)] for r in range(m) for c in range(m))
-        coords = self._from_matrix_inv.apply(tuple(flat[p] for p in self._from_matrix_rows))
-        if self._realize_stack.apply(coords) != flat:
-            raise DomainError("matrix lies outside the realized algebra")
-        return Element(self, coords)
+        return self.from_integer_matrix(*_integer_matrix(mat.row_list()))
+
+    def from_integer_matrix(self, rows: Sequence[Sequence[int]], den: int) -> Element:
+        """The element realized by rows / den; raises DomainError off the realized algebra.
+
+        The coordinates are integer combinations of entries of rows over
+        den * _readout_den; realizing them back must give rows exactly.
+        """
+        self._require_realization()
+        sden = self._readout_den
+        nums = [sum(v * rows[r][c] for r, c, v in terms) for terms in self._readout]
+        for back, row in zip(self._combine(nums), rows):
+            if back != [sden * x for x in row]:
+                raise DomainError("matrix lies outside the realized algebra")
+        total = sden * den
+        return Element(self, [Fraction(k, total) if k else _ZERO for k in nums])
 
     # -- group operations ----------------------------------------------------------
 
@@ -676,20 +790,28 @@ class LieAlgebra:
         return GroupElement.identity(self.rank + 1)
 
     def group_exp(self, x: Element) -> GroupElement:
-        """exp of a nilpotent element in the defining representation."""
-        mx = self.realize(x)
-        m = mx.rows
-        total = Mat.identity(m)
-        term = Mat.identity(m)
-        for k in range(1, m + 1):
-            term = (mx * term).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            total = total + term
-        else:
-            if not term.is_zero():
+        """exp of a nilpotent element in the defining representation.
+
+        With realize(x) = Y / D and Y^(K+1) = 0, exp(x) = sum_k Y^k / (k! D^k)
+        = sum_k (K!/k!) D^(K-k) Y^k / (K! D^K): integer powers of Y over one
+        denominator.  x is nilpotent exactly when Y^m = 0.
+        """
+        y, d = self._realize_int(x)
+        m = len(y)
+        powers = [_identity_rows(m)]
+        power = y
+        while any(any(row) for row in power):
+            if len(powers) == m:
                 raise DomainError("group_exp requires a nilpotent element")
-        return GroupElement(total)
+            powers.append(power)
+            power = _int_matmul(power, y)
+        top = len(powers) - 1
+        weights = [factorial(top) // factorial(k) * d ** (top - k) for k in range(top + 1)]
+        num = [
+            [sum(w * p[i][j] for w, p in zip(weights, powers)) for j in range(m)]
+            for i in range(m)
+        ]
+        return _checked_group(num, factorial(top) * d ** top)
 
     def torus_element(self, entries: Sequence) -> GroupElement:
         self._require_realization()
@@ -697,8 +819,8 @@ class LieAlgebra:
         if len(vals) != self.rank + 1:
             raise DomainError("torus element needs rank+1 diagonal entries")
         m = self.rank + 1
-        return GroupElement(
-            Mat([[vals[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)])
+        return _checked_group(
+            *_integer_matrix([[vals[i] if i == j else _ZERO for j in range(m)] for i in range(m)])
         )
 
     def weyl_representatives(self) -> list[GroupElement]:
@@ -710,13 +832,10 @@ class LieAlgebra:
         out = []
         for perm in permutations(range(m)):
             sign = _perm_sign(perm)
-            rows = [[Fraction(0)] * m for _ in range(m)]
+            rows = [[0] * m for _ in range(m)]
             for src, dst in enumerate(perm):
-                rows[dst][src] = Fraction(1)
-            if sign < 0:
-                for r in range(m):
-                    rows[r][0] = -rows[r][0]
-            out.append(GroupElement(Mat(rows)))
+                rows[dst][src] = -1 if sign < 0 and src == 0 else 1
+            out.append(_checked_group(rows, 1))
         return out
 
 
@@ -735,13 +854,6 @@ def _perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -781,9 +893,14 @@ def exp_ad(x: Element) -> Mat:
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:
-    """Adjoint action Ad_g(y) through the matrix realization (type A)."""
+    """Adjoint action Ad_g(y) = g realize(y) g^-1, in integers over one denominator (type A)."""
     L = y.algebra
-    return L.from_matrix(g.mat * L.realize(y) * g.inverse_mat())
+    L._require_acting(g)
+    rows, den = L._realize_int(y)
+    inv = g.inverse()
+    return L.from_integer_matrix(
+        _int_matmul(_int_matmul(g.num, rows), inv.num), den * g.den * inv.den
+    )
 
 
 ALGEBRA_DESCRIPTORS = tuple(sorted(_CARTAN))

@@ -663,7 +663,7 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         g_in = n1 * (gamma * n2.inverse())
         xi_in = conjugate(n2, xi_s)
         g_s, x_s = level_set_normalize(g_in, xi_in)
-        if g_s.mat == gamma.mat and x_s == xi_s:
+        if g_s == gamma and x_s == xi_s:
             good += 1
     report.add(
         "slice recovery",
@@ -686,7 +686,7 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         g_s2, x_s2 = level_set_normalize(
             n1p * (g_in * n2p.inverse()), conjugate(n2p, xi_in)
         )
-        if x_s2 == x_s and g_s2.mat == g_s.mat:
+        if x_s2 == x_s and g_s2 == g_s:
             good += 1
     report.add(
         "pre-action invariance",

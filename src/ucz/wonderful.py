@@ -328,10 +328,29 @@ class BoundaryPoint:
 
 
 def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
-    """Ad_g in the basis of L: column k is Ad_g of basis vector k."""
-    if g.mat == Mat.identity(g.mat.rows):
+    """Ad_g in the basis of L: column k is Ad_g of basis vector k.
+
+    With g = N / d and g^-1 = M / e, Ad_g(b_k) = g R_k g^-1 is the sum over
+    the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
+    d e: outer products of a column of N and a row of M, from one inverse.
+    """
+    if g.is_identity():
         return Mat.identity(L.dim)
-    images = [conjugate(g, L.basis_element(k)).coords for k in range(L.dim)]
+    L._require_acting(g)
+    inv = g.inverse()
+    num, inv_num, den = g.num, inv.num, g.den * inv.den
+    m = len(num)
+    images = []
+    for entries in L._realization:
+        acc = [[0] * m for _ in range(m)]
+        for r, c, v in entries:
+            right = inv_num[c]
+            for row, out in zip(num, acc):
+                left = row[r] * v
+                if left:
+                    for j, x in enumerate(right):
+                        out[j] += left * x
+        images.append(L.from_integer_matrix(acc, den).coords)
     return Mat.from_rows(list(zip(*images)), cols=L.dim)
 
 

@@ -5,6 +5,7 @@ output I/O failure, 4 internal error.  JSON reports must be byte-identical
 for identical (algebra, seed, samples) configurations.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -198,3 +199,22 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == A1_DESCRIBE
+
+
+# sha256 of `ucz verify <alg> --samples 3 --seed 11 --format json`; any change
+# to the arithmetic under the suites must leave these reports byte-identical
+VERIFY_JSON_SHA256 = {
+    "A1": "b053000c33b9cba6f247911cba7370e3d79a2118bcc34c140709b8a11aa53f63",
+    "A2": "23664ca9ce2a17c3bbf97a8e19701320085cfc96d8badee7d157e14eaa9cf4ad",
+    "A3": "9693a70ef7e728f8e50d42ec640badfeb1130f093f9163d023d363844febd692",
+    "B2": "02112ad72b0aa9f972d3961307c20a564d27caa424f33d2c0b54895d04f3885f",
+    "G2": "4e9d1f883dbe0c9f36363708f88da9435ee92c15e7b67e2d4d6589ba7247da12",
+}
+
+
+@pytest.mark.parametrize("descriptor", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_is_pinned(capsys, descriptor):
+    code = main(["verify", descriptor, "--samples", "3", "--seed", "11", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256[descriptor]

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ucz import algebra_from_descriptor, build_algebra
+from ucz import algebra_from_descriptor, build_algebra, liealg, wonderful
 from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
 from ucz.liealg import GroupElement, conjugate
@@ -380,19 +380,118 @@ def leibniz_det(mat):
     return total
 
 
+def dense_inverse(rows):
+    # Gauss-Jordan on [A | I] over Fraction
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        pv = aug[c][c]
+        aug[c] = [x / pv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def group_inputs(L, gen):
+    """Torus elements with fractional entries and exp of multi-root nilpotents."""
+    m = L.rank + 1
+    out = []
+    for _ in range(2):
+        entries = [gen.nonzero_fraction(num_bound=5) for _ in range(m - 1)]
+        prod = Fraction(1)
+        for t in entries:
+            prod *= t
+        out.append(L.torus_element(entries + [1 / prod]))
+    lower = [Fraction(0)] * L.dim
+    for k in range(L.n_pos):
+        lower[L.idx_f(k)] = gen.nonzero_fraction()
+    return out + [L.group_exp(random_nilpos(L, gen)), L.group_exp(L.element(lower))]
+
+
 def test_products_and_inverses_stay_unimodular(type_a_algebra):
-    # det is checked where a matrix enters; products and inverses skip the check
+    # det is checked where a matrix enters; products and inverses skip the
+    # check.  The integer (N, d) layer is compared with dense Fraction code.
     L = type_a_algebra
     m = L.rank + 1
     gen = stream(17, f"unimodular:{L.descriptor}")
     samples = [group_sample(L, gen) for _ in range(4)] + L.weyl_representatives()[:3]
-    for g, h in zip(samples, samples[1:]):
-        product = dense_product(g.mat.row_list(), h.mat.row_list())
+    samples += group_inputs(L, gen)
+    assert any(g.den > 1 for g in samples)
+    ys = [random_element(L, gen) for _ in range(3)] + [L.zero()]
+    for g, h, k in zip(samples, samples[1:], samples[2:] + samples[:1]):
+        g_rows = g.mat.row_list()
+        product = dense_product(g_rows, h.mat.row_list())
         assert (g * h).mat == Mat.from_rows(product, cols=m)
         assert (g * g.inverse()).mat == Mat.identity(m)
         for built in (g * h, g.inverse(), (g * h).inverse()):
             assert leibniz_det(built.mat) == 1
+        g_inv = dense_inverse(g_rows)
+        assert g.inverse().mat == Mat.from_rows(g_inv, cols=m)
+        for y in ys:
+            want = dense_product(dense_product(g_rows, L.realize(y).row_list()), g_inv)
+            assert L.realize(conjugate(g, y)) == Mat.from_rows(want, cols=m)
+        ad_g = wonderful._adjoint_matrix(L, g)
+        assert wonderful._adjoint_matrix(L, g * h) == ad_g * wonderful._adjoint_matrix(L, h)
+        for j in range(L.dim):
+            column = tuple(ad_g[(i, j)] for i in range(L.dim))
+            assert column == conjugate(g, L.basis_element(j)).coords
+        # equal elements reached by different routes compare and hash equal
+        routes = [
+            ((g * h) * k, g * (h * k)),
+            (GroupElement(Mat.from_rows(g_rows, cols=m)), g),
+            (g * g.inverse(), L.group_identity()),
+        ]
+        for a, b in routes:
+            assert a == b and hash(a) == hash(b)
+    assert len(set(samples)) == len({g.mat for g in samples})
     with pytest.raises(DomainError):
         GroupElement(Mat.from_rows([(1, 1, 0), (0, 2, 0), (0, 0, 1)], cols=3))
     with pytest.raises(DomainError):
         L.torus_element([2] * m)
+
+
+def test_group_layer_error_paths_survive(a2):
+    with pytest.raises(DomainError):
+        a2.group_exp(a2.h(0))
+    with pytest.raises(DomainError):
+        a2.group_exp(a2.e(0) + a2.f(0))
+    diag = Mat.from_rows([(Fraction(2, 3), 0, 0), (0, Fraction(3, 2), 0), (0, 0, 2)], cols=3)
+    with pytest.raises(DomainError):
+        GroupElement(diag)
+    with pytest.raises(DomainError):
+        a2.from_matrix(
+            Mat.from_rows([(Fraction(1, 2), 1, 0), (0, Fraction(1, 3), 0), (0, 0, 0)], cols=3)
+        )
+    swap = GroupElement(Mat.from_rows([(0, 1), (-1, 0)], cols=2))
+    with pytest.raises(DomainError):
+        conjugate(swap, a2.e(0))
+    with pytest.raises(DomainError):
+        wonderful._adjoint_matrix(a2, swap)
+    with pytest.raises(UnsupportedAlgebraError):
+        wonderful._adjoint_matrix(algebra_from_descriptor("B2"), swap)
+
+
+def test_integer_det_and_adjugate_match_the_oracle():
+    # Bareiss det against Leibniz, adjugate against det * Gauss-Jordan inverse,
+    # on seeded integer matrices with zero pivots and singular cases
+    gen = stream(31, "intdet")
+    for n in range(1, 5):
+        for trial in range(12):
+            rows = [[gen.fraction(num_bound=3).numerator for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                rows[0][0] = 0
+            if trial % 4 == 1 and n > 1:
+                rows[-1] = list(rows[0])
+            det = leibniz_det(Mat.from_rows(rows, cols=n))
+            assert liealg._int_det(rows) == det
+            if det:
+                inv = dense_inverse(rows)
+                want = tuple(tuple(det * x for x in row) for row in inv)
+                assert liealg._int_adjugate(tuple(map(tuple, rows))) == want
