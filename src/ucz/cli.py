@@ -147,22 +147,8 @@ def _check_samples(samples: int) -> None:
         raise argparse.ArgumentTypeError(f"--samples must be at least 1, got {samples}")
 
 
-def cmd_verify(args) -> int:
-    L = algebra_from_descriptor(args.algebra)
-    seed = _resolve_seed(args.seed)
-    _check_samples(args.samples)
-    start = time.monotonic()
-    reports = run_suites(L, _selected_suites(args.suite), seed, args.samples)
-    elapsed = time.monotonic() - start
-    if args.format == "json":
-        sys.stdout.write(_render_json(L.descriptor, seed, reports))
-    else:
-        print(f"algebra {L.descriptor}")
-        print(_render_text(reports, seed, args.samples, elapsed))
-    return 0 if all(r.ok for r in reports) else 1
-
-
-def cmd_report(args) -> int:
+def _run_report(args) -> tuple[str, bool]:
+    """Run the selected suites; the rendered report and whether every check passed."""
     L = algebra_from_descriptor(args.algebra)
     seed = _resolve_seed(args.seed)
     _check_samples(args.samples)
@@ -175,6 +161,17 @@ def cmd_report(args) -> int:
         text = f"algebra {L.descriptor}\n" + _render_text(
             reports, seed, args.samples, elapsed
         ) + "\n"
+    return text, all(r.ok for r in reports)
+
+
+def cmd_verify(args) -> int:
+    text, ok = _run_report(args)
+    sys.stdout.write(text)
+    return 0 if ok else 1
+
+
+def cmd_report(args) -> int:
+    text, _ = _run_report(args)
     if args.output is None:
         sys.stdout.write(text)
         return 0

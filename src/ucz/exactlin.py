@@ -12,28 +12,34 @@ an entry that is already a plain `Fraction` through unchanged, so a product or
 sum of matrices is never coerced a second time.  Every stored entry is a plain
 `Fraction`; an instance of a subclass is converted.
 
-Row reduction (`rref`, `rank`, `kernel`, `Subspace`) eliminates over the
-integers: each row is scaled by the lcm of its denominators, rows are
-combined as pv*row - f*prow and divided by their content (gcd) to keep the
-entries small, and only the finished pivot rows are divided by their pivots
-back into `Fraction`s.  `rank` stops after the forward elimination.  The
-result is the same canonical RREF as a Fraction Gauss-Jordan elimination.
-`det` and `inverse` still eliminate over `Fraction`.
+Every elimination runs over the integers, and this module is the only one
+that does it; the group layer and the invariants import its integer
+helpers.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`, `inverse`)
+scales each row by the lcm of its denominators, combines rows as
+pv*row - f*prow and divides them by their content (gcd) to keep the entries
+small, and only the finished pivot rows are divided by their pivots back
+into `Fraction`s.  `rank` stops after the forward elimination.  The result
+is the same canonical RREF as a Fraction Gauss-Jordan elimination.
+`inverse` is the right block of the RREF of [A | I]; `det` writes the
+matrix as N / d over one denominator and takes the Bareiss (fraction-free)
+determinant of N over d^n.
 
 No operation whose result is already known is carried out.  Entries are
 tested by truthiness (a `Fraction` is false exactly when it is zero), a
 product with a zero factor is skipped, a zero term of a sum is skipped, and
 an accumulator that is still zero takes the first product itself instead
 of 0 + product.  Scaling by zero gives the zero matrix.  This applies to
-`Mat` sums, differences, scaling, products, `apply`, `det` and `inverse`,
-and to `Subspace.reduce`, `coefficients` and `intersect`; the results are
-the same exact values.
+`Mat` sums, differences, scaling, products and `apply`, and to
+`Subspace.reduce`, `coefficients` and `intersect`; the results are the same
+exact values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DecompositionError, DimensionError
@@ -190,65 +196,22 @@ class Mat:
         return not any(x for row in self._data for x in row)
 
     def det(self) -> Rat:
+        """Bareiss determinant of N over d^n, where this matrix is N / d."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self._data]
-        det = _ONE
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                return _ZERO
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            prow = work[col]
-            pv = prow[col]
-            det *= pv
-            for r in range(col + 1, n):
-                row = work[r]
-                f = row[col]
-                if f:
-                    f = -f / pv
-                    for j in range(col, n):
-                        b = prow[j]
-                        if b:
-                            a = row[j]
-                            row[j] = a + f * b if a else f * b
-        return det
+        num, den = _integer_matrix(self._data)
+        return Fraction(_int_det(num), den ** self.rows)
 
     def inverse(self) -> "Mat":
+        """Right block of the reduced row echelon form of [A | I]."""
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(self._data)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if work[r][col]:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise DecompositionError("singular matrix has no inverse")
-            work[col], work[pivot] = work[pivot], work[col]
-            pv = work[col][col]
-            if pv != 1:
-                work[col] = [x / pv if x else x for x in work[col]]
-            prow = work[col]
-            support = [(j, b) for j, b in enumerate(prow) if b]
-            for r in range(n):
-                row = work[r]
-                f = row[col]
-                if r != col and f:
-                    f = -f
-                    for j, b in support:
-                        a = row[j]
-                        row[j] = a + f * b if a else f * b
-        return Mat([row[n:] for row in work])
+        ident = _identity_rows(n)
+        rows, pivots = _rref_rows([row + ident[i] for i, row in enumerate(self._data)], 2 * n)
+        if pivots != list(range(n)):
+            raise DecompositionError("singular matrix has no inverse")
+        return Mat.from_rows([row[n:] for row in rows], cols=n)
 
 
 def vstack(*mats: Mat) -> Mat:
@@ -270,6 +233,46 @@ def hstack(*mats: Mat) -> Mat:
         [sum((m.row(i) for m in mats), ()) for i in range(rows)],
         cols=sum(m.cols for m in mats),
     )
+
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def _integer_matrix(rows: Sequence[Sequence[Rat]]) -> tuple[IntRows, int]:
+    """(N, d) with rows = N / d, d the lcm of the denominators (so already canonical)."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+@lru_cache(maxsize=None)
+def _identity_rows(m: int) -> IntRows:
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * a[k][j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
@@ -468,8 +471,9 @@ class Subspace:
                             point[j] = s + cu * x if s else cu * x
             pts.append(tuple(point))
         result = Subspace.from_vectors(self.ambient_dim, pts)
-        if __debug__:
-            assert result.dim + rank(vstack(self.basis, other.basis)) == da + db
+        # Grassmann by rank-nullity: (u, v) -> u A is injective on the kernel
+        if result.dim != ker.dim:
+            raise DecompositionError("intersection lost dimension against the kernel")
         return result
 
 

@@ -14,14 +14,19 @@ form, i.e. the LAST list entry is applied first.
 
 Invariants (type A) are coefficients of the characteristic polynomial of
 the defining realization: for det(lambda I - M) = lambda^m + sum_k a_k
-lambda^(m-k), the reported tuple is (-a_2, ..., -a_m).
+lambda^(m-k), the reported tuple is (-a_2, ..., -a_m).  They are computed
+in integers: with M = realize(x) = Y / D, Y integral, a_k(M) = c_k(Y) / D^k,
+so each invariant is -c_k(Y) / D^k for the integer coefficients c_k of
+det(lambda I - Y).
 
-Their Jacobian comes from the same Faddeev-LeVerrier run.  The run also
-yields the adjugate adj(lambda I - M) = sum_k B_k lambda^(m-1-k), with
-B_0 = I and B_k = M B_(k-1) + a_k I, and Jacobi's formula
+Their Jacobian comes from the same Faddeev-LeVerrier run on Y.  The run
+also yields the adjugate adj(lambda I - Y) = sum_k B_k lambda^(m-1-k), with
+B_0 = I, c_k = -tr(Y B_(k-1)) / k (an exact integer division) and
+B_k = Y B_(k-1) + c_k I, all integral.  Jacobi's formula
 d det(lambda I - M) = -tr(adj(lambda I - M) dM) gives
-d a_k = -tr(B_(k-1) dM).  So the derivative of the invariant -a_k along
-basis vector j is tr(B_(k-1) R_j), R_j the realization of that vector: one
+d a_k = -tr(B_(k-1)(M) dM), and B_(k-1)(M) = B_(k-1)(Y) / D^(k-1).  So the
+derivative of the invariant -a_k along basis vector j is
+tr(B_(k-1) R_j) / D^(k-1), R_j the integer realization of that vector: one
 exact run gives the whole gradient.
 """
 
@@ -29,13 +34,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import mul
+from typing import Sequence
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Rat, Subspace, Vector, kernel, rank, solve, vec
+from .exactlin import (
+    Mat,
+    Rat,
+    Subspace,
+    Vector,
+    _identity_rows,
+    _int_matmul,
+    kernel,
+    rank,
+    solve,
+    vec,
+)
 from .liealg import Element, GroupElement, LieAlgebra
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PrincipalTriple:
@@ -228,44 +246,34 @@ def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupE
     return g
 
 
-def _exact_sum(values) -> Rat:
-    """Sum of the values; zero terms are skipped and the first is taken as it is."""
-    s = _ZERO
-    for v in values:
-        if v:
-            s = s + v if s else v
-    return s
+def _trace_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
+    """tr(A B) of two square integer matrices."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
-def _sum_products(pairs) -> Rat:
-    """Sum of x * y over the pairs, with no product of a zero factor."""
-    return _exact_sum(x * y for x, y in pairs if x and y)
+def _faddeev_leverrier(
+    y: Sequence[Sequence[int]],
+) -> tuple[list[int], list[Sequence[Sequence[int]]]]:
+    """Characteristic polynomial and adjugate coefficients of the m x m integer matrix Y.
 
-
-def _faddeev_leverrier(a: list[Vector]) -> tuple[list[Rat], list[list[list[Rat]]]]:
-    """Characteristic polynomial and adjugate coefficients of the m x m matrix A.
-
-    Returns (c, B) with det(tI - A) = t^m + sum_k c_k t^(m-k), c listing
-    c_1..c_m, and adj(tI - A) = sum_k B[k] t^(m-1-k): B[0] = I,
-    c_k = -tr(A B[k-1]) / k and B[k] = A B[k-1] + c_k I for k < m.
+    Returns (c, B) with det(tI - Y) = t^m + sum_k c_k t^(m-k), c listing
+    c_1..c_m, and adj(tI - Y) = sum_k B[k] t^(m-1-k): B[0] = I,
+    c_k = -tr(Y B[k-1]) / k and B[k] = Y B[k-1] + c_k I for k < m.  Both are
+    integral for integral Y, so the division by k is exact.
     """
-    m = len(a)
-    support = [[(t, x) for t, x in enumerate(row) if x] for row in a]
-    b = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
+    m = len(y)
+    b = _identity_rows(m)
     adjugate = [b]
-    coeffs: list[Rat] = []
+    coeffs: list[int] = []
     for k in range(1, m):
-        b = [[_sum_products((x, b[t][j]) for t, x in row) for j in range(m)] for row in support]
-        tr = _exact_sum(b[i][i] for i in range(m))
-        c = -tr / k if tr else tr
+        b = [list(row) for row in _int_matmul(y, b)]
+        c = -sum(b[i][i] for i in range(m)) // k
         coeffs.append(c)
-        if c:
-            for i in range(m):
-                b[i][i] = b[i][i] + c if b[i][i] else c
+        for i in range(m):
+            b[i][i] += c
         adjugate.append(b)
-    # the last step needs only tr(A B[m-1])
-    tr = _sum_products((x, b[t][i]) for i, row in enumerate(support) for t, x in row)
-    coeffs.append(-tr / m if tr else tr)
+    # the last step needs only tr(Y B[m-1])
+    coeffs.append(-_trace_mul(y, b) // m)
     return coeffs, adjugate
 
 
@@ -279,33 +287,34 @@ class InvariantSystem:
         self.algebra = algebra
         self.degrees = tuple(range(2, algebra.rank + 2))
 
-    def _charpoly(self, x: Element) -> tuple[list[Rat], list[list[list[Rat]]]]:
-        return _faddeev_leverrier(self.algebra.realize(x).row_list())
-
-    def _jacobian(self, adjugate: list[list[list[Rat]]]) -> tuple[tuple[Rat, ...], ...]:
-        # the invariant -a_k moves along basis vector j by tr(B_(k-1) R_j),
-        # summed over the nonzero entries (row, col, value) of R_j
-        basis = self.algebra._realization
-        return tuple(
-            tuple(_sum_products((b[col][row], v) for row, col, v in r) for r in basis)
-            for b in adjugate[1:]
-        )
-
     def eval(self, x: Element) -> tuple[Rat, ...]:
-        coeffs, _ = self._charpoly(x)
-        return tuple(-c if c else c for c in coeffs[1:])
+        y, d = self.algebra._realize_int(x)
+        coeffs, _ = _faddeev_leverrier(y)
+        return tuple(Fraction(-c, d**k) for k, c in enumerate(coeffs[1:], 2))
 
     def gradient(self, x: Element) -> tuple[tuple[Rat, ...], ...]:
         """Exact rank x dim Jacobian of the invariants at x, one row per invariant."""
-        _, adjugate = self._charpoly(x)
-        return self._jacobian(adjugate)
+        y, d = self.algebra._realize_int(x)
+        _, adjugate = _faddeev_leverrier(y)
+        basis = self.algebra._realization
+        return tuple(
+            # tr(B R_j), summed over the nonzero entries (row, col, value) of R_j
+            tuple(Fraction(sum(b[col][row] * v for row, col, v in r), d**k) for r in basis)
+            for k, b in enumerate(adjugate[1:], 1)
+        )
 
     def eval_dual(self, x: Element, direction: Element) -> tuple[tuple[Rat, Rat], ...]:
-        """Invariants of x + eps*direction as (value, derivative) pairs."""
-        coeffs, adjugate = self._charpoly(x)
+        """Invariants of x + eps*direction as (value, derivative) pairs.
+
+        With realize(direction) = Z / E, the derivative of the invariant of
+        degree k is tr(B[k-1] Z) / (D^(k-1) E).
+        """
+        y, d = self.algebra._realize_int(x)
+        z, e = self.algebra._realize_int(direction)
+        coeffs, adjugate = _faddeev_leverrier(y)
         return tuple(
-            (-c if c else c, _sum_products(zip(row, direction.coords)))
-            for c, row in zip(coeffs[1:], self._jacobian(adjugate))
+            (Fraction(-c, d**k), Fraction(_trace_mul(b, z), d ** (k - 1) * e))
+            for k, (c, b) in enumerate(zip(coeffs[1:], adjugate[1:]), 2)
         )
 
 

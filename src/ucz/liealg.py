@@ -26,11 +26,23 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
-from .exactlin import Mat, Rat, Subspace, _as_fraction, _pivot_columns, kernel, vec
+from .exactlin import (
+    IntRows,
+    Mat,
+    Rat,
+    Subspace,
+    _as_fraction,
+    _identity_rows,
+    _int_det,
+    _int_matmul,
+    _integer_matrix,
+    _pivot_columns,
+    kernel,
+    vec,
+)
 
 _ZERO = Fraction(0)
 
@@ -312,9 +324,6 @@ class Element:
         return f"<{self.algebra.descriptor}: {body}>"
 
 
-IntRows = tuple[tuple[int, ...], ...]
-
-
 class GroupElement:
     """Determinant-one rational matrix N / d acting on a type A algebra by conjugation.
 
@@ -402,43 +411,6 @@ def _checked_group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
 def _check_det(num: Sequence[Sequence[int]], den: int) -> None:
     if _int_det(num) != den ** len(num):
         raise DomainError("group element must have determinant one")
-
-
-def _integer_matrix(rows: Sequence[Sequence[Rat]]) -> tuple[IntRows, int]:
-    """(N, d) with rows = N / d, d the lcm of the denominators (so already canonical)."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
-
-
-@lru_cache(maxsize=None)
-def _identity_rows(m: int) -> IntRows:
-    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-
-
-def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * a[k][j]) // prev
-        prev = p
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _int_adjugate(rows: Sequence[Sequence[int]]) -> IntRows:

@@ -27,6 +27,7 @@ from .kostant import (
 )
 from .liealg import Element, GroupElement, LieAlgebra, conjugate
 from .logsympl import (
+    _stratum_sample,
     bivector_matrix,
     build_chart,
     casimir_check,
@@ -116,33 +117,36 @@ class SuiteReport:
 # -- seeded samplers ---------------------------------------------------------
 
 
-def borel_sample(L: LieAlgebra, gen: SplitMix64) -> Element:
-    """A point of f + b with small random rational coordinates."""
-    f = build_principal_triple(L).f
-    x = f
-    for row in L.borel.basis.row_list():
+def _add_random_multiples(x: Element, rows, gen: SplitMix64) -> Element:
+    """x + sum of c * row, one gen.fraction() c drawn per coordinate row, in order."""
+    L = x.algebra
+    for row in rows:
         c = gen.fraction()
-        if c != 0:
+        if c:
             x = x + L.element(row).scale(c)
     return x
 
 
-def positive_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
+def borel_sample(L: LieAlgebra, gen: SplitMix64) -> Element:
+    """A point of f + b with small random rational coordinates."""
+    return _add_random_multiples(build_principal_triple(L).f, L.borel.basis.row_list(), gen)
+
+
+def _unipotent(L: LieAlgebra, gen: SplitMix64, root_vector) -> GroupElement:
     g = L.group_identity()
     for k in range(L.n_pos):
         c = gen.fraction(num_bound=3)
-        if c != 0:
-            g = g * L.group_exp(L.e(k).scale(c))
+        if c:
+            g = g * L.group_exp(root_vector(k).scale(c))
     return g
+
+
+def positive_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
+    return _unipotent(L, gen, L.e)
 
 
 def negative_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
-    g = L.group_identity()
-    for k in range(L.n_pos):
-        c = gen.fraction(num_bound=3)
-        if c != 0:
-            g = g * L.group_exp(L.f(k).scale(c))
-    return g
+    return _unipotent(L, gen, L.f)
 
 
 def group_sample(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
@@ -173,21 +177,9 @@ def fiber_sample(
         central_coeffs.append(c)
         if c != 0:
             central = central + L.element(row).scale(c)
-    x = central
-    for row in derived_levi(p).basis.row_list():
-        c = gen.fraction()
-        if c != 0:
-            x = x + L.element(row).scale(c)
-    u = L.zero()
-    for row in p.u_I.basis.row_list():
-        c = gen.fraction()
-        if c != 0:
-            u = u + L.element(row).scale(c)
-    v = L.zero()
-    for row in p.u_I_minus.basis.row_list():
-        c = gen.fraction()
-        if c != 0:
-            v = v + L.element(row).scale(c)
+    x = _add_random_multiples(central, derived_levi(p).basis.row_list(), gen)
+    u = _add_random_multiples(L.zero(), p.u_I.basis.row_list(), gen)
+    v = _add_random_multiples(L.zero(), p.u_I_minus.basis.row_list(), gen)
     return u + x, v + x, tuple(central_coeffs)
 
 
@@ -263,11 +255,7 @@ def run_kostant_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         values = tuple(gen.fraction() for _ in range(L.rank))
         x = slice_from_invariants(ks, values)
         forward = invariants_eval(x) == values and ks.contains(x)
-        y = ks.triple.f
-        for row in ks.ge_basis.basis.row_list():
-            c = gen.fraction()
-            if c != 0:
-                y = y + L.element(row).scale(c)
+        y = _add_random_multiples(ks.triple.f, ks.ge_basis.basis.row_list(), gen)
         back = slice_from_invariants(ks, invariants_eval(y)) == y
         if forward and back:
             good += 1
@@ -335,16 +323,8 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     good = 0
     for _ in range(samples):
         s = _regular_cartan(L, gen)
-        npart = L.zero()
-        for k in range(L.n_pos):
-            c = gen.fraction()
-            if c != 0:
-                npart = npart + L.e(k).scale(c)
-        mpart = L.zero()
-        for k in range(L.n_pos):
-            c = gen.fraction()
-            if c != 0:
-                mpart = mpart + L.f(k).scale(c)
+        npart = _add_random_multiples(L.zero(), L.nilpos.basis.row_list(), gen)
+        mpart = _add_random_multiples(L.zero(), L.nilneg.basis.row_list(), gen)
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
         point = make_boundary_point(p0, g1, g2)
         if translate_contains(point, (conjugate(g1, s + npart), conjugate(g2, s + mpart))):
@@ -385,11 +365,7 @@ def _leaf_levi_part(p: ParabolicData, xi: Element) -> Vector:
 def _regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:
     """A regular element of the Cartan subalgebra (distinct root values)."""
     while True:
-        s = L.zero()
-        for i in range(L.rank):
-            c = gen.fraction()
-            if c != 0:
-                s = s + L.h(i).scale(c)
+        s = _add_random_multiples(L.zero(), L.cartan.basis.row_list(), gen)
         if L.is_regular(s):
             return s
 
@@ -493,11 +469,7 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
             chart = build_chart(L, I)
             gen = stream(seed, f"logsympl:inverse:{L.descriptor}:{sorted(I)}")
             for _ in range(samples):
-                vals = [gen.fraction() for _ in range(size)]
-                for i in range(1, L.rank + 1):
-                    if i in I:
-                        vals[chart.z_index(i)] = gen.nonzero_fraction()
-                pt = chart.point(vals)
+                pt = _stratum_sample(chart, frozenset(), gen)
                 total += 1
                 if bivector_matrix(pt).matrix * omega_matrix(pt) == ident:
                     good += 1
@@ -540,13 +512,8 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
                 )
                 pts_ok = True
                 for _ in range(max(1, samples // 10)):
-                    vals = [gen.fraction() for _ in range(size)]
-                    for i in range(1, L.rank + 1):
-                        if i in frozenset(S):
-                            vals[chart.z_index(i)] = Fraction(0)
-                        elif i in I:
-                            vals[chart.z_index(i)] = gen.nonzero_fraction()
-                    if bivector_matrix(chart.point(vals)).rank() != size - 2 * len(S):
+                    pt = _stratum_sample(chart, frozenset(S), gen)
+                    if bivector_matrix(pt).rank() != size - 2 * len(S):
                         pts_ok = False
                         break
                 if not pts_ok:
@@ -627,12 +594,7 @@ def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, Group
         nil = (m - ident.scale(r)) * (m + ident.scale(2 * r))
         gamma = L.group_exp(L.from_matrix(nil).scale(gen.nonzero_fraction(num_bound=2)))
         return xi_s, gamma
-    xi_s = ks.triple.f
-    for row in ks.ge_basis.basis.row_list():
-        c = gen.fraction()
-        if c != 0:
-            xi_s = xi_s + L.element(row).scale(c)
-    return xi_s, L.group_identity()
+    return _add_random_multiples(ks.triple.f, ks.ge_basis.basis.row_list(), gen), L.group_identity()
 
 
 def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:

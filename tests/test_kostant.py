@@ -7,6 +7,7 @@ coefficients of diag(1,2,-3), all checked by hand.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -217,6 +218,56 @@ def test_a2_invariants_of_a_split_element(a2):
     x = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     # det(lambda I - x) = lambda^3 - 7 lambda + 6
     assert invariants_eval(x) == (Fraction(7), Fraction(-6))
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def lagrange_coefficients(ts, values):
+    """Coefficients, lowest degree first, of the polynomial through the points (t, value)."""
+    coeffs = [Fraction(0)] * len(ts)
+    for i, (ti, vi) in enumerate(zip(ts, values)):
+        basis, scale = [Fraction(1)], vi
+        for j, tj in enumerate(ts):
+            if j != i:
+                # basis *= (t - tj)
+                basis = [a - tj * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                scale /= ti - tj
+        for k, b in enumerate(basis):
+            coeffs[k] += scale * b
+    return coeffs
+
+
+def test_invariants_match_the_leibniz_char_poly(type_a_algebra):
+    # dense elements with denominators up to 7, so realize(x) = Y / D with
+    # D > 1; oracle: det(tI - realize(x)) by Leibniz at m + 1 integers t,
+    # interpolated to t^m + sum_k a_k t^(m-k), invariants (-a_2, ..., -a_m)
+    L = type_a_algebra
+    m = L.rank + 1
+    gen = stream(53, f"charpoly:{L.descriptor}")
+    ts = range(m + 1)
+    dens = set()
+    for _ in range(6):
+        x = L.element([gen.fraction(dens=(1, 2, 3, 5, 7)) for _ in range(L.dim)])
+        mat = L.realize(x)
+        dens.add(max(mat[(i, j)].denominator for i in range(m) for j in range(m)))
+        values = [
+            leibniz_det([[int(i == j) * t - mat[(i, j)] for j in range(m)] for i in range(m)])
+            for t in ts
+        ]
+        poly = lagrange_coefficients(ts, values)
+        assert poly[m] == 1
+        assert invariants_eval(x) == tuple(-poly[m - k] for k in range(2, m + 1))
+    assert max(dens) > 1
 
 
 def test_dual_invariants_match_interpolated_derivatives(type_a_algebra):

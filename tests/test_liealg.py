@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from ucz import algebra_from_descriptor, build_algebra, liealg, wonderful
+from ucz import algebra_from_descriptor, build_algebra, exactlin, liealg, wonderful
 from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
 from ucz.liealg import GroupElement, conjugate
@@ -490,7 +490,7 @@ def test_integer_det_and_adjugate_match_the_oracle():
             if trial % 4 == 1 and n > 1:
                 rows[-1] = list(rows[0])
             det = leibniz_det(Mat.from_rows(rows, cols=n))
-            assert liealg._int_det(rows) == det
+            assert exactlin._int_det(rows) == det
             if det:
                 inv = dense_inverse(rows)
                 want = tuple(tuple(det * x for x in row) for row in inv)
