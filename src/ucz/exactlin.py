@@ -2,9 +2,12 @@
 
 Scalars are `fractions.Fraction` (aliased `Rat`), so every computation here is
 exact; nothing in this module ever rounds.  A `Subspace` is stored as the
-reduced row-echelon basis of its row space, which makes equality of subspaces
-literal equality of the stored data.  All values are immutable after
-construction and safe to share between threads.
+reduced row-echelon basis of its row space, written as one integer matrix N
+over one denominator d > 0, the lcm of the RREF's denominators.  (N, d) is
+canonical, so equality of subspaces is literal equality of integers, and
+membership, sums and intersections run in integers; `basis`, the RREF as a
+`Mat` of Fractions, is a view built on first use.  All values are immutable
+after construction and safe to share between threads.
 
 Values are coerced once, at the edge: `vec`, `Mat` and `Mat.scale` accept
 ints, strings and other numbers and convert them with `Fraction(x)`, but pass
@@ -15,11 +18,12 @@ sum of matrices is never coerced a second time.  Every stored entry is a plain
 Every elimination runs over the integers, and this module is the only one
 that does it; the group layer and the invariants import its integer
 helpers.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`, `inverse`)
-scales each row by the lcm of its denominators, combines rows as
+scales the rows by the lcm of their denominators, combines rows as
 pv*row - f*prow and divides them by their content (gcd) to keep the entries
-small, and only the finished pivot rows are divided by their pivots back
-into `Fraction`s.  `rank` stops after the forward elimination.  The result
-is the same canonical RREF as a Fraction Gauss-Jordan elimination.
+small.  `rank` stops after the forward elimination.  The reduced rows are
+brought over one denominator, the lcm of their pivots (`_int_rref`); only
+`rref`, `inverse` and `Subspace.basis` turn them back into `Fraction`s.  The
+result is the same canonical RREF as a Fraction Gauss-Jordan elimination.
 `inverse` is the right block of the RREF of [A | I]; `det` writes the
 matrix as N / d over one denominator and takes the Bareiss (fraction-free)
 determinant of N over d^n.
@@ -29,9 +33,8 @@ tested by truthiness (a `Fraction` is false exactly when it is zero), a
 product with a zero factor is skipped, a zero term of a sum is skipped, and
 an accumulator that is still zero takes the first product itself instead
 of 0 + product.  Scaling by zero gives the zero matrix.  This applies to
-`Mat` sums, differences, scaling, products and `apply`, and to
-`Subspace.reduce`, `coefficients` and `intersect`; the results are the same
-exact values.
+`Mat` sums, differences, scaling, products and `apply`; the results are the
+same exact values.
 """
 
 from __future__ import annotations
@@ -59,11 +62,7 @@ def _as_fraction(x) -> Rat:
 
 def vec(values: Iterable) -> Vector:
     """Coerce an iterable of numbers into an exact rational vector."""
-    return tuple(map(_as_fraction, values))
-
-
-def is_zero_vec(a: Vector) -> bool:
-    return not any(a)
+    return tuple([_as_fraction(x) for x in values])
 
 
 class Mat:
@@ -72,7 +71,7 @@ class Mat:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(map(_as_fraction, row)) for row in data)
+        rows = tuple([tuple([_as_fraction(x) for x in row]) for row in data])
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         for row in rows:
@@ -98,9 +97,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> Vector:
-        return self._data[i]
 
     def row_list(self) -> list[Vector]:
         return list(self._data)
@@ -208,31 +204,11 @@ class Mat:
             raise DimensionError("inverse of a non-square matrix")
         n = self.rows
         ident = _identity_rows(n)
-        rows, pivots = _rref_rows([row + ident[i] for i, row in enumerate(self._data)], 2 * n)
+        rows, _ = _integer_matrix([row + ident[i] for i, row in enumerate(self._data)])
+        num, den, pivots = _int_rref(rows, 2 * n)
         if pivots != list(range(n)):
             raise DecompositionError("singular matrix has no inverse")
-        return Mat.from_rows([row[n:] for row in rows], cols=n)
-
-
-def vstack(*mats: Mat) -> Mat:
-    cols = mats[0].cols
-    rows: list[Vector] = []
-    for m in mats:
-        if m.cols != cols:
-            raise DimensionError("vstack column mismatch")
-        rows.extend(m.row_list())
-    return Mat.from_rows(rows, cols=cols)
-
-
-def hstack(*mats: Mat) -> Mat:
-    rows = mats[0].rows
-    for m in mats:
-        if m.rows != rows:
-            raise DimensionError("hstack row mismatch")
-    return Mat.from_rows(
-        [sum((m.row(i) for m in mats), ()) for i in range(rows)],
-        cols=sum(m.cols for m in mats),
-    )
+        return Mat.from_rows(_fraction_rows([row[n:] for row in num], den), cols=n)
 
 
 IntRows = tuple[tuple[int, ...], ...]
@@ -240,8 +216,8 @@ IntRows = tuple[tuple[int, ...], ...]
 
 def _integer_matrix(rows: Sequence[Sequence[Rat]]) -> tuple[IntRows, int]:
     """(N, d) with rows = N / d, d the lcm of the denominators (so already canonical)."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]), den
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +227,7 @@ def _identity_rows(m: int) -> IntRows:
 
 def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -275,33 +251,28 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators, divided by its content."""
-    out = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """The integer row divided by its content (gcd), or the row itself if that is 1."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _combine(row: list[int], prow: list[int], c: int) -> list[int]:
+def _combine(row: Sequence[int], prow: Sequence[int], c: int) -> list[int]:
     """Primitive integer row pv*row - f*prow, where f = row[c] and pv = prow[c]."""
     pv, f = prow[c], row[c]
     g = gcd(pv, f)
     a, b = pv // g, f // g
-    new = [a * x - b * y for x, y in zip(row, prow)]
-    g = gcd(*new)
-    return [x // g for x in new] if g > 1 else new
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
 
 
-def _echelon(rows: list[list[int]], cols: int) -> list[int]:
-    """In-place integer row echelon form; returns the pivot columns.
+def _echelon(rows: list[Sequence[int]], cols: int) -> list[int]:
+    """In-place integer row echelon form of a list of rows; returns the pivot columns.
 
-    Rows below a pivot are cleared with pv*row - f*prow and kept primitive,
-    so no division but the exact division by a row's content ever occurs.
+    Every row is first divided by its content.  Rows below a pivot are
+    cleared with pv*row - f*prow and kept primitive, so no division but the
+    exact division by a row's content ever occurs.
     """
+    rows[:] = map(_primitive, rows)
     pivots: list[int] = []
     n = len(rows)
     r = 0
@@ -325,181 +296,203 @@ def _echelon(rows: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def _pivot_columns(rows: Iterable[Sequence[Rat]], cols: int) -> list[int]:
-    """Pivot columns of the row space, without building the reduced form."""
-    return _echelon(_integer_rows(rows), cols)
+def _int_rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[IntRows, int, list[int]]:
+    """Reduced row echelon form of integer rows as (N, d, pivots), zero rows dropped.
 
-
-def _rref_rows(rows: Iterable[Sequence[Rat]], cols: int) -> tuple[list[list[Rat]], list[int]]:
-    """Reduced row echelon form of `rows` as new Fraction rows, and its pivot columns.
-
-    Eliminates over the integers and divides each pivot row by its pivot
-    only at the end; zero rows sink to the bottom.
+    The RREF is N / d with d > 0 the lcm of its denominators, so (N, d) is
+    canonical.  Each reduced row is primitive with its pivot pv at p, so the
+    denominators of row / pv have lcm |pv|, and d is the lcm of the pivots.
     """
-    work = _integer_rows(rows)
+    work = list(rows)
     pivots = _echelon(work, cols)
     for i in range(len(pivots) - 1, 0, -1):
         p, prow = pivots[i], work[i]
         for rr in range(i):
             if work[rr][p]:
                 work[rr] = _combine(work[rr], prow, p)
+    den = lcm(*[row[p] for row, p in zip(work, pivots)])
+    num = tuple([tuple([den // row[p] * x for x in row]) for row, p in zip(work, pivots)])
+    return num, den, pivots
+
+
+def _fraction_rows(num: IntRows, den: int) -> list[list[Rat]]:
+    """The rows of N / d as Fractions."""
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in num]
+
+
+def _kernel_rows(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+    """Integer basis of {v : rows v = 0}: per free column j, d at j and -N[r][j] at pivot p_r."""
+    num, den, pivots = _int_rref(rows, cols)
+    pivot_set = set(pivots)
     out = []
-    for prow, p in zip(work, pivots):
-        pv = prow[p]
-        out.append([_ZERO if not x else _ONE if x == pv else Fraction(x, pv) for x in prow])
-    out.extend([_ZERO] * cols for _ in range(len(work) - len(pivots)))
-    return out, pivots
+    for j in range(cols):
+        if j not in pivot_set:
+            v = [0] * cols
+            v[j] = den
+            for row, p in zip(num, pivots):
+                v[p] = -row[j]
+            out.append(v)
+    return out
 
 
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form, same shape; zero rows sink to the bottom."""
-    rows, _ = _rref_rows(m.row_list(), m.cols)
-    return Mat.from_rows(rows, cols=m.cols)
+    num, den, _ = _int_rref(_integer_matrix(m._data)[0], m.cols)
+    zeros = [[_ZERO] * m.cols for _ in range(m.rows - len(num))]
+    return Mat.from_rows(_fraction_rows(num, den) + zeros, cols=m.cols)
 
 
 def rank(m: Mat) -> int:
-    return len(_pivot_columns(m.row_list(), m.cols))
+    return len(_echelon(list(_integer_matrix(m._data)[0]), m.cols))
 
 
 class Subspace:
-    """A linear subspace of Q^n held in canonical (RREF basis) form.
+    """A linear subspace of Q^n held in canonical form: its RREF basis as N / d.
 
-    Two Subspace values are equal exactly when they are the same subspace;
-    the canonical basis makes that a data comparison.
+    `_num` is the integer matrix N and `_den` the lcm d > 0 of the RREF's
+    denominators, so two Subspace values are equal exactly when they are the
+    same subspace, and equality is a comparison of integers.  `basis` is the
+    RREF as a `Mat` of Fractions, built on first use.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "_num", "_den", "_pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Mat, _canonical: bool = False):
-        if basis.cols != ambient_dim:
-            raise DimensionError("basis width differs from ambient dimension")
-        if _canonical:
-            pivots = [next(j for j, x in enumerate(row) if x) for row in basis.row_list()]
+    def __init__(
+        self, ambient_dim: int, basis: Mat | Sequence[Sequence[int]], _canonical: bool = False
+    ):
+        """The span of `basis`: a `Mat`, or a sequence of integer rows.
+
+        With `_canonical` the `Mat` must already be the RREF basis.
+        """
+        if isinstance(basis, Mat):
+            if basis.cols != ambient_dim:
+                raise DimensionError("basis width differs from ambient dimension")
+            num, den = _integer_matrix(basis.row_list())
+            if _canonical:
+                pivots = [next(j for j, x in enumerate(row) if x) for row in num]
+            else:
+                num, den, pivots = _int_rref(num, ambient_dim)
+                basis = None
         else:
-            rows, pivots = _rref_rows(basis.row_list(), ambient_dim)
-            basis = Mat.from_rows(rows[: len(pivots)], cols=ambient_dim)
+            if any(len(row) != ambient_dim for row in basis):
+                raise DimensionError("basis width differs from ambient dimension")
+            num, den, pivots = _int_rref(basis, ambient_dim)
+            basis = None
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self._num = num
+        self._den = den
         self._pivots = pivots
+        self._basis = basis
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vs = [vec(v) for v in vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise DimensionError("vector length differs from ambient dimension")
-        return Subspace(ambient_dim, Mat.from_rows(vs, cols=ambient_dim))
+        return Subspace(ambient_dim, _integer_matrix([vec(v) for v in vectors])[0])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.from_rows([], cols=ambient_dim), _canonical=True)
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.identity(ambient_dim), _canonical=True)
+        return Subspace(ambient_dim, _identity_rows(ambient_dim))
+
+    @property
+    def basis(self) -> Mat:
+        """The canonical RREF basis as a `Mat` of Fractions."""
+        if self._basis is None:
+            self._basis = Mat.from_rows(_fraction_rows(self._num, self._den), self.ambient_dim)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._den, self._num))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Residue of v after eliminating against the echelon basis."""
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
+    def _integer_vector(self, v: Sequence) -> tuple[tuple[int, ...], int]:
+        """(w, e) with v = w / e, e the lcm of the denominators of v."""
+        if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        for row, p in zip(self.basis.row_list(), self._pivots):
-            if w[p]:
-                _eliminate(w, row, p)
-        return tuple(w)
+        (w,), e = _integer_matrix((vec(v),))
+        return w, e
+
+    def _residue(self, w: Sequence[int]) -> list[int]:
+        """d w - sum_i w[p_i] N_i for an integer vector w: zero exactly when w is inside.
+
+        The RREF row N_i / d is 1 at its pivot p_i and 0 at every other pivot.
+        """
+        den = self._den
+        r = [den * x for x in w]
+        for row, p in zip(self._num, self._pivots):
+            c = w[p]
+            if c:
+                r = [a - c * x for a, x in zip(r, row)]
+        return r
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Residue v - sum_i v[p_i] b_i of v against the RREF basis b."""
+        w, e = self._integer_vector(v)
+        return tuple([Fraction(x, e * self._den) if x else _ZERO for x in self._residue(w)])
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vec(self.reduce(v))
+        return not any(self._residue(self._integer_vector(v)[0]))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.row_list())
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionError("subspace ambient dimensions differ")
+        return not any(any(self._residue(row)) for row in other._num)
 
     def coefficients(self, v: Sequence) -> Vector:
-        """Coordinates of v in the echelon basis; raises if v is outside."""
-        w = list(vec(v))
-        if len(w) != self.ambient_dim:
-            raise DimensionError("vector length differs from ambient dimension")
-        coeffs = []
-        for row, p in zip(self.basis.row_list(), self._pivots):
-            coeffs.append(w[p])
-            if w[p]:
-                _eliminate(w, row, p)
-        if not is_zero_vec(w):
+        """Coordinates of v in the RREF basis: its pivot entries; raises if v is outside."""
+        if not self.contains(v):
             raise DecompositionError("vector lies outside the subspace")
-        return tuple(coeffs)
+        w = vec(v)
+        return tuple([w[p] for p in self._pivots])
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
-        return Subspace(self.ambient_dim, vstack(self.basis, other.basis))
+        return Subspace(self.ambient_dim, self._num + other._num)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
-        da, db = self.dim, other.dim
-        if da == 0 or db == 0:
+        if not self.dim or not other.dim:
             return Subspace.zero(self.ambient_dim)
-        # solve A^T u = B^T v; columns of the stacked system are the two bases
-        stacked = hstack(self.basis.transpose(), -other.basis.transpose())
-        ker = kernel(stacked)
+        # solve u A = v B: the columns of the stacked system are the rows of A and -B
+        stacked = [
+            a + tuple([-x for x in b]) for a, b in zip(zip(*self._num), zip(*other._num))
+        ]
+        ker = _kernel_rows(stacked, self.dim + other.dim)
         pts = []
-        for coeffs in ker.basis.row_list():
-            u = coeffs[:da]
-            point = [_ZERO] * self.ambient_dim
-            for cu, row in zip(u, self.basis.row_list()):
-                if cu:
-                    for j, x in enumerate(row):
-                        if x:
-                            s = point[j]
-                            point[j] = s + cu * x if s else cu * x
-            pts.append(tuple(point))
-        result = Subspace.from_vectors(self.ambient_dim, pts)
+        for coeffs in ker:
+            point = [0] * self.ambient_dim
+            for c, row in zip(coeffs, self._num):
+                if c:
+                    point = [a + c * x for a, x in zip(point, row)]
+            pts.append(point)
+        result = Subspace(self.ambient_dim, pts)
         # Grassmann by rank-nullity: (u, v) -> u A is injective on the kernel
-        if result.dim != ker.dim:
+        if result.dim != len(ker):
             raise DecompositionError("intersection lost dimension against the kernel")
         return result
 
 
-def _eliminate(w: list[Rat], row: Vector, p: int) -> None:
-    """w -= w[p] * row in place, for an echelon row whose first nonzero entry is at p."""
-    f = -w[p]
-    for j in range(p, len(w)):
-        x = row[j]
-        if x:
-            a = w[j]
-            w[j] = a + f * x if a else f * x
-
-
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0} of an r x c matrix, as a subspace of Q^c."""
-    rows, pivots = _rref_rows(m.row_list(), m.cols)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [_ZERO] * m.cols
-        v[j] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][j]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.cols, basis)
+    return Subspace(m.cols, _kernel_rows(_integer_matrix(m._data)[0], m.cols))
 
 
 class Projector:
@@ -518,7 +511,7 @@ class Projector:
         n = onto.ambient_dim
         if onto.dim + along.dim != n:
             raise DecompositionError("onto + along does not fill the ambient space")
-        t = hstack(onto.basis.transpose(), along.basis.transpose())
+        t = Mat.from_rows(list(zip(*onto.basis.row_list(), *along.basis.row_list())), cols=n)
         try:
             tinv = t.inverse()
         except DecompositionError:

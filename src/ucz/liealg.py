@@ -35,11 +35,11 @@ from .exactlin import (
     Rat,
     Subspace,
     _as_fraction,
+    _echelon,
     _identity_rows,
     _int_det,
     _int_matmul,
     _integer_matrix,
-    _pivot_columns,
     kernel,
     vec,
 )
@@ -277,24 +277,24 @@ class Element:
         self.algebra._check_same(other.algebra)
         return Element(
             self.algebra,
-            tuple(a + b if a and b else a or b for a, b in zip(self.coords, other.coords)),
+            tuple([a + b if a and b else a or b for a, b in zip(self.coords, other.coords)]),
         )
 
     def __sub__(self, other: "Element") -> "Element":
         self.algebra._check_same(other.algebra)
         return Element(
             self.algebra,
-            tuple((a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)),
+            tuple([(a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)]),
         )
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple(-a if a else a for a in self.coords))
+        return Element(self.algebra, tuple([-a if a else a for a in self.coords]))
 
     def scale(self, c) -> "Element":
         c = _as_fraction(c)
         if not c:
             return Element(self.algebra, (_ZERO,) * len(self.coords))
-        return Element(self.algebra, tuple(c * a if a else a for a in self.coords))
+        return Element(self.algebra, tuple([c * a if a else a for a in self.coords]))
 
     def __mul__(self, c) -> "Element":
         return self.scale(c)
@@ -397,9 +397,9 @@ def _fill(g: GroupElement, num: IntRows, den: int, mat: Mat | None) -> None:
 
 def _group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
     """The element num / den, put in canonical form; its determinant is not checked."""
-    c = gcd(den, *(x for row in num for x in row))
+    c = gcd(den, *[x for row in num for x in row])
     g = object.__new__(GroupElement)
-    _fill(g, tuple(tuple(x // c for x in row) for row in num), den // c, None)
+    _fill(g, tuple([tuple([x // c for x in row]) for row in num]), den // c, None)
     return g
 
 
@@ -640,10 +640,8 @@ class LieAlgebra:
     # -- distinguished subspaces ---------------------------------------------
 
     def _coord_span(self, idxs: Iterable[int]) -> Subspace:
-        return Subspace.from_vectors(
-            self.dim,
-            [tuple(1 if j == i else 0 for j in range(self.dim)) for i in idxs],
-        )
+        eye = _identity_rows(self.dim)
+        return Subspace(self.dim, [eye[i] for i in idxs])
 
     # -- type A realization ------------------------------------------------------
 
@@ -704,7 +702,7 @@ class LieAlgebra:
         # coordinates are read off the entries at the pivot positions of the
         # stacked flattened basis matrices
         stack_rows = [tuple(x for row in mk for x in row) for mk in real]
-        pivots = _pivot_columns(stack_rows, m * m)
+        pivots = _echelon(list(stack_rows), m * m)
         square = Mat.from_rows([[row[p] for row in stack_rows] for p in pivots], cols=self.dim)
         inv, self._readout_den = _integer_matrix(square.inverse().row_list())
         self._readout = [
@@ -724,7 +722,7 @@ class LieAlgebra:
     def _realize_int(self, x: Element) -> tuple[list[list[int]], int]:
         """(Y, D) with realize(x) = Y / D, Y integral, D the lcm of x's denominators."""
         self._require_realization()
-        den = lcm(*(c.denominator for c in x.coords if c))
+        den = lcm(*[c.denominator for c in x.coords if c])
         return self._combine([c.numerator * (den // c.denominator) for c in x.coords]), den
 
     def realize(self, x: Element) -> Mat:
@@ -743,17 +741,20 @@ class LieAlgebra:
     def from_integer_matrix(self, rows: Sequence[Sequence[int]], den: int) -> Element:
         """The element realized by rows / den; raises DomainError off the realized algebra.
 
-        The coordinates are integer combinations of entries of rows over
-        den * _readout_den; realizing them back must give rows exactly.
+        The coordinates are the integers of `_read_int` over den * _readout_den.
         """
+        total = self._readout_den * den
+        return Element(self, [Fraction(k, total) if k else _ZERO for k in self._read_int(rows)])
+
+    def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Coordinates times _readout_den of the element realized by rows, read back to check."""
         self._require_realization()
         sden = self._readout_den
         nums = [sum(v * rows[r][c] for r, c, v in terms) for terms in self._readout]
         for back, row in zip(self._combine(nums), rows):
             if back != [sden * x for x in row]:
                 raise DomainError("matrix lies outside the realized algebra")
-        total = sden * den
-        return Element(self, [Fraction(k, total) if k else _ZERO for k in nums])
+        return nums
 
     # -- group operations ----------------------------------------------------------
 

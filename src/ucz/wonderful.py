@@ -14,11 +14,13 @@ orbit tables the command line prints.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Sequence
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Subspace, Vector, kernel
+from .exactlin import IntRows, Mat, Subspace, Vector, _identity_rows, kernel
 from .liealg import Element, GroupElement, LieAlgebra, conjugate
 
 __all__ = [
@@ -106,14 +108,10 @@ class ParabolicData:
                 u_idx.append(algebra.idx_e(k))
                 u_minus_idx.append(algebra.idx_f(k))
 
-        def unit_span(indices: list[int]) -> Subspace:
-            return Subspace.from_vectors(
-                n, [tuple(1 if j == idx else 0 for j in range(n)) for idx in indices]
-            )
-
-        self.l_I = unit_span(levi_idx)
-        self.u_I = unit_span(u_idx)
-        self.u_I_minus = unit_span(u_minus_idx)
+        eye = _identity_rows(n)
+        self.l_I = Subspace(n, [eye[i] for i in levi_idx])
+        self.u_I = Subspace(n, [eye[i] for i in u_idx])
+        self.u_I_minus = Subspace(n, [eye[i] for i in u_minus_idx])
         self.p_I = self.l_I.sum(self.u_I)
         self.p_I_minus = self.l_I.sum(self.u_I_minus)
         if self.p_I.dim != self.l_I.dim + self.u_I.dim:
@@ -183,10 +181,6 @@ def build_parabolic(algebra: LieAlgebra, I) -> ParabolicData:
     return _build_parabolic_cached(algebra, _check_subset(algebra.rank, I))
 
 
-def _pair_vector(left: Vector, right: Vector) -> Vector:
-    return tuple(left) + tuple(right)
-
-
 def fiber_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + x) with u in u_I, v in u_I_minus, x in l_I.
 
@@ -197,10 +191,10 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
         return p._fiber
     n = p.algebra.dim
     zero = (0,) * n
-    vectors = [_pair_vector(row, zero) for row in p.u_I.basis.row_list()]
-    vectors += [_pair_vector(zero, row) for row in p.u_I_minus.basis.row_list()]
-    vectors += [_pair_vector(row, row) for row in p.l_I.basis.row_list()]
-    fiber = Subspace.from_vectors(2 * n, vectors)
+    vectors = [row + zero for row in p.u_I._num]
+    vectors += [zero + row for row in p.u_I_minus._num]
+    vectors += [row + row for row in p.l_I._num]
+    fiber = Subspace(2 * n, vectors)
     if fiber.dim != n:
         raise ConstructionError("fiber algebra has the wrong dimension")
     p._fiber = fiber
@@ -224,8 +218,7 @@ def stabilizer_algebra(p: ParabolicData) -> Subspace:
         return p._stabilizer
     n = p.algebra.dim
     zero = (0,) * n
-    extra = [_pair_vector(row, zero) for row in p.z_l_I.basis.row_list()]
-    stab = fiber_algebra(p).sum(Subspace.from_vectors(2 * n, extra))
+    stab = fiber_algebra(p).sum(Subspace(2 * n, [row + zero for row in p.z_l_I._num]))
     if stab.dim != n + p.algebra.rank - len(p.I):
         raise ConstructionError("stabilizer algebra has the wrong dimension")
     p._stabilizer = stab
@@ -327,18 +320,22 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
-    """Ad_g in the basis of L: column k is Ad_g of basis vector k.
+Adjoint = tuple[IntRows, int]
 
-    With g = N / d and g^-1 = M / e, Ad_g(b_k) = g R_k g^-1 is the sum over
+
+def _adjoint_int(L: LieAlgebra, g: GroupElement) -> Adjoint:
+    """Ad_g in the basis of L as (C, e): column k, Ad_g of basis vector k, is C[k] / e.
+
+    With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
     the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
-    d e: outer products of a column of N and a row of M, from one inverse.
+    d f: outer products of a column of N and a row of M, from one inverse.
+    Its coordinates are read in integers over d f _readout_den.
     """
     if g.is_identity():
-        return Mat.identity(L.dim)
+        return _identity_rows(L.dim), 1
     L._require_acting(g)
     inv = g.inverse()
-    num, inv_num, den = g.num, inv.num, g.den * inv.den
+    num, inv_num = g.num, inv.num
     m = len(num)
     images = []
     for entries in L._realization:
@@ -350,17 +347,36 @@ def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
                 if left:
                     for j, x in enumerate(right):
                         out[j] += left * x
-        images.append(L.from_integer_matrix(acc, den).coords)
-    return Mat.from_rows(list(zip(*images)), cols=L.dim)
+        images.append(tuple(L._read_int(acc)))
+    return tuple(images), L._readout_den * g.den * inv.den
 
 
-def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
-    """A subspace of g x g moved by the pair (Ad_g1, Ad_g2)."""
-    n = ad1.rows
-    vectors = [
-        _pair_vector(ad1.apply(row[:n]), ad2.apply(row[n:])) for row in space.basis.row_list()
-    ]
-    realized = Subspace.from_vectors(2 * n, vectors)
+def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
+    """Ad_g as a `Mat` of Fractions, column k the image of basis vector k."""
+    cols, den = _adjoint_int(L, g)
+    return Mat([[Fraction(x, den) for x in row] for row in zip(*cols)])
+
+
+def _move(cols: IntRows, x: Sequence[int], scale: int) -> list[int]:
+    """scale * sum_k x[k] cols[k], skipping the zero entries of x."""
+    acc = [0] * len(cols)
+    for c, col in zip(x, cols):
+        if c:
+            c *= scale
+            acc = [a + c * y for a, y in zip(acc, col)]
+    return acc
+
+
+def _translate(space: Subspace, ad1: Adjoint, ad2: Adjoint) -> Subspace:
+    """A subspace of g x g moved by the pair (Ad_g1, Ad_g2) = (C1 / e1, C2 / e2).
+
+    Each canonical integer row (x, y) goes to (e2 C1 x, e1 C2 y), the moved
+    row times e1 e2 times the subspace's denominator.
+    """
+    (c1, e1), (c2, e2) = ad1, ad2
+    n = len(c1)
+    vectors = [_move(c1, row[:n], e2) + _move(c2, row[n:], e1) for row in space._num]
+    realized = Subspace(2 * n, vectors)
     if realized.dim != space.dim:
         raise ConstructionError("translated fiber lost dimension")
     return realized
@@ -369,14 +385,14 @@ def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
     """Translate the basepoint fiber of orbit I by (g1, g2)."""
     L = p.algebra
-    realized = _translate(fiber_algebra(p), _adjoint_matrix(L, g1), _adjoint_matrix(L, g2))
+    realized = _translate(fiber_algebra(p), _adjoint_int(L, g1), _adjoint_int(L, g2))
     return BoundaryPoint(L, p.I, g1, g2, realized)
 
 
 @lru_cache(maxsize=None)
-def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
+def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Adjoint], ...]:
     """Each Weyl representative w of L with Ad_w, built once per algebra."""
-    return tuple((w, _adjoint_matrix(L, w)) for w in L.weyl_representatives())
+    return tuple((w, _adjoint_int(L, w)) for w in L.weyl_representatives())
 
 
 def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
@@ -399,7 +415,7 @@ def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> b
     xi1, xi2 = pair
     point.algebra._check_same(xi1.algebra)
     point.algebra._check_same(xi2.algebra)
-    return point.realized_fiber.contains(_pair_vector(xi1.coords, xi2.coords))
+    return point.realized_fiber.contains(xi1.coords + xi2.coords)
 
 
 def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[BoundaryPoint]:
@@ -424,7 +440,7 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    ad_d = _adjoint_matrix(L, diagonalizer)
+    ad_d = _adjoint_int(L, diagonalizer)
     # orbit I = {} keeps every w, so every product is used
     witness = {w: diagonalizer * w for w, _ in _weyl_adjoints(L)}
     pair = (xi, xi)

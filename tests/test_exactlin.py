@@ -10,6 +10,7 @@ tolerance.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
@@ -362,6 +363,96 @@ def test_subspace_keeps_the_oracle_pivots():
     assert hash(full) == hash(Subspace.from_vectors(3, [(3, 0, 0), (0, 1, 0), (0, 0, 1)]))
     assert full.coefficients((1, 2, 3)) == vec((1, 2, 3))
     assert not Subspace.zero(3).contains((0, 0, 1))
+
+
+# -- subspaces as one integer matrix over one denominator -------------------------
+
+
+def seeded_spans(seed):
+    """Seeded spanning rows with denominators up to 7: empty, zero, full rank, rank-deficient."""
+    rnd = random.Random(seed)
+
+    def entry():
+        if rnd.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rnd.randint(-6, 6), rnd.randint(1, 7))
+
+    yield [], 4
+    yield [[Fraction(0)] * 3, [Fraction(0)] * 3], 3
+    for r, c in ((1, 3), (3, 3), (4, 6), (6, 4), (5, 8)):
+        for _ in range(3):
+            rows = [[entry() for _ in range(c)] for _ in range(r)]
+            yield rows, c
+            # one row the sum of two others, and a scaled copy: rank-deficient
+            total = [a + b for a, b in zip(rows[0], rows[-1])]
+            yield rows + [total, [Fraction(-3, 7) * x for x in rows[0]]], c
+
+
+def test_subspace_is_the_oracle_rref_over_the_lcm_of_its_denominators():
+    count = deficient = 0
+    for rows, cols in seeded_spans(149):
+        want, pivots = oracle_rref(rows, cols)
+        want = want[: len(pivots)]
+        den = lcm(*(x.denominator for row in want for x in row))
+        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
+        assert space._den == den
+        assert space._num == tuple(tuple(int(x * den) for x in row) for row in want)
+        assert space._pivots == pivots and space.dim == len(pivots)
+        assert space.basis == Mat.from_rows(want, cols=cols) and all_fractions(space.basis)
+        canonical = Subspace(cols, Mat.from_rows(want, cols=cols), _canonical=True)
+        assert canonical == space and hash(canonical) == hash(space)
+        assert canonical._pivots == space._pivots
+        deficient += len(pivots) < len(rows)
+        count += 1
+    assert count == 32 and deficient > 15
+
+
+def test_two_spanning_sets_of_one_space_are_equal_and_hash_equal():
+    rnd = random.Random(151)
+    count = 0
+    for rows, cols in seeded_spans(151):
+        space = Subspace.from_vectors(cols, rows)
+        # row i plus multiples of the later rows is an invertible change of spanning set
+        other = []
+        for i, row in enumerate(rows):
+            new = list(row)
+            for later in rows[i + 1 :]:
+                c = Fraction(rnd.randint(-3, 3), rnd.randint(1, 7))
+                new = [a + c * b for a, b in zip(new, later)]
+            other.append(new)
+        other = other[::-1] + [[Fraction(0)] * cols]
+        twin = Subspace.from_vectors(cols, other)
+        assert twin == space and hash(twin) == hash(space)
+        # integer rows with a common factor left in span the same space
+        ints = []
+        for row in other:
+            k = lcm(*(x.denominator for x in row)) * rnd.randint(2, 9)
+            ints.append([int(x * k) for x in row])
+        assert Subspace(cols, ints) == space and hash(Subspace(cols, ints)) == hash(space)
+        count += 1
+    assert count == 32
+
+
+def test_contains_agrees_with_a_zero_residue_and_the_oracle_rank():
+    rnd = random.Random(157)
+    inside = outside = 0
+    for rows, cols in seeded_spans(157):
+        space = Subspace.from_vectors(cols, rows)
+        rank_before = len(oracle_rref(rows, cols)[1])
+        vectors = [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
+        for _ in range(3):
+            cs = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 7)) for _ in rows]
+            member = oracle_product([cs], rows, cols)[0] if rows else [Fraction(0)] * cols
+            vectors.append(tuple(member))
+            j = rnd.randrange(cols)
+            vectors.append(tuple(x + (j == k) for k, x in enumerate(member)))
+        for v in vectors:
+            got = space.contains(v)
+            assert got == (not any(space.reduce(v)))
+            assert got == (len(oracle_rref(rows + [list(v)], cols)[1]) == rank_before)
+            inside += got
+            outside += not got
+    assert inside > 100 and outside > 100
 
 
 # -- matrix times vector ---------------------------------------------------------

@@ -248,6 +248,24 @@ def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
         assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
 
 
+def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):
+    L = type_a_algebra
+    gen = stream(61, f"inttrans:{L.descriptor}")
+    n = L.dim
+    for _ in range(2):
+        g1, g2 = group_sample(L, gen), group_sample(L, gen)
+        ad1, ad2 = wonderful._adjoint_matrix(L, g1), wonderful._adjoint_matrix(L, g2)
+        pair = (wonderful._adjoint_int(L, g1), wonderful._adjoint_int(L, g2))
+        for I in all_subsets(L.rank):
+            fiber = fiber_algebra(build_parabolic(L, I))
+            moved = [ad1.apply(row[:n]) + ad2.apply(row[n:]) for row in fiber.basis.row_list()]
+            assert wonderful._translate(fiber, *pair) == Subspace.from_vectors(2 * n, moved)
+    for I in all_subsets(L.rank):
+        blocks = _levi_blocks(L.rank, I)
+        size = factorial(L.rank + 1) // prod(factorial(b) for b in blocks)
+        assert len(weyl_translates(build_parabolic(L, I))) == size
+
+
 def test_torus_fixed_points_of_a1(a1):
     h = a1.h(0)
     points = torus_fixed_fiber_points(h, a1.group_identity())
