@@ -25,7 +25,6 @@ from .errors import (
     PoleError,
     UnsupportedAlgebraError,
 )
-from .exactlin import Rat
 from .kostant import build_principal_triple, slice_for
 from .liealg import ALGEBRA_DESCRIPTORS, Element, algebra_from_descriptor
 from .suites import SUITE_NAMES, SuiteReport, run_suites
@@ -37,10 +36,6 @@ INTERNAL_ERROR = 4
 
 # library errors that mean the workbench itself failed, not a checked claim
 _INTERNAL_ERRORS = (ConstructionError, DecompositionError, DomainError, DimensionError, PoleError)
-
-
-def _format_coeff(c: Rat) -> str:
-    return str(c)
 
 
 def _format_element(x: Element) -> str:
@@ -55,7 +50,7 @@ def _format_element(x: Element) -> str:
         elif c == -1:
             terms.append(f"-{name}")
         else:
-            terms.append(f"{_format_coeff(c)}*{name}")
+            terms.append(f"{c}*{name}")
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
@@ -171,17 +166,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text, _ = _run_report(args)
+    text, ok = _run_report(args)
+    code = 0 if ok else 1
     if args.output is None:
         sys.stdout.write(text)
-        return 0
+        return code
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return IO_ERROR
-    return 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,40 +1,36 @@
 """Exact rational linear algebra: immutable matrices and canonical subspaces.
 
-Scalars are `fractions.Fraction` (aliased `Rat`), so every computation here is
-exact; nothing in this module ever rounds.  A `Subspace` is stored as the
-reduced row-echelon basis of its row space, written as one integer matrix N
-over one denominator d > 0, the lcm of the RREF's denominators.  (N, d) is
-canonical, so equality of subspaces is literal equality of integers, and
-membership, sums and intersections run in integers; `basis`, the RREF as a
-`Mat` of Fractions, is a view built on first use.  All values are immutable
-after construction and safe to share between threads.
+Every computation here is exact; nothing in this module ever rounds.  A
+`Mat` has one format, decided here and nowhere else: an integer matrix
+`num` (a tuple of row tuples) over one denominator `den` > 0, with
+gcd(den, entries) = 1.  That pair is canonical, so equal matrices have
+equal (num, den), and equality and hashing compare integers.  A
+`Subspace` is the reduced row echelon basis of its row space, kept as one
+such `Mat`, so equality of subspaces is literal equality of integers too.
+All values are immutable after construction and safe to share between
+threads.
 
-Values are coerced once, at the edge: `vec`, `Mat` and `Mat.scale` accept
-ints, strings and other numbers and convert them with `Fraction(x)`, but pass
-an entry that is already a plain `Fraction` through unchanged, so a product or
-sum of matrices is never coerced a second time.  Every stored entry is a plain
-`Fraction`; an instance of a subclass is converted.
+Values are coerced once, at the edge.  `Mat(data)`, `vec` and `Mat.scale`
+accept ints, strings and other numbers and convert them with
+`Fraction(x)`; ints and plain `Fraction`s are read as they are.
+`Mat(num, den)` takes integer rows over a denominator and reduces the
+pair.  Every other `Mat`, from sums, products, inverses or eliminations,
+is built by that second form from integers, so the constructor is the one
+place that puts a matrix in canonical form.  Readers outside get
+`Fraction`s back from `__getitem__`, `row_list`, `apply`, `det` and
+`Subspace.reduce`; an entry that is already a plain `Fraction` is never
+coerced a second time.
 
-Every elimination runs over the integers, and this module is the only one
-that does it; the group layer and the invariants import its integer
-helpers.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`, `inverse`)
-scales the rows by the lcm of their denominators, combines rows as
-pv*row - f*prow and divides them by their content (gcd) to keep the entries
-small.  `rank` stops after the forward elimination.  The reduced rows are
-brought over one denominator, the lcm of their pivots (`_int_rref`); only
-`rref`, `inverse` and `Subspace.basis` turn them back into `Fraction`s.  The
-result is the same canonical RREF as a Fraction Gauss-Jordan elimination.
-`inverse` is the right block of the RREF of [A | I]; `det` writes the
-matrix as N / d over one denominator and takes the Bareiss (fraction-free)
-determinant of N over d^n.
-
-No operation whose result is already known is carried out.  Entries are
-tested by truthiness (a `Fraction` is false exactly when it is zero), a
-product with a zero factor is skipped, a zero term of a sum is skipped, and
-an accumulator that is still zero takes the first product itself instead
-of 0 + product.  Scaling by zero gives the zero matrix.  This applies to
-`Mat` sums, differences, scaling, products and `apply`; the results are the
-same exact values.
+Every elimination runs over the integers, and this module is the only
+one that does it.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`,
+`inverse`) combines rows as pv*row - f*prow and divides them by their
+content (gcd) to keep the entries small.  `rank` stops after the forward
+elimination.  The reduced rows are brought over one denominator, the lcm
+of their pivots (`_int_rref`): the same canonical RREF as a Fraction
+Gauss-Jordan elimination.  `inverse` of N / d is the right block of the
+RREF of [N | d I]; `det` is the Bareiss (fraction-free) determinant of N
+over d^n.  Products and `apply` visit only the nonzero entries, so a
+product with a zero factor is never formed.
 """
 
 from __future__ import annotations
@@ -51,8 +47,9 @@ Rat = Fraction
 
 Vector = tuple[Rat, ...]
 
+IntRows = tuple[tuple[int, ...], ...]
+
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Rat:
@@ -65,159 +62,173 @@ def vec(values: Iterable) -> Vector:
     return tuple([_as_fraction(x) for x in values])
 
 
+def _integer_vector(v: Sequence) -> tuple[list[int], int]:
+    """(w, e) with v = w / e, e the lcm of the denominators of v."""
+    v = vec(v)
+    e = lcm(*[x.denominator for x in v])
+    return [x.numerator * (e // x.denominator) for x in v], e
+
+
 class Mat:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense rational matrix num / den: integer rows over one denominator.
 
-    __slots__ = ("rows", "cols", "_data")
+    `num` is a tuple of row tuples of ints and `den` > 0 with
+    gcd(den, entries) = 1, so each matrix has exactly one (num, den).
+    """
 
-    def __init__(self, data: Sequence[Sequence]):
-        rows = tuple([tuple([_as_fraction(x) for x in row]) for row in data])
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
+    __slots__ = ("rows", "cols", "num", "den")
+
+    def __init__(self, data: Sequence[Sequence], den: int | None = None, cols: int | None = None):
+        """The matrix with rows `data`, or, given `den`, the integer rows `data` over `den`.
+
+        Numbers are coerced with `Fraction` and brought over the lcm of
+        their denominators; integer rows are divided by their common
+        factor with `den`.  `cols` gives the width of a matrix without rows.
+        """
+        if den is None:
+            data = [
+                [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+                for row in data
+            ]
+            den = lcm(*[x.denominator for row in data for x in row])
+            num = tuple(
+                [tuple([x.numerator * (den // x.denominator) for x in row]) for row in data]
+            )
+        else:
+            if not den:
+                raise ZeroDivisionError("matrix denominator is zero")
+            g = den
+            for row in data:
+                if g == 1:
+                    break
+                g = gcd(g, *row)
+            # the common factor, signed so that the denominator comes out positive
+            g = abs(g) if den > 0 else -abs(g)
+            if g == 1:
+                num = tuple([tuple(row) for row in data])
+            else:
+                num = tuple([tuple([x // g for x in row]) for row in data])
+                den //= g
+        if cols is None:
+            cols = len(num[0]) if num else 0
+        for row in num:
+            if len(row) != cols:
                 raise DimensionError("ragged matrix data")
-        self._data = rows
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        """Build a matrix, allowing an empty row list if `cols` is given."""
-        if not rows:
-            m = Mat.__new__(Mat)
-            m.rows = 0
-            m.cols = 0 if cols is None else cols
-            m._data = ()
-            return m
-        return Mat(rows)
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "Mat":
-        return Mat.from_rows([[_ZERO] * c for _ in range(r)], cols=c)
+        self.rows = len(num)
+        self.cols = cols
+        self.num = num
+        self.den = den
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Mat(_identity_rows(n), 1, n)
 
     def row_list(self) -> list[Vector]:
-        return list(self._data)
+        """The rows as tuples of Fractions."""
+        d = self.den
+        return [tuple([Fraction(x, d) if x else _ZERO for x in row]) for row in self.num]
 
     def __getitem__(self, key) -> Rat:
         i, j = key
-        return self._data[i][j]
+        x = self.num[i][j]
+        return Fraction(x, self.den) if x else _ZERO
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
-            and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.cols, self.den, self.num))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.row_list())
         return f"Mat({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other over the lcm of the two denominators."""
         if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shapes differ in add")
-        return Mat.from_rows(
-            [
-                [a + b if a and b else a or b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ],
-            cols=self.cols,
+            raise DimensionError("matrix shapes differ")
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return Mat(
+            [[f * a + g * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)],
+            den,
+            self.cols,
         )
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shapes differ in sub")
-        return Mat.from_rows(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._data, other._data)
-            ],
-            cols=self.cols,
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Mat":
-        rows = [[-a if a else a for a in row] for row in self._data]
-        return Mat.from_rows(rows, cols=self.cols)
+        return Mat([[-x for x in row] for row in self.num], self.den, self.cols)
 
     def scale(self, c) -> "Mat":
         c = _as_fraction(c)
-        if not c:
-            return Mat.zeros(self.rows, self.cols)
-        rows = [[c * a if a else a for a in row] for row in self._data]
-        return Mat.from_rows(rows, cols=self.cols)
+        p = c.numerator
+        return Mat([[p * x for x in row] for row in self.num], self.den * c.denominator, self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ in mul")
-        bsupport = [[(j, b) for j, b in enumerate(brow) if b] for brow in other._data]
+        bsupport = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.num]
+        width = other.cols
         out = []
-        for arow in self._data:
-            orow = [_ZERO] * other.cols
+        for arow in self.num:
+            orow = [0] * width
             for a, bnz in zip(arow, bsupport):
                 if a:
                     for j, b in bnz:
-                        s = orow[j]
-                        orow[j] = s + a * b if s else a * b
+                        orow[j] += a * b
             out.append(orow)
-        return Mat.from_rows(out, cols=other.cols)
+        return Mat(out, self.den * other.den, width)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector; only the nonzero entries of v are visited."""
         if self.cols != len(v):
             raise DimensionError("matrix/vector size mismatch")
-        support = [(j, x) for j, x in enumerate(v) if x]
+        w, e = _integer_vector(v)
+        support = [(j, x) for j, x in enumerate(w) if x]
+        den = self.den * e
         out = []
-        for row in self._data:
-            s = _ZERO
+        for row in self.num:
+            s = 0
             for j, x in support:
                 a = row[j]
                 if a:
-                    s = s + a * x if s else a * x
-            out.append(s)
+                    s += a * x
+            out.append(Fraction(s, den) if s else _ZERO)
         return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat.from_rows(
-            [tuple(row[j] for row in self._data) for j in range(self.cols)], cols=self.rows
-        )
+        cols = list(zip(*self.num)) if self.num else [()] * self.cols
+        return Mat(cols, self.den, self.rows)
 
     def is_zero(self) -> bool:
-        return not any(x for row in self._data for x in row)
+        return not any(map(any, self.num))
 
     def det(self) -> Rat:
-        """Bareiss determinant of N over d^n, where this matrix is N / d."""
+        """Bareiss determinant of num over den^n."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        num, den = _integer_matrix(self._data)
-        return Fraction(_int_det(num), den ** self.rows)
+        return Fraction(_int_det(self.num), self.den**self.rows)
 
     def inverse(self) -> "Mat":
-        """Right block of the reduced row echelon form of [A | I]."""
+        """Right block of the reduced row echelon form of [num | den I]."""
         if self.rows != self.cols:
             raise DimensionError("inverse of a non-square matrix")
-        n = self.rows
-        ident = _identity_rows(n)
-        rows, _ = _integer_matrix([row + ident[i] for i, row in enumerate(self._data)])
+        n, d = self.rows, self.den
+        rows = [row + tuple([d * x for x in e]) for row, e in zip(self.num, _identity_rows(n))]
         num, den, pivots = _int_rref(rows, 2 * n)
         if pivots != list(range(n)):
             raise DecompositionError("singular matrix has no inverse")
-        return Mat.from_rows(_fraction_rows([row[n:] for row in num], den), cols=n)
-
-
-IntRows = tuple[tuple[int, ...], ...]
-
-
-def _integer_matrix(rows: Sequence[Sequence[Rat]]) -> tuple[IntRows, int]:
-    """(N, d) with rows = N / d, d the lcm of the denominators (so already canonical)."""
-    den = lcm(*[x.denominator for row in rows for x in row])
-    return tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in rows]), den
+        return Mat([row[n:] for row in num], den, n)
 
 
 @lru_cache(maxsize=None)
@@ -315,11 +326,6 @@ def _int_rref(rows: Sequence[Sequence[int]], cols: int) -> tuple[IntRows, int, l
     return num, den, pivots
 
 
-def _fraction_rows(num: IntRows, den: int) -> list[list[Rat]]:
-    """The rows of N / d as Fractions."""
-    return [[Fraction(x, den) if x else _ZERO for x in row] for row in num]
-
-
 def _kernel_rows(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     """Integer basis of {v : rows v = 0}: per free column j, d at j and -N[r][j] at pivot p_r."""
     num, den, pivots = _int_rref(rows, cols)
@@ -337,56 +343,53 @@ def _kernel_rows(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
 
 def rref(m: Mat) -> Mat:
     """Reduced row-echelon form, same shape; zero rows sink to the bottom."""
-    num, den, _ = _int_rref(_integer_matrix(m._data)[0], m.cols)
-    zeros = [[_ZERO] * m.cols for _ in range(m.rows - len(num))]
-    return Mat.from_rows(_fraction_rows(num, den) + zeros, cols=m.cols)
+    num, den, _ = _int_rref(m.num, m.cols)
+    zero = (0,) * m.cols
+    return Mat(num + (zero,) * (m.rows - len(num)), den, m.cols)
 
 
 def rank(m: Mat) -> int:
-    return len(_echelon(list(_integer_matrix(m._data)[0]), m.cols))
+    return len(_echelon(list(m.num), m.cols))
 
 
 class Subspace:
-    """A linear subspace of Q^n held in canonical form: its RREF basis as N / d.
+    """A linear subspace of Q^n held in canonical form: its RREF basis as one `Mat`.
 
-    `_num` is the integer matrix N and `_den` the lcm d > 0 of the RREF's
-    denominators, so two Subspace values are equal exactly when they are the
-    same subspace, and equality is a comparison of integers.  `basis` is the
-    RREF as a `Mat` of Fractions, built on first use.
+    A `Mat` is canonical, so two Subspace values are equal exactly when
+    they are the same subspace, and equality is a comparison of integers.
+    The RREF row i is `basis.num[i]` over `basis.den`, with `basis.den` at
+    its pivot column `_pivots[i]` and 0 at every other pivot.
     """
 
-    __slots__ = ("ambient_dim", "_num", "_den", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(
         self, ambient_dim: int, basis: Mat | Sequence[Sequence[int]], _canonical: bool = False
     ):
         """The span of `basis`: a `Mat`, or a sequence of integer rows.
 
-        With `_canonical` the `Mat` must already be the RREF basis.
+        With `_canonical` the `Mat` must already be the RREF basis, and it is kept as given.
         """
         if isinstance(basis, Mat):
             if basis.cols != ambient_dim:
                 raise DimensionError("basis width differs from ambient dimension")
-            num, den = _integer_matrix(basis.row_list())
-            if _canonical:
-                pivots = [next(j for j, x in enumerate(row) if x) for row in num]
-            else:
-                num, den, pivots = _int_rref(num, ambient_dim)
-                basis = None
+            rows = basis.num
+        elif any(len(row) != ambient_dim for row in basis):
+            raise DimensionError("basis width differs from ambient dimension")
         else:
-            if any(len(row) != ambient_dim for row in basis):
-                raise DimensionError("basis width differs from ambient dimension")
-            num, den, pivots = _int_rref(basis, ambient_dim)
-            basis = None
+            rows = basis
+        if _canonical:
+            pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        else:
+            num, den, pivots = _int_rref(rows, ambient_dim)
+            basis = Mat(num, den, ambient_dim)
         self.ambient_dim = ambient_dim
-        self._num = num
-        self._den = den
+        self.basis = basis
         self._pivots = pivots
-        self._basis = basis
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return Subspace(ambient_dim, _integer_matrix([vec(v) for v in vectors])[0])
+        return Subspace(ambient_dim, Mat(vectors, cols=ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -397,45 +400,28 @@ class Subspace:
         return Subspace(ambient_dim, _identity_rows(ambient_dim))
 
     @property
-    def basis(self) -> Mat:
-        """The canonical RREF basis as a `Mat` of Fractions."""
-        if self._basis is None:
-            self._basis = Mat.from_rows(_fraction_rows(self._num, self._den), self.ambient_dim)
-        return self._basis
-
-    @property
     def dim(self) -> int:
-        return len(self._num)
+        return self.basis.rows
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self._den == other._den
-            and self._num == other._num
-        )
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self._den, self._num))
+        return hash(self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _integer_vector(self, v: Sequence) -> tuple[tuple[int, ...], int]:
-        """(w, e) with v = w / e, e the lcm of the denominators of v."""
+    def _as_integers(self, v: Sequence) -> tuple[list[int], int]:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        (w,), e = _integer_matrix((vec(v),))
-        return w, e
+        return _integer_vector(v)
 
     def _residue(self, w: Sequence[int]) -> list[int]:
-        """d w - sum_i w[p_i] N_i for an integer vector w: zero exactly when w is inside.
-
-        The RREF row N_i / d is 1 at its pivot p_i and 0 at every other pivot.
-        """
-        den = self._den
+        """den w - sum_i w[p_i] num_i for an integer vector w: zero exactly when w is inside."""
+        den = self.basis.den
         r = [den * x for x in w]
-        for row, p in zip(self._num, self._pivots):
+        for row, p in zip(self.basis.num, self._pivots):
             c = w[p]
             if c:
                 r = [a - c * x for a, x in zip(r, row)]
@@ -443,16 +429,17 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> Vector:
         """Residue v - sum_i v[p_i] b_i of v against the RREF basis b."""
-        w, e = self._integer_vector(v)
-        return tuple([Fraction(x, e * self._den) if x else _ZERO for x in self._residue(w)])
+        w, e = self._as_integers(v)
+        den = e * self.basis.den
+        return tuple([Fraction(x, den) if x else _ZERO for x in self._residue(w)])
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._residue(self._integer_vector(v)[0]))
+        return not any(self._residue(self._as_integers(v)[0]))
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
-        return not any(any(self._residue(row)) for row in other._num)
+        return not any(any(self._residue(row)) for row in other.basis.num)
 
     def coefficients(self, v: Sequence) -> Vector:
         """Coordinates of v in the RREF basis: its pivot entries; raises if v is outside."""
@@ -464,22 +451,21 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
-        return Subspace(self.ambient_dim, self._num + other._num)
+        return Subspace(self.ambient_dim, self.basis.num + other.basis.num)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
         if not self.dim or not other.dim:
             return Subspace.zero(self.ambient_dim)
+        mine, theirs = self.basis.num, other.basis.num
         # solve u A = v B: the columns of the stacked system are the rows of A and -B
-        stacked = [
-            a + tuple([-x for x in b]) for a, b in zip(zip(*self._num), zip(*other._num))
-        ]
+        stacked = [a + tuple([-x for x in b]) for a, b in zip(zip(*mine), zip(*theirs))]
         ker = _kernel_rows(stacked, self.dim + other.dim)
         pts = []
         for coeffs in ker:
             point = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self._num):
+            for c, row in zip(coeffs, mine):
                 if c:
                     point = [a + c * x for a, x in zip(point, row)]
             pts.append(point)
@@ -492,7 +478,7 @@ class Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space {v : m v = 0} of an r x c matrix, as a subspace of Q^c."""
-    return Subspace(m.cols, _kernel_rows(_integer_matrix(m._data)[0], m.cols))
+    return Subspace(m.cols, _kernel_rows(m.num, m.cols))
 
 
 class Projector:
@@ -511,19 +497,21 @@ class Projector:
         n = onto.ambient_dim
         if onto.dim + along.dim != n:
             raise DecompositionError("onto + along does not fill the ambient space")
-        t = Mat.from_rows(list(zip(*onto.basis.row_list(), *along.basis.row_list())), cols=n)
+        # the integer rows span the same lines as the basis, and the projector
+        # onto_rows^T (first block of T^-1) does not depend on their scale
+        onto_rows = onto.basis.num
+        t = Mat(onto_rows + along.basis.num, 1, n).transpose()
         try:
             tinv = t.inverse()
         except DecompositionError:
             raise DecompositionError("onto and along overlap; not a direct sum") from None
-        # first block of t^-1 extracts the onto-coordinates
-        coords = Mat.from_rows(tinv.row_list()[: onto.dim], cols=n)
-        self._mat = onto.basis.transpose() * coords
+        coords = Mat(tinv.num[: onto.dim], tinv.den, n)
+        self._mat = Mat(onto_rows, 1, n).transpose() * coords
         self.onto = onto
         self.along = along
 
     def apply(self, v: Sequence) -> Vector:
-        return self._mat.apply(vec(v))
+        return self._mat.apply(v)
 
 
 def project_along(v: Sequence, onto: Subspace, along: Subspace) -> Vector:

@@ -135,7 +135,7 @@ class KostantSlice:
         ge_rows_by_degree: dict[int, list[Vector]] = {}
         exponents: list[int] = []
         for d, idxs in sorted(by_degree.items()):
-            sub = Mat.from_rows(
+            sub = Mat(
                 [tuple(ad_e[(r, c)] for c in idxs) for r in range(n)], cols=len(idxs)
             )
             for coeffs in kernel(sub).basis.row_list():
@@ -166,7 +166,7 @@ class KostantSlice:
                 cols.append(tuple(ad_f[(r, w)] for r in rows_idx))
             if len(cols) != len(rows_idx):
                 raise ConstructionError("graded decomposition is not square at level %d" % d)
-            square = Mat.from_rows(
+            square = Mat(
                 [tuple(col[i] for col in cols) for i in range(len(rows_idx))],
                 cols=len(cols),
             )
@@ -288,14 +288,16 @@ class InvariantSystem:
         self.degrees = tuple(range(2, algebra.rank + 2))
 
     def eval(self, x: Element) -> tuple[Rat, ...]:
-        y, d = self.algebra._realize_int(x)
-        coeffs, _ = _faddeev_leverrier(y)
+        real = self.algebra.realize(x)
+        d = real.den
+        coeffs, _ = _faddeev_leverrier(real.num)
         return tuple(Fraction(-c, d**k) for k, c in enumerate(coeffs[1:], 2))
 
     def gradient(self, x: Element) -> tuple[tuple[Rat, ...], ...]:
         """Exact rank x dim Jacobian of the invariants at x, one row per invariant."""
-        y, d = self.algebra._realize_int(x)
-        _, adjugate = _faddeev_leverrier(y)
+        real = self.algebra.realize(x)
+        d = real.den
+        _, adjugate = _faddeev_leverrier(real.num)
         basis = self.algebra._realization
         return tuple(
             # tr(B R_j), summed over the nonzero entries (row, col, value) of R_j
@@ -309,11 +311,11 @@ class InvariantSystem:
         With realize(direction) = Z / E, the derivative of the invariant of
         degree k is tr(B[k-1] Z) / (D^(k-1) E).
         """
-        y, d = self.algebra._realize_int(x)
-        z, e = self.algebra._realize_int(direction)
-        coeffs, adjugate = _faddeev_leverrier(y)
+        real, z = self.algebra.realize(x), self.algebra.realize(direction)
+        d = real.den
+        coeffs, adjugate = _faddeev_leverrier(real.num)
         return tuple(
-            (Fraction(-c, d**k), Fraction(_trace_mul(b, z), d ** (k - 1) * e))
+            (Fraction(-c, d**k), Fraction(_trace_mul(b, z.num), d ** (k - 1) * z.den))
             for k, (c, b) in enumerate(zip(coeffs[1:], adjugate[1:]), 2)
         )
 
@@ -374,4 +376,4 @@ def jacobian_rank_at(x: Element, y: Element) -> int:
     system = invariant_system(L)
     # the y block enters negated, which does not change the rank
     rows = [gx + gy for gx, gy in zip(system.gradient(x), system.gradient(y))]
-    return rank(Mat.from_rows(rows, cols=2 * L.dim))
+    return rank(Mat(rows, cols=2 * L.dim))

@@ -18,7 +18,13 @@ Conventions, fixed once and used everywhere:
     coroots (always integral).
 
 Type A algebras carry the defining (l+1) x (l+1) matrix realization, which
-is what group elements act through; B2 and G2 are Lie-algebra only.
+is what group elements act through; B2 and G2 are Lie-algebra only.  The
+realization is one table of integer matrices, so `realize(x)` is the
+integer `Mat` of x summed straight from it, and `from_matrix` reads a
+`Mat`'s integer rows back through the table and checks the round trip.  A
+`GroupElement` is one `Mat` of determinant one: products, inverses and
+`conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat` arithmetic,
+and the determinant is checked where a matrix enters the group.
 """
 
 from __future__ import annotations
@@ -37,9 +43,7 @@ from .exactlin import (
     _as_fraction,
     _echelon,
     _identity_rows,
-    _int_det,
     _int_matmul,
-    _integer_matrix,
     kernel,
     vec,
 )
@@ -325,102 +329,65 @@ class Element:
 
 
 class GroupElement:
-    """Determinant-one rational matrix N / d acting on a type A algebra by conjugation.
+    """A determinant-one rational matrix acting on a type A algebra by conjugation.
 
-    Stored canonically as an integer matrix `num` = N (a tuple of row tuples)
-    over one denominator `den` = d > 0 with gcd(content(N), d) = 1, so equal
-    elements have equal (N, d), and products, inverses and conjugation run in
-    integer arithmetic.  The determinant is checked where a matrix enters:
-    `GroupElement(mat)`, `group_exp`, `torus_element` and
-    `weyl_representatives` compare the Bareiss determinant of N with d^m.
-    det is multiplicative, so products and inverses, and the identity, have
-    determinant one exactly and are built without the check.  `mat` is the
-    same element as a `Mat`, built on first use.
+    The element is one `Mat`, `mat`, whose canonical form makes equal
+    elements have equal `mat`; products, inverses and conjugation are
+    `Mat` arithmetic.  The determinant is checked where a matrix enters:
+    `GroupElement(mat)`, which `group_exp`, `torus_element` and
+    `weyl_representatives` go through.  det is multiplicative, so
+    products and inverses, and the identity, have determinant one exactly
+    and are built without the check.
     """
 
-    __slots__ = ("num", "den", "_mat", "_inv")
+    __slots__ = ("mat", "_inv")
 
     def __init__(self, mat: Mat):
         if mat.rows != mat.cols:
             raise DomainError("group element must be square")
-        num, den = _integer_matrix(mat.row_list())
-        _check_det(num, den)
-        _fill(self, num, den, mat)
+        if mat.det() != 1:
+            raise DomainError("group element must have determinant one")
+        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, *args):
         raise AttributeError("GroupElement is immutable")
 
     @staticmethod
     def identity(size: int) -> "GroupElement":
-        return _group(_identity_rows(size), 1)
+        return _group(Mat.identity(size))
 
     def is_identity(self) -> bool:
-        return self.den == 1 and self.num == _identity_rows(len(self.num))
-
-    @property
-    def mat(self) -> Mat:
-        mat = self._mat
-        if mat is None:
-            d = self.den
-            mat = Mat([[Fraction(x, d) for x in row] for row in self.num])
-            object.__setattr__(self, "_mat", mat)
-        return mat
+        return self.mat == Mat.identity(self.mat.rows)
 
     def inverse(self) -> "GroupElement":
-        """adj(N) / d^(m-1), since det(N) = d^m; cached both ways."""
+        """The inverse matrix, cached both ways."""
         inv = self._inv
         if inv is None:
-            inv = _group(_int_adjugate(self.num), self.den ** (len(self.num) - 1))
+            inv = _group(self.mat.inverse())
             object.__setattr__(inv, "_inv", self)
             object.__setattr__(self, "_inv", inv)
         return inv
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return _group(_int_matmul(self.num, other.num), self.den * other.den)
+        return _group(self.mat * other.mat)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.num == other.num and self.den == other.den
+        return isinstance(other, GroupElement) and self.mat == other.mat
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self.mat)
 
     def __repr__(self) -> str:
         return f"GroupElement({self.mat!r})"
 
 
-def _fill(g: GroupElement, num: IntRows, den: int, mat: Mat | None) -> None:
-    object.__setattr__(g, "num", num)
-    object.__setattr__(g, "den", den)
-    object.__setattr__(g, "_mat", mat)
-    object.__setattr__(g, "_inv", None)
-
-
-def _group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
-    """The element num / den, put in canonical form; its determinant is not checked."""
-    c = gcd(den, *[x for row in num for x in row])
+def _group(mat: Mat) -> GroupElement:
+    """The element mat, whose determinant is known to be one and is not checked."""
     g = object.__new__(GroupElement)
-    _fill(g, tuple([tuple([x // c for x in row]) for row in num]), den // c, None)
+    object.__setattr__(g, "mat", mat)
+    object.__setattr__(g, "_inv", None)
     return g
-
-
-def _checked_group(num: Sequence[Sequence[int]], den: int) -> GroupElement:
-    _check_det(num, den)
-    return _group(num, den)
-
-
-def _check_det(num: Sequence[Sequence[int]], den: int) -> None:
-    if _int_det(num) != den ** len(num):
-        raise DomainError("group element must have determinant one")
-
-
-def _int_adjugate(rows: Sequence[Sequence[int]]) -> IntRows:
-    """adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j and column i."""
-    n = len(rows)
-
-    def minor(i: int, j: int) -> int:
-        return _int_det([row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i])
-
-    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n))
 
 
 class LieAlgebra:
@@ -571,7 +538,7 @@ class LieAlgebra:
     def ad(self, x: Element) -> Mat:
         """Matrix of ad(x) = [x, .] in the fixed basis (columns are images)."""
         cols = [self.bracket(x, self.basis_element(j)).coords for j in range(self.dim)]
-        return Mat.from_rows(
+        return Mat(
             [tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)],
             cols=self.dim,
         )
@@ -657,7 +624,7 @@ class LieAlgebra:
 
     def _require_acting(self, g: GroupElement) -> None:
         self._require_realization()
-        if len(g.num) != self.rank + 1:
+        if g.mat.rows != self.rank + 1:
             raise DomainError("group element has the wrong size for this algebra")
 
     def _build_realization(self) -> None:
@@ -703,10 +670,10 @@ class LieAlgebra:
         # stacked flattened basis matrices
         stack_rows = [tuple(x for row in mk for x in row) for mk in real]
         pivots = _echelon(list(stack_rows), m * m)
-        square = Mat.from_rows([[row[p] for row in stack_rows] for p in pivots], cols=self.dim)
-        inv, self._readout_den = _integer_matrix(square.inverse().row_list())
+        square = Mat([[row[p] for row in stack_rows] for p in pivots], 1, self.dim).inverse()
+        self._readout_den = square.den
         self._readout = [
-            tuple(divmod(p, m) + (v,) for p, v in zip(pivots, row) if v) for row in inv
+            tuple(divmod(p, m) + (v,) for p, v in zip(pivots, row) if v) for row in square.num
         ]
 
     def _combine(self, ints: Sequence[int]) -> list[list[int]]:
@@ -719,32 +686,24 @@ class LieAlgebra:
                     acc[r][c] += k * v
         return acc
 
-    def _realize_int(self, x: Element) -> tuple[list[list[int]], int]:
-        """(Y, D) with realize(x) = Y / D, Y integral, D the lcm of x's denominators."""
+    def realize(self, x: Element) -> Mat:
+        """Defining-representation matrix of x (type A only), summed from the integer table."""
         self._require_realization()
         den = lcm(*[c.denominator for c in x.coords if c])
-        return self._combine([c.numerator * (den // c.denominator) for c in x.coords]), den
-
-    def realize(self, x: Element) -> Mat:
-        """Defining-representation matrix of x (type A only)."""
-        rows, den = self._realize_int(x)
-        return Mat([[Fraction(v, den) if v else _ZERO for v in row] for row in rows])
+        return Mat(self._combine([c.numerator * (den // c.denominator) for c in x.coords]), den)
 
     def from_matrix(self, mat: Mat) -> Element:
-        """Inverse of realize; raises DomainError off the realized algebra."""
+        """Inverse of realize; raises DomainError off the realized algebra.
+
+        The coordinates are the integers of `_read_int` over mat.den * _readout_den.
+        """
         self._require_realization()
         m = self.rank + 1
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        return self.from_integer_matrix(*_integer_matrix(mat.row_list()))
-
-    def from_integer_matrix(self, rows: Sequence[Sequence[int]], den: int) -> Element:
-        """The element realized by rows / den; raises DomainError off the realized algebra.
-
-        The coordinates are the integers of `_read_int` over den * _readout_den.
-        """
-        total = self._readout_den * den
-        return Element(self, [Fraction(k, total) if k else _ZERO for k in self._read_int(rows)])
+        nums = self._read_int(mat.num)
+        total = self._readout_den * mat.den
+        return Element(self, [Fraction(k, total) if k else _ZERO for k in nums])
 
     def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Coordinates times _readout_den of the element realized by rows, read back to check."""
@@ -769,7 +728,8 @@ class LieAlgebra:
         = sum_k (K!/k!) D^(K-k) Y^k / (K! D^K): integer powers of Y over one
         denominator.  x is nilpotent exactly when Y^m = 0.
         """
-        y, d = self._realize_int(x)
+        real = self.realize(x)
+        y, d = real.num, real.den
         m = len(y)
         powers = [_identity_rows(m)]
         power = y
@@ -784,17 +744,15 @@ class LieAlgebra:
             [sum(w * p[i][j] for w, p in zip(weights, powers)) for j in range(m)]
             for i in range(m)
         ]
-        return _checked_group(num, factorial(top) * d ** top)
+        return GroupElement(Mat(num, factorial(top) * d**top))
 
     def torus_element(self, entries: Sequence) -> GroupElement:
         self._require_realization()
-        vals = [_as_fraction(v) for v in entries]
-        if len(vals) != self.rank + 1:
-            raise DomainError("torus element needs rank+1 diagonal entries")
         m = self.rank + 1
-        return _checked_group(
-            *_integer_matrix([[vals[i] if i == j else _ZERO for j in range(m)] for i in range(m)])
-        )
+        if len(entries) != m:
+            raise DomainError("torus element needs rank+1 diagonal entries")
+        diagonal = [[v if i == j else 0 for j in range(m)] for i, v in enumerate(entries)]
+        return GroupElement(Mat(diagonal))
 
     def weyl_representatives(self) -> list[GroupElement]:
         """Determinant-one permutation representatives of the Weyl group (type A)."""
@@ -808,7 +766,7 @@ class LieAlgebra:
             rows = [[0] * m for _ in range(m)]
             for src, dst in enumerate(perm):
                 rows[dst][src] = -1 if sign < 0 and src == 0 else 1
-            out.append(_checked_group(rows, 1))
+            out.append(GroupElement(Mat(rows, 1)))
         return out
 
 
@@ -866,14 +824,10 @@ def exp_ad(x: Element) -> Mat:
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:
-    """Adjoint action Ad_g(y) = g realize(y) g^-1, in integers over one denominator (type A)."""
+    """Adjoint action Ad_g(y) = g realize(y) g^-1 (type A)."""
     L = y.algebra
     L._require_acting(g)
-    rows, den = L._realize_int(y)
-    inv = g.inverse()
-    return L.from_integer_matrix(
-        _int_matmul(_int_matmul(g.num, rows), inv.num), den * g.den * inv.den
-    )
+    return L.from_matrix(g.mat * L.realize(y) * g.inverse().mat)
 
 
 ALGEBRA_DESCRIPTORS = tuple(sorted(_CARTAN))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import ConstructionError, DomainError, PoleError
 from .exactlin import Mat, Projector, Rat, Vector, rank, vec
@@ -132,30 +133,43 @@ class ChartPoint:
         return f"ChartPoint({self.chart!r})"
 
 
+def _pairing_matrix(chart: Chart, weights: list[Rat], sign: int) -> Mat:
+    """The antisymmetric matrix with sign at (x, a) and sign * weights[i-1] at (z_i, s_i).
+
+    Written as integer rows over the lcm of the weights' denominators.
+    """
+    m, l = chart.m, chart.algebra.rank
+    size = chart.size
+    den = lcm(*[w.denominator for w in weights])
+    rows = [[0] * size for _ in range(size)]
+    for j in range(2 * m):
+        x, a = j, 2 * m + l + j
+        rows[x][a] = sign * den
+        rows[a][x] = -sign * den
+    for i, w in enumerate(weights, 1):
+        zi, si = chart.z_index(i), chart.sigma_index(i)
+        c = sign * w.numerator * (den // w.denominator)
+        rows[zi][si] = c
+        rows[si][zi] = -c
+    return Mat(rows, den, size)
+
+
 def omega_matrix(point: ChartPoint) -> Mat:
     """The log two-form at the point, as an exact antisymmetric matrix.
 
+    z_i pairs with s_i at weight 1/z_i on the pole set and 1 off it.
     Raises a pole error on the divisor, where only the bivector exists.
     """
     chart = point.chart
-    m, l = chart.m, chart.algebra.rank
-    size = chart.size
-    rows = [[_ZERO] * size for _ in range(size)]
-    for j in range(2 * m):
-        x, a = j, 2 * m + l + j
-        rows[x][a] = _ONE
-        rows[a][x] = -_ONE
-    for i in range(1, l + 1):
-        zi, si = chart.z_index(i), chart.sigma_index(i)
+    weights = []
+    for i in range(1, chart.algebra.rank + 1):
         if i in chart.I:
             if point.z(i) == 0:
                 raise PoleError(f"two-form has a pole at z{i} = 0")
-            c = _ONE / point.z(i)
+            weights.append(_ONE / point.z(i))
         else:
-            c = _ONE
-        rows[zi][si] = c
-        rows[si][zi] = -c
-    return Mat.from_rows([tuple(r) for r in rows], cols=size)
+            weights.append(_ONE)
+    return _pairing_matrix(chart, weights, 1)
 
 
 class Bivector:
@@ -164,13 +178,9 @@ class Bivector:
     __slots__ = ("point", "matrix")
 
     def __init__(self, point: ChartPoint, matrix: Mat):
-        m = matrix.row_list()
-        size = matrix.rows
-        # pairs (m[i][j], m[j][i]) for j >= i; two shared _ZERO objects need no arithmetic
-        if matrix.cols != size or not all(
-            (a is _ZERO and b is _ZERO) or a == -b
-            for i, row in enumerate(m)
-            for a, b in zip(row[i:], [r[i] for r in m[i:]])
+        m = matrix.num
+        if matrix.cols != matrix.rows or not all(
+            a == -b for i, row in enumerate(m) for a, b in zip(row[i:], [r[i] for r in m[i:]])
         ):
             raise ConstructionError("bivector matrix must be antisymmetric")
         self.point = point
@@ -186,19 +196,8 @@ class Bivector:
 def bivector_matrix(point: ChartPoint) -> Bivector:
     """Entries are 0, +-1, or +-z_i; inverse to the two-form off the divisor."""
     chart = point.chart
-    m, l = chart.m, chart.algebra.rank
-    size = chart.size
-    rows = [[_ZERO] * size for _ in range(size)]
-    for j in range(2 * m):
-        x, a = j, 2 * m + l + j
-        rows[a][x] = _ONE
-        rows[x][a] = -_ONE
-    for i in range(1, l + 1):
-        zi, si = chart.z_index(i), chart.sigma_index(i)
-        c = point.z(i) if i in chart.I else _ONE
-        rows[si][zi] = c
-        rows[zi][si] = -c
-    return Bivector(point, Mat.from_rows([tuple(r) for r in rows], cols=size))
+    weights = [point.z(i) if i in chart.I else _ONE for i in range(1, chart.algebra.rank + 1)]
+    return Bivector(point, _pairing_matrix(chart, weights, -1))
 
 
 def _check_stratum(chart: Chart, S) -> frozenset[int]:
@@ -238,11 +237,9 @@ def casimir_check(chart: Chart, S, seed: int = 0, samples: int = 5) -> bool:
     S = _check_stratum(chart, S)
     gen = stream(seed, f"casimir:{chart.algebra.descriptor}:{sorted(chart.I)}:{sorted(S)}")
     for _ in range(samples):
-        pi = bivector_matrix(_stratum_sample(chart, S, gen)).matrix
-        for i in S:
-            row = chart.sigma_index(i)
-            if any(pi[(row, c)] != 0 for c in range(chart.size)):
-                return False
+        pi = bivector_matrix(_stratum_sample(chart, S, gen)).matrix.num
+        if any(any(pi[chart.sigma_index(i)]) for i in S):
+            return False
     return True
 
 

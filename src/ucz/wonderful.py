@@ -8,19 +8,23 @@ elements represents an arbitrary point of the orbit, and two points are
 equal exactly when the translated subalgebras coincide.  All subspaces
 are kept in canonical echelon form, so equality is literal.
 
+A translate by (g1, g2) moves the fiber's integer echelon rows by the
+pair (Ad_g1, Ad_g2).  Ad_g is a `Mat` built once per element from outer
+products of the columns of g and the rows of g^-1, read back through the
+realization in integers, so no fiber row is conjugated one by one.
+
 Simple-root indices are 1-based in every public signature, matching the
 orbit tables the command line prints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
-from .exactlin import IntRows, Mat, Subspace, Vector, _identity_rows, kernel
+from .exactlin import Mat, Subspace, Vector, _identity_rows, kernel
 from .liealg import Element, GroupElement, LieAlgebra, conjugate
 
 __all__ = [
@@ -149,7 +153,7 @@ class ParabolicData:
             cols = [L.bracket(c, b).coords for c in levi_elems]
             for r in range(n):
                 rows.append(tuple(cols[j][r] for j in range(m)))
-        coeff_space = kernel(Mat.from_rows(rows, cols=m))
+        coeff_space = kernel(Mat(rows, cols=m))
         vectors = []
         for t in coeff_space.basis.row_list():
             x = L.zero()
@@ -191,9 +195,9 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
         return p._fiber
     n = p.algebra.dim
     zero = (0,) * n
-    vectors = [row + zero for row in p.u_I._num]
-    vectors += [zero + row for row in p.u_I_minus._num]
-    vectors += [row + row for row in p.l_I._num]
+    vectors = [row + zero for row in p.u_I.basis.num]
+    vectors += [zero + row for row in p.u_I_minus.basis.num]
+    vectors += [row + row for row in p.l_I.basis.num]
     fiber = Subspace(2 * n, vectors)
     if fiber.dim != n:
         raise ConstructionError("fiber algebra has the wrong dimension")
@@ -218,7 +222,7 @@ def stabilizer_algebra(p: ParabolicData) -> Subspace:
         return p._stabilizer
     n = p.algebra.dim
     zero = (0,) * n
-    stab = fiber_algebra(p).sum(Subspace(2 * n, [row + zero for row in p.z_l_I._num]))
+    stab = fiber_algebra(p).sum(Subspace(2 * n, [row + zero for row in p.z_l_I.basis.num]))
     if stab.dim != n + p.algebra.rank - len(p.I):
         raise ConstructionError("stabilizer algebra has the wrong dimension")
     p._stabilizer = stab
@@ -320,11 +324,8 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-Adjoint = tuple[IntRows, int]
-
-
-def _adjoint_int(L: LieAlgebra, g: GroupElement) -> Adjoint:
-    """Ad_g in the basis of L as (C, e): column k, Ad_g of basis vector k, is C[k] / e.
+def _adjoint(L: LieAlgebra, g: GroupElement) -> Mat:
+    """Ad_g in the basis of L: column k is Ad_g of basis vector k.
 
     With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
     the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
@@ -332,10 +333,10 @@ def _adjoint_int(L: LieAlgebra, g: GroupElement) -> Adjoint:
     Its coordinates are read in integers over d f _readout_den.
     """
     if g.is_identity():
-        return _identity_rows(L.dim), 1
+        return Mat.identity(L.dim)
     L._require_acting(g)
-    inv = g.inverse()
-    num, inv_num = g.num, inv.num
+    mat, inv = g.mat, g.inverse().mat
+    num, inv_num = mat.num, inv.num
     m = len(num)
     images = []
     for entries in L._realization:
@@ -347,17 +348,11 @@ def _adjoint_int(L: LieAlgebra, g: GroupElement) -> Adjoint:
                 if left:
                     for j, x in enumerate(right):
                         out[j] += left * x
-        images.append(tuple(L._read_int(acc)))
-    return tuple(images), L._readout_den * g.den * inv.den
+        images.append(L._read_int(acc))
+    return Mat(list(zip(*images)), L._readout_den * mat.den * inv.den)
 
 
-def _adjoint_matrix(L: LieAlgebra, g: GroupElement) -> Mat:
-    """Ad_g as a `Mat` of Fractions, column k the image of basis vector k."""
-    cols, den = _adjoint_int(L, g)
-    return Mat([[Fraction(x, den) for x in row] for row in zip(*cols)])
-
-
-def _move(cols: IntRows, x: Sequence[int], scale: int) -> list[int]:
+def _move(cols: Sequence[Sequence[int]], x: Sequence[int], scale: int) -> list[int]:
     """scale * sum_k x[k] cols[k], skipping the zero entries of x."""
     acc = [0] * len(cols)
     for c, col in zip(x, cols):
@@ -367,15 +362,16 @@ def _move(cols: IntRows, x: Sequence[int], scale: int) -> list[int]:
     return acc
 
 
-def _translate(space: Subspace, ad1: Adjoint, ad2: Adjoint) -> Subspace:
+def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
     """A subspace of g x g moved by the pair (Ad_g1, Ad_g2) = (C1 / e1, C2 / e2).
 
     Each canonical integer row (x, y) goes to (e2 C1 x, e1 C2 y), the moved
     row times e1 e2 times the subspace's denominator.
     """
-    (c1, e1), (c2, e2) = ad1, ad2
-    n = len(c1)
-    vectors = [_move(c1, row[:n], e2) + _move(c2, row[n:], e1) for row in space._num]
+    e1, e2 = ad1.den, ad2.den
+    c1, c2 = list(zip(*ad1.num)), list(zip(*ad2.num))
+    n = ad1.cols
+    vectors = [_move(c1, row[:n], e2) + _move(c2, row[n:], e1) for row in space.basis.num]
     realized = Subspace(2 * n, vectors)
     if realized.dim != space.dim:
         raise ConstructionError("translated fiber lost dimension")
@@ -385,14 +381,14 @@ def _translate(space: Subspace, ad1: Adjoint, ad2: Adjoint) -> Subspace:
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
     """Translate the basepoint fiber of orbit I by (g1, g2)."""
     L = p.algebra
-    realized = _translate(fiber_algebra(p), _adjoint_int(L, g1), _adjoint_int(L, g2))
+    realized = _translate(fiber_algebra(p), _adjoint(L, g1), _adjoint(L, g2))
     return BoundaryPoint(L, p.I, g1, g2, realized)
 
 
 @lru_cache(maxsize=None)
-def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Adjoint], ...]:
+def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
     """Each Weyl representative w of L with Ad_w, built once per algebra."""
-    return tuple((w, _adjoint_int(L, w)) for w in L.weyl_representatives())
+    return tuple((w, _adjoint(L, w)) for w in L.weyl_representatives())
 
 
 def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
@@ -440,7 +436,7 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    ad_d = _adjoint_int(L, diagonalizer)
+    ad_d = _adjoint(L, diagonalizer)
     # orbit I = {} keeps every w, so every product is used
     witness = {w: diagonalizer * w for w, _ in _weyl_adjoints(L)}
     pair = (xi, xi)

@@ -297,7 +297,7 @@ def test_criterion_11_torus_fixed_boundary_points():
         assert translate_contains(q, (h, h))
 
     a2 = algebra_from_descriptor("A2")
-    xi = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
+    xi = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     # inline brute-force oracle: realize every (I, w1, w2) fiber directly
     # and count the distinct ones containing (xi, xi)
     n = a2.dim

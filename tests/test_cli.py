@@ -23,6 +23,7 @@ from ucz.errors import (
     DomainError,
     PoleError,
 )
+from ucz.suites import SuiteReport
 
 A1_DESCRIBE = """\
 algebra A1: dim n = 3, rank l = 1, positive roots = 1
@@ -144,6 +145,24 @@ def test_unwritable_report_path_is_an_io_error(tmp_path, capsys):
     code = main(["report", "A1", "--samples", "3", "-o", str(target)])
     assert code == 3
     assert "cannot write report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_failed_check_exits_1(tmp_path, capsys, monkeypatch, command):
+    def failing_suites(L, names, seed, samples):
+        report = SuiteReport("kostant", L.descriptor)
+        report.add("section", 2, 3, "one sample missed")
+        return [report]
+
+    monkeypatch.setattr(cli, "run_suites", failing_suites)
+    assert main([command, "A1", "--samples", "3", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["suites"][0]["passed"], doc["suites"][0]["total"]) == (2, 3)
+    if command == "report":
+        # the report is still written to the file when a check fails
+        target = tmp_path / "report.json"
+        assert main([command, "A1", "--samples", "3", "-o", str(target)]) == 1
+        assert json.loads(target.read_text(encoding="utf-8")) == doc
 
 
 def test_seed_falls_back_to_environment(capsys, monkeypatch):

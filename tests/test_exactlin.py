@@ -10,7 +10,7 @@ tolerance.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -30,7 +30,7 @@ from ucz.rng import SplitMix64, stream
 
 
 def random_mat(gen: SplitMix64, rows: int, cols: int) -> Mat:
-    return Mat.from_rows(
+    return Mat(
         [tuple(gen.fraction() for _ in range(cols)) for _ in range(rows)], cols=cols
     )
 
@@ -44,13 +44,13 @@ def test_exact_field_roundtrip():
 
 
 def test_rref_permutation():
-    m = Mat.from_rows([(0, 1), (1, 0)], cols=2)
+    m = Mat([(0, 1), (1, 0)], cols=2)
     assert rref(m) == Mat.identity(2)
 
 
 def test_rref_dependent_rows():
-    m = Mat.from_rows([(2, 4), (1, 2)], cols=2)
-    assert rref(m) == Mat.from_rows([(1, 2), (0, 0)], cols=2)
+    m = Mat([(2, 4), (1, 2)], cols=2)
+    assert rref(m) == Mat([(1, 2), (0, 0)], cols=2)
 
 
 def test_rref_idempotent_on_seeded_matrices():
@@ -75,12 +75,12 @@ def test_kernel_identity_is_zero():
 
 
 def test_kernel_zero_map_is_everything():
-    m = Mat.from_rows([(0, 0, 0), (0, 0, 0)], cols=3)
+    m = Mat([(0, 0, 0), (0, 0, 0)], cols=3)
     assert kernel(m) == Subspace.full(3)
 
 
 def test_kernel_single_relation():
-    ker = kernel(Mat.from_rows([(1, 1, 0)], cols=3))
+    ker = kernel(Mat([(1, 1, 0)], cols=3))
     assert ker.dim == 2
     assert ker.contains((1, -1, 0))
     assert ker.contains((0, 0, 1))
@@ -216,20 +216,20 @@ def test_mat_inverse_roundtrip():
 
 
 def test_mat_inverse_singular_raises():
-    m = Mat.from_rows([(1, 2), (2, 4)], cols=2)
+    m = Mat([(1, 2), (2, 4)], cols=2)
     with pytest.raises(DecompositionError):
         m.inverse()
 
 
 def test_solve_reproduces_rhs():
-    a = Mat.from_rows([(2, 1), (1, 3)], cols=2)
+    a = Mat([(2, 1), (1, 3)], cols=2)
     b = vec((5, 10))
     x = solve(a, b)
     assert a.apply(x) == b
 
 
 def test_solve_inconsistent_raises():
-    a = Mat.from_rows([(1, 0), (1, 0)], cols=2)
+    a = Mat([(1, 0), (1, 0)], cols=2)
     with pytest.raises(DecompositionError):
         solve(a, vec((1, 2)))
 
@@ -291,10 +291,10 @@ def all_fractions(m: Mat) -> bool:
 def test_rref_rank_kernel_match_the_oracle():
     count = 0
     for rows, cols in oracle_matrices():
-        m = Mat.from_rows(rows, cols=cols)
+        m = Mat(rows, cols=cols)
         want, pivots = oracle_rref(rows, cols)
         got = rref(m)
-        assert got == Mat.from_rows(want, cols=cols)
+        assert got == Mat(want, cols=cols)
         assert got.rows == m.rows and got.cols == cols
         assert all_fractions(got)
         assert rank(m) == len(pivots)
@@ -312,14 +312,14 @@ def test_rref_rank_kernel_match_the_oracle():
                 v[p] = -want[r][j]
             null.append(v)
         canon, cpiv = oracle_rref(null, cols)
-        assert ker.basis == Mat.from_rows(canon[: len(cpiv)], cols=cols)
+        assert ker.basis == Mat(canon[: len(cpiv)], cols=cols)
         count += 1
     assert count == 87
 
 
 def test_subspace_basis_entries_are_fractions():
     s = Subspace.from_vectors(3, [(2, 4, 6), ("1/3", 0, 1)])
-    assert s.basis == Mat.from_rows([(1, 0, 3), (0, 1, 0)], cols=3)
+    assert s.basis == Mat([(1, 0, 3), (0, 1, 0)], cols=3)
     assert all_fractions(s.basis)
 
 
@@ -333,11 +333,11 @@ def test_vec_coerces_at_the_edge():
 
     w = vec([Half(1, 2)])
     assert w == (Fraction(1, 2),) and type(w[0]) is Fraction
-    assert type(Mat.from_rows([(Half(1, 2),)], cols=1)[0, 0]) is Fraction
+    assert type(Mat([(Half(1, 2),)], cols=1)[0, 0]) is Fraction
     with pytest.raises(TypeError):
         vec([object()])
     with pytest.raises(TypeError):
-        Mat.from_rows([(1, None)], cols=2)
+        Mat([(1, None)], cols=2)
     with pytest.raises(ValueError):
         vec(["one third"])
 
@@ -347,7 +347,7 @@ def test_subspace_keeps_the_oracle_pivots():
     rnd = random.Random(83)
     for rows, cols in oracle_matrices():
         want, pivots = oracle_rref(rows, cols)
-        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
+        space = Subspace(cols, Mat(rows, cols=cols))
         assert space._pivots == pivots
         coeffs = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in pivots]
         v = tuple(
@@ -394,12 +394,12 @@ def test_subspace_is_the_oracle_rref_over_the_lcm_of_its_denominators():
         want, pivots = oracle_rref(rows, cols)
         want = want[: len(pivots)]
         den = lcm(*(x.denominator for row in want for x in row))
-        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
-        assert space._den == den
-        assert space._num == tuple(tuple(int(x * den) for x in row) for row in want)
+        space = Subspace(cols, Mat(rows, cols=cols))
+        assert space.basis.den == den
+        assert space.basis.num == tuple(tuple(int(x * den) for x in row) for row in want)
         assert space._pivots == pivots and space.dim == len(pivots)
-        assert space.basis == Mat.from_rows(want, cols=cols) and all_fractions(space.basis)
-        canonical = Subspace(cols, Mat.from_rows(want, cols=cols), _canonical=True)
+        assert space.basis == Mat(want, cols=cols) and all_fractions(space.basis)
+        canonical = Subspace(cols, Mat(want, cols=cols), _canonical=True)
         assert canonical == space and hash(canonical) == hash(space)
         assert canonical._pivots == space._pivots
         deficient += len(pivots) < len(rows)
@@ -481,7 +481,7 @@ def test_apply_matches_the_oracle_dot_product():
             rows = [[entry(density) for _ in range(c)] for _ in range(r)]
             if r:
                 rows[rnd.randrange(r)] = [Fraction(0)] * c
-            m = Mat.from_rows(rows, cols=c)
+            m = Mat(rows, cols=c)
             vectors = [(Fraction(0),) * c]
             vectors += [tuple(Fraction(int(i == j)) for i in range(c)) for j in range(c)]
             vectors += [tuple(nonzero(k) for k in range(c)) for _ in range(3)]
@@ -495,13 +495,13 @@ def test_apply_matches_the_oracle_dot_product():
 
 
 def test_apply_size_mismatch_raises():
-    m = Mat.from_rows([(1, 2, 3), (4, 5, 6)], cols=3)
+    m = Mat([(1, 2, 3), (4, 5, 6)], cols=3)
     with pytest.raises(DimensionError):
         m.apply(vec((1, 2)))
     with pytest.raises(DimensionError):
         m.apply(vec((1, 2, 3, 4)))
     with pytest.raises(DimensionError):
-        Mat.from_rows([], cols=2).apply(())
+        Mat([], cols=2).apply(())
 
 
 # -- zero-aware kernels ------------------------------------------------------------
@@ -545,19 +545,19 @@ def test_sparse_mat_sum_difference_and_scale_match_the_oracle():
             [x if rnd.random() < 0.5 else -rows[i - 1][j] for j, x in enumerate(row)]
             for i, row in enumerate(rows)
         ]
-        a, b = Mat.from_rows(rows, cols=cols), Mat.from_rows(other, cols=cols)
+        a, b = Mat(rows, cols=cols), Mat(other, cols=cols)
         pairs = [(x, y) for rx, ry in zip(rows, other) for x, y in zip(rx, ry)]
         for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
             assert [x for row in got.row_list() for x in row] == [op(x, y) for x, y in pairs]
             assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
         # a zero result entry comes from cancellation as well as from zero operands
         assert (a - a).is_zero() and (b - b).is_zero()
-        assert -a == Mat.from_rows([[-x for x in row] for row in rows], cols=cols)
+        assert -a == Mat([[-x for x in row] for row in rows], cols=cols)
         assert (-a).cols == cols and all_fractions(-a)
         for c in (0, Fraction(0), "0", 1, Fraction(-3, 7)):
             got = a.scale(c)
             want = [[Fraction(c) * x for x in row] for row in rows]
-            assert got == Mat.from_rows(want, cols=cols)
+            assert got == Mat(want, cols=cols)
             assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
         count += 1
     assert count == 36
@@ -584,15 +584,15 @@ def test_sparse_mat_product_and_apply_match_the_oracle():
         ]
         # the transpose-shaped left factor meets rows of zeros on both sides
         left = [list(col) for col in zip(*rows)] if inner else [[] for _ in range(cols)]
-        got = Mat.from_rows(left, cols=inner) * Mat.from_rows(rows, cols=cols)
-        assert got == Mat.from_rows(oracle_product(left, rows, cols), cols=cols)
+        got = Mat(left, cols=inner) * Mat(rows, cols=cols)
+        assert got == Mat(oracle_product(left, rows, cols), cols=cols)
         assert (got.rows, got.cols) == (len(left), cols) and all_fractions(got)
-        got = Mat.from_rows(rows, cols=cols) * Mat.from_rows(right, cols=right_cols)
-        assert got == Mat.from_rows(oracle_product(rows, right, right_cols), cols=right_cols)
+        got = Mat(rows, cols=cols) * Mat(right, cols=right_cols)
+        assert got == Mat(oracle_product(rows, right, right_cols), cols=right_cols)
         assert all_fractions(got)
         assert (got.rows, got.cols) == (len(rows), right_cols)
         v = tuple(Fraction(j % 3 - 1, 2) for j in range(cols))
-        got = Mat.from_rows(rows, cols=cols).apply(v)
+        got = Mat(rows, cols=cols).apply(v)
         assert got == oracle_apply(rows, v) and all(type(x) is Fraction for x in got)
         count += 1
     assert count == 36
@@ -617,7 +617,7 @@ def test_sparse_det_and_inverse_match_the_oracle():
     for rows, cols in squares:
         shifted = [[x + int(i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
         for square in (rows, shifted):
-            m = Mat.from_rows(square, cols=cols)
+            m = Mat(square, cols=cols)
             det = m.det()
             assert det == oracle_det(square) and type(det) is Fraction
             if det == 0:
@@ -628,7 +628,7 @@ def test_sparse_det_and_inverse_match_the_oracle():
                 unit = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
                 want, _ = oracle_rref([list(a) + b for a, b in zip(square, unit)], 2 * cols)
                 got = m.inverse()
-                assert got == Mat.from_rows([row[cols:] for row in want], cols=cols)
+                assert got == Mat([row[cols:] for row in want], cols=cols)
                 assert all_fractions(got)
             count += 1
     assert count == 50
@@ -640,7 +640,7 @@ def test_sparse_reduce_and_coefficients_match_the_oracle():
     count = 0
     for rows, cols in sparse_operands(131):
         want, pivots = oracle_rref(rows, cols)
-        space = Subspace(cols, Mat.from_rows(rows, cols=cols))
+        space = Subspace(cols, Mat(rows, cols=cols))
         vectors = [(Fraction(0),) * cols]
         vectors += [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
         vectors += [tuple(x if rnd.random() < 0.3 else Fraction(0) for x in row) for row in rows]
@@ -702,8 +702,113 @@ def test_sparse_intersect_matches_the_annihilator_oracle():
             got = Subspace.from_vectors(cols, u).intersect(Subspace.from_vectors(cols, v))
             ann = oracle_null(u, cols) + oracle_null(v, cols)
             want, pivots = oracle_rref(oracle_null(ann, cols), cols)
-            assert got.basis == Mat.from_rows(want[: len(pivots)], cols=cols)
+            assert got.basis == Mat(want[: len(pivots)], cols=cols)
             assert all_fractions(got.basis)
             proper += 0 < got.dim < min(len(u), len(v))
             count += 1
     assert count == 24 and proper > 12
+
+
+# -- one canonical matrix format ---------------------------------------------------
+
+
+def canonical_operands(seed):
+    """Seeded (rows, cols) with denominators up to 7: empty, zero, all-negative and mixed."""
+    rnd = random.Random(seed)
+
+    def entry():
+        if rnd.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
+
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 5), (5, 2), (3, 4)):
+        yield [[entry() for _ in range(c)] for _ in range(r)], c
+        yield [[Fraction(0)] * c for _ in range(r)], c
+        yield [[-abs(entry()) - Fraction(1, 7) for _ in range(c)] for _ in range(r)], c
+        for _ in range(2):
+            yield [[entry() for _ in range(c)] for _ in range(r)], c
+
+
+def oracle_inverse(rows):
+    """Gauss-Jordan on [A | I] with `oracle_rref`; None when A is singular."""
+    n = len(rows)
+    augmented = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)
+    ]
+    work, pivots = oracle_rref(augmented, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in work]
+
+
+def assert_canonical(m: Mat, want, cols):
+    """den > 0, gcd(den, entries) = 1, and the entries are the oracle's values."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for row in m.num for x in row)
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert (m.rows, m.cols) == (len(want), cols)
+    assert [[Fraction(x, m.den) for x in row] for row in m.num] == [list(row) for row in want]
+    assert m.row_list() == [tuple(row) for row in want] and all_fractions(m)
+
+
+def test_every_mat_operation_returns_the_canonical_integer_form():
+    rnd = random.Random(163)
+    count = inverses = 0
+    for rows, cols in canonical_operands(167):
+        a = Mat(rows, cols=cols)
+        assert_canonical(a, rows, cols)
+        other = [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)) for _ in row] for row in rows]
+        b = Mat(other, cols=cols)
+        pairs = [list(zip(r1, r2)) for r1, r2 in zip(rows, other)]
+        assert_canonical(a + b, [[x + y for x, y in row] for row in pairs], cols)
+        assert_canonical(a - b, [[x - y for x, y in row] for row in pairs], cols)
+        assert_canonical(-a, [[-x for x in row] for row in rows], cols)
+        for c in (-2, 0, Fraction(0), Fraction(-3, 5), Fraction(7, 3), "5/10"):
+            assert_canonical(a.scale(c), [[Fraction(c) * x for x in row] for row in rows], cols)
+        transposed = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(cols)]
+        assert_canonical(a.transpose(), transposed, len(rows))
+        assert_canonical(a * a.transpose(), oracle_product(rows, transposed, len(rows)), len(rows))
+        assert_canonical(a.transpose() * a, oracle_product(transposed, rows, cols), cols)
+        assert_canonical(rref(a), oracle_rref(rows, cols)[0], cols)
+        if len(rows) == cols:
+            want = oracle_inverse(rows)
+            if want is None:
+                with pytest.raises(DecompositionError):
+                    a.inverse()
+            else:
+                assert_canonical(a.inverse(), want, cols)
+                inverses += 1
+        v = tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in range(cols))
+        got = a.apply(v)
+        assert got == oracle_apply(rows, v) and all(type(x) is Fraction for x in got)
+        count += 1
+    assert count == 50 and inverses > 10
+
+
+def test_equal_values_built_different_ways_compare_and_hash_equal():
+    assert Mat([["2/4"]]) == Mat([[Fraction(1, 2)]]) == Mat([[3]], 6) == Mat([[-1]], -2)
+    assert hash(Mat([["2/4"]])) == hash(Mat([[Fraction(1, 2)]])) == hash(Mat([[3]], 6))
+    assert Mat([[0, 0]], 5) == Mat([[0, 0]]) and Mat([], 7, 3) == Mat([], cols=3)
+    assert Mat([[2, 0], [0, 2]], 2) == Mat.identity(2)
+    assert Mat([[1, 2]], cols=2) != Mat([[1, 2]], 3)
+    rnd = random.Random(173)
+    count = 0
+    for rows, cols in canonical_operands(179):
+        a = Mat(rows, cols=cols)
+        k = rnd.randint(2, 9)
+        routes = [
+            a.scale(3).scale(Fraction(1, 3)),
+            Mat(a.num, a.den, cols),
+            # integer rows with a common factor left in, or over a negative denominator
+            Mat([[k * x for x in row] for row in a.num], k * a.den, cols),
+            Mat([[-x for x in row] for row in a.num], -a.den, cols),
+            -(-a),
+            (a + a) - a,
+            a.transpose().transpose(),
+            Mat([[str(x) for x in row] for row in rows], cols=cols),
+        ]
+        for twin in routes:
+            assert twin == a and hash(twin) == hash(a)
+            assert (twin.num, twin.den) == (a.num, a.den)
+        count += 1
+    assert count == 50

@@ -79,16 +79,16 @@ def test_triple_h_coefficients(any_algebra):
 
 def test_a1_triple_matrices(a1):
     t = build_principal_triple(a1)
-    assert a1.realize(t.e) == Mat.from_rows([(0, 1), (0, 0)], cols=2)
-    assert a1.realize(t.h) == Mat.from_rows([(1, 0), (0, -1)], cols=2)
-    assert a1.realize(t.f) == Mat.from_rows([(0, 0), (1, 0)], cols=2)
+    assert a1.realize(t.e) == Mat([(0, 1), (0, 0)], cols=2)
+    assert a1.realize(t.h) == Mat([(1, 0), (0, -1)], cols=2)
+    assert a1.realize(t.f) == Mat([(0, 0), (1, 0)], cols=2)
 
 
 def test_a2_a3_principal_h_matrices(a2, a3):
-    assert a2.realize(build_principal_triple(a2).h) == Mat.from_rows(
+    assert a2.realize(build_principal_triple(a2).h) == Mat(
         [(2, 0, 0), (0, 0, 0), (0, 0, -2)], cols=3
     )
-    assert a3.realize(build_principal_triple(a3).h) == Mat.from_rows(
+    assert a3.realize(build_principal_triple(a3).h) == Mat(
         [(3, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -3)], cols=4
     )
 
@@ -215,7 +215,7 @@ def test_a1_invariant_reads_the_slice_coordinate(a1):
 
 
 def test_a2_invariants_of_a_split_element(a2):
-    x = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
+    x = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     # det(lambda I - x) = lambda^3 - 7 lambda + 6
     assert invariants_eval(x) == (Fraction(7), Fraction(-6))
 
@@ -279,7 +279,7 @@ def test_dual_invariants_match_interpolated_derivatives(type_a_algebra):
     gen = stream(43, f"dual:{L.descriptor}")
     # the invariants of x + t d are polynomials in t of degree at most rank + 1
     ts = range(L.rank + 2)
-    vander = Mat.from_rows([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
+    vander = Mat([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
     for _ in range(4):
         x = f + L.e(0).scale(gen.fraction())
         d = L.element([gen.fraction() for _ in range(L.dim)])
@@ -324,7 +324,7 @@ def test_in_fiber_product_examples(a1, a2):
 def test_jacobian_rank_examples(a1, a2):
     assert jacobian_rank_at(a1.e(0), a1.e(0)) == 1
     assert jacobian_rank_at(a2.zero(), a2.zero()) == 0
-    x = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
+    x = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     assert jacobian_rank_at(x, x) == 2
 
 
@@ -344,7 +344,7 @@ def test_gradient_matches_dual_derivatives_and_interpolation(type_a_algebra):
     f = build_principal_triple(L).f
     gen = stream(47, f"gradient:{L.descriptor}")
     ts = range(L.rank + 2)
-    vander = Mat.from_rows([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
+    vander = Mat([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
     points = [L.zero(), f] + [f + L.e(0).scale(gen.nonzero_fraction()) for _ in range(2)]
     for x in points:
         grad = system.gradient(x)
@@ -357,4 +357,4 @@ def test_gradient_matches_dual_derivatives_and_interpolation(type_a_algebra):
             for k, row in enumerate(grad):
                 assert row[j] == solve(vander, tuple(s[k] for s in samples))[1]
         # the differentials vanish at 0 and are independent at the regular points
-        assert rank(Mat.from_rows(grad, cols=L.dim)) == (0 if x == L.zero() else L.rank)
+        assert rank(Mat(grad, cols=L.dim)) == (0 if x == L.zero() else L.rank)

@@ -233,13 +233,13 @@ def test_translated_point_contains_translated_pairs(a2):
 def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
     # (g, id) is the moment suite's interior translate; Ad_id is the identity map
     L = type_a_algebra
-    assert wonderful._adjoint_matrix(L, L.group_identity()) == Mat.identity(L.dim)
+    assert wonderful._adjoint(L, L.group_identity()) == Mat.identity(L.dim)
     p = build_parabolic(L, full_set(L))
     gen = stream(53, f"idtrans:{L.descriptor}")
     n = L.dim
     for _ in range(2):
         g = group_sample(L, gen)
-        assert wonderful._adjoint_matrix(L, g * g.inverse()) == Mat.identity(n)
+        assert wonderful._adjoint(L, g * g.inverse()) == Mat.identity(n)
         point = make_boundary_point(p, g, L.group_identity())
         moved = [
             conjugate(g, L.element(row[:n])).coords + row[n:]
@@ -254,12 +254,11 @@ def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):
     n = L.dim
     for _ in range(2):
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
-        ad1, ad2 = wonderful._adjoint_matrix(L, g1), wonderful._adjoint_matrix(L, g2)
-        pair = (wonderful._adjoint_int(L, g1), wonderful._adjoint_int(L, g2))
+        ad1, ad2 = wonderful._adjoint(L, g1), wonderful._adjoint(L, g2)
         for I in all_subsets(L.rank):
             fiber = fiber_algebra(build_parabolic(L, I))
             moved = [ad1.apply(row[:n]) + ad2.apply(row[n:]) for row in fiber.basis.row_list()]
-            assert wonderful._translate(fiber, *pair) == Subspace.from_vectors(2 * n, moved)
+            assert wonderful._translate(fiber, ad1, ad2) == Subspace.from_vectors(2 * n, moved)
     for I in all_subsets(L.rank):
         blocks = _levi_blocks(L.rank, I)
         size = factorial(L.rank + 1) // prod(factorial(b) for b in blocks)
@@ -313,7 +312,7 @@ def test_torus_fixed_points_match_the_pair_brute_force_on_a2(a2):
     torus = a2.torus_element([t1, t2, 1 / (t1 * t2)])
     d = a2.group_exp(u_plus) * (torus * a2.group_exp(u_minus))
     assert d != a2.group_identity()
-    s = a2.from_matrix(Mat.from_rows([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
+    s = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     xi = conjugate(d, s)
 
     n = a2.dim
@@ -343,7 +342,7 @@ def test_torus_fixed_points_match_the_pair_brute_force_on_a2(a2):
 
 def test_torus_fixed_orbit_counts_on_a3(a3):
     xi = a3.from_matrix(
-        Mat.from_rows([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, -6)], cols=4)
+        Mat([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, -6)], cols=4)
     )
     points = torus_fixed_fiber_points(xi, a3.group_identity())
     counts = {}
@@ -387,7 +386,7 @@ def test_torus_fixed_points_match_direct_translation_on_a2(a2):
     gen = stream(59, "torus-direct")
     d = group_sample(a2, gen)
     assert d != a2.group_identity()
-    s = a2.from_matrix(Mat.from_rows([(2, 0, 0), (0, -5, 0), (0, 0, 3)], cols=3))
+    s = a2.from_matrix(Mat([(2, 0, 0), (0, -5, 0), (0, 0, 3)], cols=3))
     found = torus_fixed_fiber_points(conjugate(d, s), d)
     assert len(found) == 12
     for q in found:
