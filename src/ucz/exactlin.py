@@ -12,14 +12,17 @@ threads.
 
 Values are coerced once, at the edge.  `Mat(data)`, `vec` and `Mat.scale`
 accept ints, strings and other numbers and convert them with
-`Fraction(x)`; ints and plain `Fraction`s are read as they are.
-`Mat(num, den)` takes integer rows over a denominator and reduces the
-pair.  Every other `Mat`, from sums, products, inverses or eliminations,
-is built by that second form from integers, so the constructor is the one
-place that puts a matrix in canonical form.  Readers outside get
+`Fraction(x)`; plain `Fraction`s are read as they are, and so are ints,
+except by `vec`, which returns `Fraction`s.  `Mat(num, den)` takes
+integer rows over a denominator and reduces the pair.  Every other
+`Mat`, from sums, products, inverses or eliminations, is built by that
+second form from integers, so the constructor is the one place that puts
+a matrix in canonical form.  Readers outside get
 `Fraction`s back from `__getitem__`, `row_list`, `apply`, `det` and
 `Subspace.reduce`; an entry that is already a plain `Fraction` is never
-coerced a second time.
+coerced a second time.  `liealg.Element` keeps the same format for
+vectors, integer coordinates over one denominator (`_integer_vector`),
+and `Subspace.contains` and `Mat.apply` read integer vectors as they are.
 
 Every elimination runs over the integers, and this module is the only
 one that does it.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`,
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -62,9 +66,12 @@ def vec(values: Iterable) -> Vector:
     return tuple([_as_fraction(x) for x in values])
 
 
-def _integer_vector(v: Sequence) -> tuple[list[int], int]:
-    """(w, e) with v = w / e, e the lcm of the denominators of v."""
-    v = vec(v)
+def _integer_vector(v: Iterable) -> tuple[list[int], int]:
+    """(w, e) with v = w / e, e the lcm of the denominators of v; ints are read as they are.
+
+    For reduced entries gcd(e, w) = 1, so (w, e) is canonical.
+    """
+    v = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
     e = lcm(*[x.denominator for x in v])
     return [x.numerator * (e // x.denominator) for x in v], e
 
@@ -170,7 +177,7 @@ class Mat:
         return Mat([[-x for x in row] for row in self.num], self.den, self.cols)
 
     def scale(self, c) -> "Mat":
-        c = _as_fraction(c)
+        c = c if type(c) is int else _as_fraction(c)
         p = c.numerator
         return Mat([[p * x for x in row] for row in self.num], self.den * c.denominator, self.cols)
 
@@ -239,6 +246,11 @@ def _identity_rows(m: int) -> IntRows:
 def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _trace_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
+    """tr(A B) of two square integer matrices."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:

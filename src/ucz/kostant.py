@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import mul
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
@@ -46,14 +44,13 @@ from .exactlin import (
     Vector,
     _identity_rows,
     _int_matmul,
+    _trace_mul,
     kernel,
     rank,
     solve,
     vec,
 )
 from .liealg import Element, GroupElement, LieAlgebra
-
-_ZERO = Fraction(0)
 
 
 class PrincipalTriple:
@@ -132,21 +129,23 @@ class KostantSlice:
             by_degree.setdefault(d, []).append(idx)
 
         ad_e = algebra.ad(triple.e)
-        ge_rows_by_degree: dict[int, list[Vector]] = {}
+        # integer kernel rows: scaling a g^e row changes neither the slice nor
+        # the [f, g_(d+2)] part of a level's solution
+        ge_rows_by_degree: dict[int, list[list[int]]] = {}
         exponents: list[int] = []
         for d, idxs in sorted(by_degree.items()):
             sub = Mat(
                 [tuple(ad_e[(r, c)] for c in idxs) for r in range(n)], cols=len(idxs)
             )
-            for coeffs in kernel(sub).basis.row_list():
-                lifted = [_ZERO] * n
+            for coeffs in kernel(sub).basis.num:
+                lifted = [0] * n
                 for c, idx in zip(coeffs, idxs):
                     lifted[idx] = c
-                ge_rows_by_degree.setdefault(d, []).append(tuple(lifted))
+                ge_rows_by_degree.setdefault(d, []).append(lifted)
                 exponents.append((d + 2) // 2)
         self._ge_rows_by_degree = ge_rows_by_degree
         all_rows = [row for d in sorted(ge_rows_by_degree) for row in ge_rows_by_degree[d]]
-        self.ge_basis = Subspace.from_vectors(n, all_rows)
+        self.ge_basis = Subspace(n, all_rows)
         self.degrees = tuple(sorted(exponents))
         if self.ge_basis.dim != algebra.rank:
             raise ConstructionError("centralizer of e has the wrong dimension")
@@ -174,7 +173,7 @@ class KostantSlice:
 
     def contains(self, x: Element) -> bool:
         """Membership in f + g^e."""
-        return self.ge_basis.contains((x - self.triple.f).coords)
+        return self.ge_basis.contains((x - self.triple.f).num)
 
     def __repr__(self) -> str:
         return f"KostantSlice({self.algebra.descriptor}, degrees={self.degrees})"
@@ -202,34 +201,25 @@ def slice_normalize(
     """
     L = kslice.algebra
     f = kslice.triple.f
-    if not L.borel.contains((xi - f).coords):
+    if not L.borel.contains((xi - f).num):
         raise DomainError("slice_normalize needs a point of f + b")
     x = xi
     applied: list[Element] = []
     for d in kslice._levels:
         rows_idx, inv, k_ge, w_idx = kslice._solvers[d]
         resid = x - f
-        v = tuple(resid.coords[r] for r in rows_idx)
-        if all(c == 0 for c in v):
+        v = [resid.num[r] for r in rows_idx]
+        if not any(v):
             continue
-        coeffs = inv.apply(v)
-        w_coeffs = coeffs[k_ge:]
-        if all(c == 0 for c in w_coeffs):
-            continue
-        if stepwise:
-            for c, widx in zip(w_coeffs, w_idx):
-                if c != 0:
-                    u = L.basis_element(widx).scale(c)
-                    x = L.exp_ad_apply(u, x)
-                    applied.append(u)
-        else:
-            u = L.zero()
-            for c, widx in zip(w_coeffs, w_idx):
-                if c != 0:
-                    u = u + L.basis_element(widx).scale(c)
+        # the level's coordinates are v / resid.den, so the coefficients are too
+        w_coeffs = [c / resid.den for c in inv.apply(v)[k_ge:]]
+        terms = [L.basis_element(widx).scale(c) for c, widx in zip(w_coeffs, w_idx) if c]
+        if terms and not stepwise:
+            terms = [sum(terms[1:], terms[0])]
+        for u in terms:
             x = L.exp_ad_apply(u, x)
             applied.append(u)
-    if not kslice.ge_basis.contains((x - f).coords):
+    if not kslice.ge_basis.contains((x - f).num):
         raise ConstructionError("normalization sweep failed to land on the slice")
     return list(reversed(applied)), x
 
@@ -244,11 +234,6 @@ def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupE
         algebra._check_same(u.algebra)
         g = g * algebra.group_exp(u)
     return g
-
-
-def _trace_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
-    """tr(A B) of two square integer matrices."""
-    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
 def _faddeev_leverrier(
@@ -342,22 +327,23 @@ def slice_from_invariants(kslice: KostantSlice, values) -> Element:
     vals = vec(values)
     if len(vals) != L.rank:
         raise DomainError("expected one value per invariant")
-    ge_rows = [row for d in sorted(kslice._ge_rows_by_degree) for row in kslice._ge_rows_by_degree[d]]
+    by_degree = kslice._ge_rows_by_degree
+    ge = [L.element(row) for d in sorted(by_degree) for row in by_degree[d]]
     f = kslice.triple.f
     t: list[Rat] = []
     for k in range(L.rank):
         base = f
-        for coeff, row in zip(t, ge_rows):
-            base = base + L.element(row).scale(coeff)
+        for coeff, row in zip(t, ge):
+            base = base + row.scale(coeff)
         f0 = system.eval(base)[k]
-        f1 = system.eval(base + L.element(ge_rows[k]))[k]
+        f1 = system.eval(base + ge[k])[k]
         pivot = f1 - f0
         if pivot == 0:
             raise ConstructionError("invariant does not move along its slice coordinate")
         t.append((vals[k] - f0) / pivot)
     out = f
-    for coeff, row in zip(t, ge_rows):
-        out = out + L.element(row).scale(coeff)
+    for coeff, row in zip(t, ge):
+        out = out + row.scale(coeff)
     if system.eval(out) != tuple(vals):
         raise ConstructionError("slice point does not reproduce the invariants")
     return out

@@ -17,14 +17,24 @@ Conventions, fixed once and used everywhere:
   * [e_alpha, e_-alpha] = h_alpha, the coroot of alpha expanded in simple
     coroots (always integral).
 
+An `Element` is the vector counterpart of `exactlin.Mat`: integer
+coordinates `num` over one denominator `den` > 0 with gcd(den, num) = 1,
+so equal elements have equal (num, den).  `Element(L, coords)` coerces
+numbers once, at the edge; every other element, from sums, scalings,
+brackets or `from_matrix`, is built by `Element(L, num, den)` from
+integers.  The structure table is integral, so `bracket` sums integer
+products over x.den * y.den.  `coords` reads the coordinates back as
+`Fraction`s for callers outside.
+
 Type A algebras carry the defining (l+1) x (l+1) matrix realization, which
 is what group elements act through; B2 and G2 are Lie-algebra only.  The
 realization is one table of integer matrices, so `realize(x)` is the
-integer `Mat` of x summed straight from it, and `from_matrix` reads a
-`Mat`'s integer rows back through the table and checks the round trip.  A
-`GroupElement` is one `Mat` of determinant one: products, inverses and
-`conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat` arithmetic,
-and the determinant is checked where a matrix enters the group.
+integer `Mat` of x.num summed straight from it, over x.den, and
+`from_matrix` reads a `Mat`'s integer rows back through the table and
+checks the round trip.  A `GroupElement` is one `Mat` of determinant one:
+products, inverses and `conjugate(g, y) = from_matrix(g realize(y) g^-1)`
+are `Mat` arithmetic, and the determinant is checked where a matrix
+enters the group.
 """
 
 from __future__ import annotations
@@ -38,14 +48,15 @@ from .errors import DomainError, UnsupportedAlgebraError
 from .exactlin import (
     IntRows,
     Mat,
-    Rat,
     Subspace,
+    Vector,
     _as_fraction,
     _echelon,
     _identity_rows,
     _int_matmul,
+    _integer_vector,
+    _trace_mul,
     kernel,
-    vec,
 )
 
 _ZERO = Fraction(0)
@@ -264,41 +275,68 @@ class RootSystem:
 
 
 class Element:
-    """Lie algebra element as an exact coordinate vector in the fixed basis."""
+    """Lie algebra element num / den: integer coordinates over one denominator.
 
-    __slots__ = ("algebra", "coords")
+    `num` holds one int per basis vector and `den` > 0 with gcd(den, num) = 1,
+    so each element has exactly one (num, den).
+    """
 
-    def __init__(self, algebra: "LieAlgebra", coords: Iterable):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", vec(coords))
-        if len(self.coords) != algebra.dim:
+    __slots__ = ("algebra", "num", "den")
+
+    def __init__(self, algebra: "LieAlgebra", coords: Iterable, den: int | None = None):
+        """The element with coordinates `coords`, or, given `den`, the integer `coords` over `den`.
+
+        Numbers are brought over the lcm of their denominators; integer
+        coordinates are divided by their common factor with `den`.
+        """
+        if den is None:
+            num, den = _integer_vector(coords)
+            num = tuple(num)
+        else:
+            if not den:
+                raise ZeroDivisionError("element denominator is zero")
+            num = tuple(coords)
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = tuple([x // g for x in num])
+                den //= g
+        if len(num) != algebra.dim:
             raise DomainError("coordinate vector has wrong length")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("Element is immutable")
 
-    def __add__(self, other: "Element") -> "Element":
+    @property
+    def coords(self) -> Vector:
+        """The coordinates as Fractions."""
+        d = self.den
+        return tuple([Fraction(x, d) if x else _ZERO for x in self.num])
+
+    def _plus(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other over the lcm of the two denominators."""
         self.algebra._check_same(other.algebra)
-        return Element(
-            self.algebra,
-            tuple([a + b if a and b else a or b for a, b in zip(self.coords, other.coords)]),
-        )
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return Element(self.algebra, [f * a + g * b for a, b in zip(self.num, other.num)], den)
+
+    def __add__(self, other: "Element") -> "Element":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
-        self.algebra._check_same(other.algebra)
-        return Element(
-            self.algebra,
-            tuple([(a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)]),
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, tuple([-a if a else a for a in self.coords]))
+        return Element(self.algebra, [-a for a in self.num], self.den)
 
     def scale(self, c) -> "Element":
-        c = _as_fraction(c)
-        if not c:
-            return Element(self.algebra, (_ZERO,) * len(self.coords))
-        return Element(self.algebra, tuple([c * a if a else a for a in self.coords]))
+        c = c if type(c) is int else _as_fraction(c)
+        p = c.numerator
+        return Element(self.algebra, [p * a for a in self.num], self.den * c.denominator)
 
     def __mul__(self, c) -> "Element":
         return self.scale(c)
@@ -306,17 +344,18 @@ class Element:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
             and other.algebra is self.algebra
-            and other.coords == self.coords
+            and other.den == self.den
+            and other.num == self.num
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.den, self.num))
 
     def __repr__(self) -> str:
         terms = []
@@ -326,6 +365,11 @@ class Element:
                 terms.append(name if c == 1 else f"{c}*{name}")
         body = " + ".join(terms) if terms else "0"
         return f"<{self.algebra.descriptor}: {body}>"
+
+
+def pair_row(x: Element, y: Element) -> tuple[int, ...]:
+    """The pair (x, y) in g x g as one integer row: (x, y) times x.den * y.den."""
+    return tuple([y.den * a for a in x.num] + [x.den * b for b in y.num])
 
 
 class GroupElement:
@@ -477,8 +521,9 @@ class LieAlgebra:
 
     # -- structure table ------------------------------------------------------
 
-    def _build_table(self) -> dict[tuple[int, int], tuple[tuple[int, Rat], ...]]:
-        table: dict[tuple[int, int], tuple[tuple[int, Rat], ...]] = {}
+    def _build_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """[b_i, b_j] for i < j as its nonzero integer terms (k, c): c b_k."""
+        table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 terms = self._basis_bracket(i, j)
@@ -486,7 +531,7 @@ class LieAlgebra:
                     table[(i, j)] = tuple(terms)
         return table
 
-    def _basis_bracket(self, i: int, j: int) -> list[tuple[int, Rat]]:
+    def _basis_bracket(self, i: int, j: int) -> list[tuple[int, int]]:
         rs = self.root_system
         ki, ii = self.labels[i]
         kj, jj = self.labels[j]
@@ -501,26 +546,27 @@ class LieAlgebra:
                 sign = -1
             root = self._root_of_index[ridx]
             c = rs.pairing(root, cart) * sign
-            return [(ridx, Fraction(c))] if c else []
+            return [(ridx, c)] if c else []
         alpha = self._root_of_index[i]
         beta = self._root_of_index[j]
         s = _radd(alpha, beta)
         if all(x == 0 for x in s):
             coeffs = rs.coroot_coeffs(alpha)
-            return [(self.idx_h(t), Fraction(c)) for t, c in enumerate(coeffs) if c]
+            return [(self.idx_h(t), c) for t, c in enumerate(coeffs) if c]
         if rs.is_root(s):
-            n = rs.n_constant(alpha, beta)
+            n = int(rs.n_constant(alpha, beta))
             return [(self._index_of_root[s], n)] if n else []
         return []
 
     # -- core operations --------------------------------------------------------
 
     def bracket(self, x: Element, y: Element) -> Element:
+        """[x, y]: the integer table summed over the nonzero coordinate pairs, over x.den * y.den."""
         self._check_same(x.algebra)
         self._check_same(y.algebra)
-        acc = [_ZERO] * self.dim
-        nzx = [(i, c) for i, c in enumerate(x.coords) if c]
-        nzy = [(j, c) for j, c in enumerate(y.coords) if c]
+        acc = [0] * self.dim
+        nzx = [(i, c) for i, c in enumerate(x.num) if c]
+        nzy = [(j, c) for j, c in enumerate(y.num) if c]
         table = self._table
         for i, cx in nzx:
             for j, cy in nzy:
@@ -531,17 +577,20 @@ class LieAlgebra:
                     continue
                 s = cx * cy if i < j else -cx * cy
                 for k, c in terms:
-                    a = acc[k]
-                    acc[k] = a + s * c if a else s * c
-        return Element(self, acc)
+                    acc[k] += s * c
+        return Element(self, acc, x.den * y.den)
 
     def ad(self, x: Element) -> Mat:
-        """Matrix of ad(x) = [x, .] in the fixed basis (columns are images)."""
-        cols = [self.bracket(x, self.basis_element(j)).coords for j in range(self.dim)]
-        return Mat(
-            [tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)],
-            cols=self.dim,
-        )
+        """Matrix of ad(x) = [x, .] in the fixed basis (columns are images), over x.den."""
+        self._check_same(x.algebra)
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for (i, j), terms in self._table.items():
+            # x_i [b_i, b_j] goes to column j, and x_j [b_j, b_i] to column i
+            ci, cj = x.num[i], x.num[j]
+            for k, c in terms:
+                rows[k][j] += ci * c
+                rows[k][i] -= cj * c
+        return Mat(rows, x.den, self.dim)
 
     def centralizer(self, x: Element) -> Subspace:
         return kernel(self.ad(x))
@@ -573,35 +622,10 @@ class LieAlgebra:
         raise DomainError("exp_ad_apply requires an ad-nilpotent element")
 
     def killing_form(self) -> Mat:
-        """Killing form matrix kappa_ij = tr(ad b_i ad b_j)."""
-        if self._killing is not None:
-            return self._killing
-        sparse = []
-        for i in range(self.dim):
-            entries: dict[tuple[int, int], Rat] = {}
-            for j in range(self.dim):
-                a, b = (i, j) if i < j else (j, i)
-                if a == b:
-                    continue
-                terms = self._table.get((a, b))
-                if not terms:
-                    continue
-                s = 1 if i < j else -1
-                for k, c in terms:
-                    entries[(k, j)] = entries.get((k, j), Fraction(0)) + s * c
-            sparse.append(entries)
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                s = Fraction(0)
-                for (k, col), v in sparse[i].items():
-                    w = sparse[j].get((col, k))
-                    if w is not None:
-                        s += v * w
-                row.append(s)
-            rows.append(row)
-        self._killing = Mat(rows)
+        """Killing form matrix kappa_ij = tr(ad b_i ad b_j), from the integer ad matrices."""
+        if self._killing is None:
+            ads = [self.ad(self.basis_element(i)).num for i in range(self.dim)]
+            self._killing = Mat([[_trace_mul(a, b) for b in ads] for a in ads], 1, self.dim)
         return self._killing
 
     # -- distinguished subspaces ---------------------------------------------
@@ -689,21 +713,15 @@ class LieAlgebra:
     def realize(self, x: Element) -> Mat:
         """Defining-representation matrix of x (type A only), summed from the integer table."""
         self._require_realization()
-        den = lcm(*[c.denominator for c in x.coords if c])
-        return Mat(self._combine([c.numerator * (den // c.denominator) for c in x.coords]), den)
+        return Mat(self._combine(x.num), x.den)
 
     def from_matrix(self, mat: Mat) -> Element:
-        """Inverse of realize; raises DomainError off the realized algebra.
-
-        The coordinates are the integers of `_read_int` over mat.den * _readout_den.
-        """
+        """Inverse of realize; raises DomainError off the realized algebra."""
         self._require_realization()
         m = self.rank + 1
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        nums = self._read_int(mat.num)
-        total = self._readout_den * mat.den
-        return Element(self, [Fraction(k, total) if k else _ZERO for k in nums])
+        return Element(self, self._read_int(mat.num), self._readout_den * mat.den)
 
     def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Coordinates times _readout_den of the element realized by rows, read back to check."""
@@ -801,26 +819,6 @@ def algebra_from_descriptor(descriptor: str) -> LieAlgebra:
             f"unsupported algebra {descriptor!r}; choose from {sorted(_CARTAN)}"
         )
     return build_algebra(text[0], int(text[1:]))
-
-
-def bracket(x: Element, y: Element) -> Element:
-    return x.algebra.bracket(x, y)
-
-
-def ad(x: Element) -> Mat:
-    return x.algebra.ad(x)
-
-
-def centralizer(x: Element) -> Subspace:
-    return x.algebra.centralizer(x)
-
-
-def is_regular(x: Element) -> bool:
-    return x.algebra.is_regular(x)
-
-
-def exp_ad(x: Element) -> Mat:
-    return x.algebra.exp_ad(x)
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:

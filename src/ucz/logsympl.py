@@ -29,7 +29,7 @@ from math import lcm
 from .errors import ConstructionError, DomainError, PoleError
 from .exactlin import Mat, Projector, Rat, Vector, rank, vec
 from .kostant import slice_for, slice_normalize, witness_group_element
-from .liealg import Element, GroupElement, LieAlgebra, conjugate
+from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 from .rng import SplitMix64, stream
 from .wonderful import ParabolicData, fiber_algebra
 
@@ -179,9 +179,7 @@ class Bivector:
 
     def __init__(self, point: ChartPoint, matrix: Mat):
         m = matrix.num
-        if matrix.cols != matrix.rows or not all(
-            a == -b for i, row in enumerate(m) for a, b in zip(row[i:], [r[i] for r in m[i:]])
-        ):
+        if matrix.cols != matrix.rows or list(zip(*m)) != [tuple([-x for x in row]) for row in m]:
             raise ConstructionError("bivector matrix must be antisymmetric")
         self.point = point
         self.matrix = matrix
@@ -249,16 +247,21 @@ def _leaf_projector(p: ParabolicData) -> Projector:
     return p._leaf_projector
 
 
+def _central_part(p: ParabolicData, xi1: Element, refusal: str) -> Vector:
+    """The z(l_I) component of xi1, projected along [p_I, p_I] + u_I^-."""
+    p.algebra._check_same(xi1.algebra)
+    if not p.p_I.contains(xi1.num):
+        raise DomainError(refusal)
+    return tuple([c / xi1.den for c in _leaf_projector(p).apply(xi1.num)])
+
+
 def leaf_label(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
     """Central Levi component of xi1, in the echelon basis of z(l_I).
 
     The projection is along [p_I, p_I], so the label kills the derived
     algebra and has one coordinate per simple root outside I.
     """
-    p.algebra._check_same(xi1.algebra)
-    if not p.p_I.contains(xi1.coords):
-        raise DomainError("leaf label needs a point of the parabolic")
-    return p.z_l_I.coefficients(_leaf_projector(p).apply(xi1.coords))
+    return p.z_l_I.coefficients(_central_part(p, xi1, "leaf label needs a point of the parabolic"))
 
 
 def leaf_sigma_values(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
@@ -269,12 +272,9 @@ def leaf_sigma_values(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
     in I, listed in increasing i.  Together with leaf_label this ties
     the leaf predicate to the chart's Casimir coordinates.
     """
-    p.algebra._check_same(xi1.algebra)
-    if not p.p_I.contains(xi1.coords):
-        raise DomainError("sigma values need a point of the parabolic")
+    central = _central_part(p, xi1, "sigma values need a point of the parabolic")
     L = p.algebra
     rs = L.root_system
-    central: Vector = _leaf_projector(p).apply(xi1.coords)
     h_coeffs = [central[L.idx_h(k)] for k in range(L.rank)]
     out = []
     for i in range(1, L.rank + 1):
@@ -300,7 +300,7 @@ def same_leaf(
     for xi1, xi2 in (pair1, pair2):
         p.algebra._check_same(xi1.algebra)
         p.algebra._check_same(xi2.algebra)
-        if not fiber.contains(tuple(xi1.coords) + tuple(xi2.coords)):
+        if not fiber.contains(pair_row(xi1, xi2)):
             raise DomainError("same_leaf needs points of the fiber algebra")
     return leaf_label(p, pair1[0]) == leaf_label(p, pair2[0])
 
@@ -310,7 +310,7 @@ def level_set_contains(xi1: Element, xi2: Element) -> bool:
     L = xi1.algebra
     L._check_same(xi2.algebra)
     f = slice_for(L).triple.f
-    return L.borel.contains((xi1 - f).coords) and L.borel.contains((xi2 - f).coords)
+    return L.borel.contains((xi1 - f).num) and L.borel.contains((xi2 - f).num)
 
 
 def nxn_freeness(xi1: Element, xi2: Element) -> bool:
@@ -338,10 +338,10 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     L = xi.algebra
     kslice = slice_for(L)
     f = kslice.triple.f
-    if not L.borel.contains((xi - f).coords):
+    if not L.borel.contains((xi - f).num):
         raise DomainError("level-set normalization needs xi in f + b")
     gxi = conjugate(g, xi)
-    if not L.borel.contains((gxi - f).coords):
+    if not L.borel.contains((gxi - f).num):
         raise DomainError("level-set normalization needs Ad_g xi in f + b")
     w2, xi_s = slice_normalize(kslice, xi)
     w1, xi_s_check = slice_normalize(kslice, gxi)

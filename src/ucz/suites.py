@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import Mat, Vector
+from .exactlin import Mat, Subspace
 from .kostant import (
     build_principal_triple,
     in_fiber_product,
@@ -25,7 +25,7 @@ from .kostant import (
     slice_from_invariants,
     slice_normalize,
 )
-from .liealg import Element, GroupElement, LieAlgebra, conjugate
+from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 from .logsympl import (
     _stratum_sample,
     bivector_matrix,
@@ -117,19 +117,20 @@ class SuiteReport:
 # -- seeded samplers ---------------------------------------------------------
 
 
-def _add_random_multiples(x: Element, rows, gen: SplitMix64) -> Element:
-    """x + sum of c * row, one gen.fraction() c drawn per coordinate row, in order."""
-    L = x.algebra
-    for row in rows:
-        c = gen.fraction()
-        if c:
-            x = x + L.element(row).scale(c)
-    return x
+def _combination(L: LieAlgebra, coeffs, space: Subspace) -> Element:
+    """sum_i coeffs[i] b_i over the RREF basis rows b_i of space, as one product."""
+    total = Mat([coeffs], cols=space.dim) * space.basis
+    return Element(L, total.num[0], total.den)
+
+
+def _add_random_multiples(x: Element, space: Subspace, gen: SplitMix64) -> Element:
+    """x + sum of c * row over the basis rows of space, one gen.fraction() c drawn per row, in order."""
+    return x + _combination(x.algebra, [gen.fraction() for _ in range(space.dim)], space)
 
 
 def borel_sample(L: LieAlgebra, gen: SplitMix64) -> Element:
     """A point of f + b with small random rational coordinates."""
-    return _add_random_multiples(build_principal_triple(L).f, L.borel.basis.row_list(), gen)
+    return _add_random_multiples(build_principal_triple(L).f, L.borel, gen)
 
 
 def _unipotent(L: LieAlgebra, gen: SplitMix64, root_vector) -> GroupElement:
@@ -170,17 +171,11 @@ def fiber_sample(
     independent oracle for the leaf label.
     """
     L = p.algebra
-    central = L.zero()
-    central_coeffs = []
-    for row in p.z_l_I.basis.row_list():
-        c = gen.fraction()
-        central_coeffs.append(c)
-        if c != 0:
-            central = central + L.element(row).scale(c)
-    x = _add_random_multiples(central, derived_levi(p).basis.row_list(), gen)
-    u = _add_random_multiples(L.zero(), p.u_I.basis.row_list(), gen)
-    v = _add_random_multiples(L.zero(), p.u_I_minus.basis.row_list(), gen)
-    return u + x, v + x, tuple(central_coeffs)
+    central_coeffs = tuple([gen.fraction() for _ in range(p.z_l_I.dim)])
+    x = _add_random_multiples(_combination(L, central_coeffs, p.z_l_I), derived_levi(p), gen)
+    u = _add_random_multiples(L.zero(), p.u_I, gen)
+    v = _add_random_multiples(L.zero(), p.u_I_minus, gen)
+    return u + x, v + x, central_coeffs
 
 
 def _skip(report: SuiteReport, why: str) -> SuiteReport:
@@ -255,7 +250,7 @@ def run_kostant_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         values = tuple(gen.fraction() for _ in range(L.rank))
         x = slice_from_invariants(ks, values)
         forward = invariants_eval(x) == values and ks.contains(x)
-        y = _add_random_multiples(ks.triple.f, ks.ge_basis.basis.row_list(), gen)
+        y = _add_random_multiples(ks.triple.f, ks.ge_basis, gen)
         back = slice_from_invariants(ks, invariants_eval(y)) == y
         if forward and back:
             good += 1
@@ -308,7 +303,7 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     for k in range(samples):
         p = build_parabolic(L, subsets[k % len(subsets)])
         xi1, _, _ = fiber_sample(p, gen)
-        x = L.element(_leaf_levi_part(p, xi1))
+        x = _leaf_levi_part(p, xi1)
         if invariants_eval(xi1) == invariants_eval(x):
             good += 1
     report.add(
@@ -323,8 +318,8 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     good = 0
     for _ in range(samples):
         s = _regular_cartan(L, gen)
-        npart = _add_random_multiples(L.zero(), L.nilpos.basis.row_list(), gen)
-        mpart = _add_random_multiples(L.zero(), L.nilneg.basis.row_list(), gen)
+        npart = _add_random_multiples(L.zero(), L.nilpos, gen)
+        mpart = _add_random_multiples(L.zero(), L.nilneg, gen)
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
         point = make_boundary_point(p0, g1, g2)
         if translate_contains(point, (conjugate(g1, s + npart), conjugate(g2, s + mpart))):
@@ -354,18 +349,18 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     return report
 
 
-def _leaf_levi_part(p: ParabolicData, xi: Element) -> Vector:
+def _leaf_levi_part(p: ParabolicData, xi: Element) -> Element:
     """Levi component of a parabolic element, by zeroing nilradical coordinates."""
-    coords = list(xi.coords)
-    for row in p.u_I.basis.row_list():
-        coords[row.index(1)] = 0
-    return tuple(coords)
+    num = list(xi.num)
+    for row in p.u_I.basis.num:
+        num[row.index(1)] = 0
+    return Element(xi.algebra, num, xi.den)
 
 
 def _regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:
     """A regular element of the Cartan subalgebra (distinct root values)."""
     while True:
-        s = _add_random_multiples(L.zero(), L.cartan.basis.row_list(), gen)
+        s = _add_random_multiples(L.zero(), L.cartan, gen)
         if L.is_regular(s):
             return s
 
@@ -387,13 +382,10 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         fiber = fiber_algebra(p)
         if fiber.dim == n:
             dim_ok += 1
-        rows = [
-            (L.element(r[:n]), L.element(r[n:])) for r in fiber.basis.row_list()
-        ]
+        # the integer rows are the basis rows scaled, which keeps bracket closure
+        rows = [(L.element(r[:n]), L.element(r[n:])) for r in fiber.basis.num]
         closed = all(
-            fiber.contains(
-                tuple(L.bracket(a1, b1).coords) + tuple(L.bracket(a2, b2).coords)
-            )
+            fiber.contains(pair_row(L.bracket(a1, b1), L.bracket(a2, b2)))
             for i, (a1, a2) in enumerate(rows)
             for b1, b2 in rows[i + 1 :]
         )
@@ -594,7 +586,7 @@ def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, Group
         nil = (m - ident.scale(r)) * (m + ident.scale(2 * r))
         gamma = L.group_exp(L.from_matrix(nil).scale(gen.nonzero_fraction(num_bound=2)))
         return xi_s, gamma
-    return _add_random_multiples(ks.triple.f, ks.ge_basis.basis.row_list(), gen), L.group_identity()
+    return _add_random_multiples(ks.triple.f, ks.ge_basis, gen), L.group_identity()
 
 
 def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:

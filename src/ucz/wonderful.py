@@ -24,8 +24,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Subspace, Vector, _identity_rows, kernel
-from .liealg import Element, GroupElement, LieAlgebra, conjugate
+from .exactlin import Mat, Subspace, _identity_rows, kernel
+from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 
 __all__ = [
     "ParabolicData",
@@ -123,14 +123,11 @@ class ParabolicData:
         if self.p_I.intersect(self.p_I_minus) != self.l_I:
             raise ConstructionError("opposite parabolics do not meet in the Levi")
 
-        levi_elems = [algebra.element(row) for row in self.l_I.basis.row_list()]
-        self.z_l_I = self._levi_center(levi_elems)
+        self.z_l_I = self._levi_center()
         if self.z_l_I.dim != algebra.rank - len(self.I):
             raise ConstructionError("Levi center has the wrong dimension")
 
-        self.derived_p_I = self._derived_subalgebra(
-            [algebra.element(row) for row in self.p_I.basis.row_list()]
-        )
+        self.derived_p_I = self._derived_subalgebra()
         if (
             self.derived_p_I.sum(self.z_l_I) != self.p_I
             or self.derived_p_I.dim + self.z_l_I.dim != self.p_I.dim
@@ -143,33 +140,21 @@ class ParabolicData:
         self._stabilizer: Subspace | None = None
         self._leaf_projector = None
 
-    def _levi_center(self, levi_elems: list[Element]) -> Subspace:
-        """Solutions x in l_I of [x, b] = 0 for every Levi basis vector b."""
-        L = self.algebra
-        n = L.dim
-        m = len(levi_elems)
-        rows: list[Vector] = []
-        for b in levi_elems:
-            cols = [L.bracket(c, b).coords for c in levi_elems]
-            for r in range(n):
-                rows.append(tuple(cols[j][r] for j in range(m)))
-        coeff_space = kernel(Mat(rows, cols=m))
-        vectors = []
-        for t in coeff_space.basis.row_list():
-            x = L.zero()
-            for tj, c in zip(t, levi_elems):
-                x = x + c.scale(tj)
-            vectors.append(x.coords)
-        return Subspace.from_vectors(n, vectors)
+    def _levi_center(self) -> Subspace:
+        """x in l_I with [b, x] = 0 for every Levi basis vector b.
 
-    def _derived_subalgebra(self, elems: list[Element]) -> Subspace:
+        The integer rows of every ad b are stacked; dropping each
+        denominator keeps the kernel, which is the centralizer of l_I.
+        """
         L = self.algebra
-        vectors = []
-        for a, b in combinations(elems, 2):
-            w = L.bracket(a, b)
-            if not all(c == 0 for c in w.coords):
-                vectors.append(w.coords)
-        return Subspace.from_vectors(L.dim, vectors)
+        rows = [row for b in self.l_I.basis.num for row in L.ad(L.element(b)).num]
+        return kernel(Mat(rows, 1, L.dim)).intersect(self.l_I)
+
+    def _derived_subalgebra(self) -> Subspace:
+        """[p_I, p_I], spanned by the integer brackets of the basis vectors of p_I."""
+        L = self.algebra
+        elems = [L.element(row) for row in self.p_I.basis.num]
+        return Subspace(L.dim, [L.bracket(a, b).num for a, b in combinations(elems, 2)])
 
     def __repr__(self) -> str:
         return f"ParabolicData({self.algebra.descriptor}, I={sorted(self.I)})"
@@ -411,7 +396,7 @@ def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> b
     xi1, xi2 = pair
     point.algebra._check_same(xi1.algebra)
     point.algebra._check_same(xi2.algebra)
-    return point.realized_fiber.contains(xi1.coords + xi2.coords)
+    return point.realized_fiber.contains(pair_row(xi1, xi2))
 
 
 def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[BoundaryPoint]:
@@ -432,7 +417,7 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
     """
     L = xi.algebra
     eta = conjugate(diagonalizer.inverse(), xi)
-    if not L.cartan.contains(eta.coords):
+    if not L.cartan.contains(eta.num):
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")

@@ -5,15 +5,17 @@ and the small bracket examples are hand-checked; the sweeps (Jacobi,
 antisymmetry, invariance) are identities that must hold with no tolerance.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
 from ucz import algebra_from_descriptor, build_algebra, exactlin, wonderful
 from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
-from ucz.liealg import GroupElement, conjugate
+from ucz.liealg import Element, GroupElement, conjugate
 from ucz.rng import stream
 from ucz.suites import group_sample
 
@@ -495,3 +497,123 @@ def test_integer_det_and_adjugate_match_the_oracle():
                 inv = dense_inverse(rows)
                 want = tuple(tuple(det * x for x in row) for row in inv)
                 assert Mat(rows, cols=n).inverse().scale(det) == Mat(want, cols=n)
+
+
+# -- canonical (num, den) form -------------------------------------------------------
+
+
+def canonical_inputs(L, seed):
+    """Seeded (coordinates, values) with denominators up to 7, the zero element first.
+
+    Each coordinate is given as an int, a Fraction, or an unreduced string
+    such as "5/10"; `values` holds the same numbers as Fractions.
+    """
+    rnd = random.Random(seed)
+    out = [([0] * L.dim, [Fraction(0)] * L.dim)]
+    for _ in range(6):
+        coords, values = [], []
+        for _ in range(L.dim):
+            kind = rnd.randint(0, 3)
+            if kind == 0:
+                x = rnd.randint(-4, 4)
+                coords.append(x)
+            else:
+                p, q = rnd.randint(-9, 9), rnd.randint(1, 7)
+                x = Fraction(p, q)
+                coords.append(x if kind == 1 else f"{2 * p}/{2 * q}")
+            values.append(Fraction(x))
+        out.append((coords, values))
+    return out
+
+
+def assert_canonical_element(x, want):
+    """den > 0, gcd(den, num) = 1, and the coordinates are the oracle's Fractions."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(a) is int for a in x.num)
+    assert gcd(x.den, *x.num) == 1
+    assert x.coords == tuple(want) and all_fractions(x.coords)
+
+
+def oracle_coordinates(L, rows):
+    """Chevalley coordinates of a traceless matrix of Fractions, read entry by entry.
+
+    A root vector is realized by one entry v at (r, c), so its coordinate is
+    rows[r][c] / v; h_i = E_ii - E_(i+1)(i+1), so the h_i coordinate is the
+    sum of the first i + 1 diagonal entries.
+    """
+    out = []
+    for k, (kind, i) in enumerate(L.labels):
+        if kind == "h":
+            out.append(sum((rows[j][j] for j in range(i + 1)), Fraction(0)))
+            continue
+        basis = L.realize(L.basis_element(k)).row_list()
+        r, c = next((r, c) for r, row in enumerate(basis) for c, v in enumerate(row) if v)
+        out.append(rows[r][c] / basis[r][c])
+    return out
+
+
+def test_every_element_operation_returns_the_canonical_integer_form(any_algebra):
+    L = any_algebra
+    n = L.dim
+    b = [L.basis_element(i) for i in range(n)]
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[i][j] = L.bracket(b[i], b[j]).coords
+    inputs = canonical_inputs(L, 181 + n)
+    gen = stream(191, f"canonical:{L.descriptor}")
+    groups = [group_sample(L, gen) for _ in range(2)] if L.has_realization else []
+    realized = [L.realize(e).row_list() for e in b] if L.has_realization else []
+    for (xc, xv), (yc, yv) in zip(inputs, inputs[1:] + inputs[:1]):
+        x, y = L.element(xc), L.element(yc)
+        assert_canonical_element(x, xv)
+        assert_canonical_element(x + y, [p + q for p, q in zip(xv, yv)])
+        assert_canonical_element(x - y, [p - q for p, q in zip(xv, yv)])
+        assert_canonical_element(x - x, [Fraction(0)] * n)
+        assert_canonical_element(-x, [-p for p in xv])
+        for c in (0, Fraction(-3, 5), "7/3"):
+            assert_canonical_element(x.scale(c), [Fraction(c) * p for p in xv])
+        want = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(n):
+                if xv[i] and yv[j]:
+                    want = [w + xv[i] * yv[j] * t for w, t in zip(want, table[i][j])]
+        assert_canonical_element(L.bracket(x, y), want)
+        if not L.has_realization:
+            continue
+        assert_canonical_element(L.from_matrix(L.realize(x)), xv)
+        m = L.rank + 1
+        dense_x = [
+            [sum((p * r[i][j] for p, r in zip(xv, realized)), Fraction(0)) for j in range(m)]
+            for i in range(m)
+        ]
+        for g in groups:
+            g_rows = g.mat.row_list()
+            moved = dense_product(dense_product(g_rows, dense_x), dense_inverse(g_rows))
+            assert_canonical_element(conjugate(g, x), oracle_coordinates(L, moved))
+
+
+def test_equal_elements_built_different_ways_compare_and_hash_equal(any_algebra):
+    L = any_algebra
+    for coords, values in canonical_inputs(L, 197):
+        x = L.element(coords)
+        k = 1 + len(values) % 5
+        routes = [
+            L.element(values),
+            L.element([str(v) for v in values]),
+            Element(L, x.num, x.den),
+            # integer coordinates with a common factor left in, or over a negative denominator
+            Element(L, [k * a for a in x.num], k * x.den),
+            Element(L, [-a for a in x.num], -x.den),
+            x.scale(3).scale(Fraction(1, 3)),
+            -(-x),
+            (x + x) - x,
+            x + L.zero(),
+        ]
+        if L.has_realization:
+            routes.append(L.from_matrix(L.realize(x)))
+        for twin in routes:
+            assert twin == x and hash(twin) == hash(x)
+            assert (twin.num, twin.den) == (x.num, x.den)
+    assert L.element(["5/10"] + [0] * (L.dim - 1)) == L.basis_element(0).scale(Fraction(1, 2))
+    assert Element(L, [0] * L.dim, 7) == L.zero() and L.zero().den == 1
