@@ -217,9 +217,6 @@ class Mat:
         cols = list(zip(*self.num)) if self.num else [()] * self.cols
         return Mat(cols, self.den, self.rows)
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
-
     def det(self) -> Rat:
         """Bareiss determinant of num over den^n."""
         if self.rows != self.cols:
@@ -407,10 +404,6 @@ class Subspace:
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, ())
 
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, _identity_rows(ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -524,11 +517,6 @@ class Projector:
 
     def apply(self, v: Sequence) -> Vector:
         return self._mat.apply(v)
-
-
-def project_along(v: Sequence, onto: Subspace, along: Subspace) -> Vector:
-    """Component of v in `onto` for the decomposition ambient = onto + along."""
-    return Projector(onto, along).apply(v)
 
 
 def solve(a: Mat, b: Vector) -> Vector:

@@ -9,7 +9,7 @@ correction per grading level, lowest level first.  Each correction lives in
 the next grading level of n, is uniquely determined, and does not disturb
 the levels already cleared, so the sweep terminates after at most one pass
 over the grading.  The witness list is returned so that
-exp_ad(u_1) o exp_ad(u_2) o ... o exp_ad(u_m) maps the input to the normal
+exp(ad u_1) o exp(ad u_2) o ... o exp(ad u_m) maps the input to the normal
 form, i.e. the LAST list entry is applied first.
 
 Invariants (type A) are coefficients of the characteristic polynomial of
@@ -41,7 +41,6 @@ from .exactlin import (
     Mat,
     Rat,
     Subspace,
-    Vector,
     _identity_rows,
     _int_matmul,
     _trace_mul,
@@ -116,27 +115,24 @@ class KostantSlice:
         ad_h = algebra.ad(triple.h)
         n = algebra.dim
         deg: list[int] = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and ad_h[(i, j)] != 0:
-                    raise ConstructionError("ad h is not diagonal in the Chevalley basis")
-            d = ad_h[(i, i)]
-            if d.denominator != 1 or int(d) % 2 != 0:
-                raise ConstructionError("ad h eigenvalue is not an even integer")
-            deg.append(int(d))
+        for i, row in enumerate(ad_h.num):
+            if any(x for j, x in enumerate(row) if j != i):
+                raise ConstructionError("ad h is not diagonal in the Chevalley basis")
+            deg.append(row[i])
+        if ad_h.den != 1 or any(d % 2 for d in deg):
+            raise ConstructionError("ad h eigenvalue is not an even integer")
         by_degree: dict[int, list[int]] = {}
         for idx, d in enumerate(deg):
             by_degree.setdefault(d, []).append(idx)
 
-        ad_e = algebra.ad(triple.e)
+        ad_e = algebra.ad(triple.e).num
         # integer kernel rows: scaling a g^e row changes neither the slice nor
         # the [f, g_(d+2)] part of a level's solution
         ge_rows_by_degree: dict[int, list[list[int]]] = {}
         exponents: list[int] = []
         for d, idxs in sorted(by_degree.items()):
-            sub = Mat(
-                [tuple(ad_e[(r, c)] for c in idxs) for r in range(n)], cols=len(idxs)
-            )
+            # dropping ad e's denominator keeps the kernel
+            sub = Mat([[row[c] for c in idxs] for row in ad_e], 1, len(idxs))
             for coeffs in kernel(sub).basis.num:
                 lifted = [0] * n
                 for c, idx in zip(coeffs, idxs):
@@ -150,25 +146,21 @@ class KostantSlice:
         if self.ge_basis.dim != algebra.rank:
             raise ConstructionError("centralizer of e has the wrong dimension")
 
-        # per-level solver: g_d = (g^e cap g_d) + [f, g_{d+2}] for d >= 0
+        # per-level solver: g_d = (g^e cap g_d) + [f, g_{d+2}] for d >= 0, the
+        # columns over ad f's denominator e: the g^e rows times e, then ad f's
         ad_f = algebra.ad(triple.f)
+        e = ad_f.den
         self._levels = sorted(d for d in by_degree if d >= 0)
         self._solvers: dict[int, tuple[list[int], Mat, int, list[int]]] = {}
         for d in self._levels:
             rows_idx = by_degree[d]
             ge_part = ge_rows_by_degree.get(d, [])
             w_idx = by_degree.get(d + 2, [])
-            cols: list[Vector] = []
-            for g in ge_part:
-                cols.append(tuple(g[r] for r in rows_idx))
-            for w in w_idx:
-                cols.append(tuple(ad_f[(r, w)] for r in rows_idx))
+            cols = [[e * g[r] for r in rows_idx] for g in ge_part]
+            cols += [[ad_f.num[r][w] for r in rows_idx] for w in w_idx]
             if len(cols) != len(rows_idx):
                 raise ConstructionError("graded decomposition is not square at level %d" % d)
-            square = Mat(
-                [tuple(col[i] for col in cols) for i in range(len(rows_idx))],
-                cols=len(cols),
-            )
+            square = Mat(list(zip(*cols)), e, len(cols))
             self._solvers[d] = (rows_idx, square.inverse(), len(ge_part), w_idx)
 
     def contains(self, x: Element) -> bool:
@@ -179,14 +171,10 @@ class KostantSlice:
         return f"KostantSlice({self.algebra.descriptor}, degrees={self.degrees})"
 
 
-def build_slice(triple: PrincipalTriple) -> KostantSlice:
-    return KostantSlice(triple.algebra, triple)
-
-
 @lru_cache(maxsize=None)
 def slice_for(algebra: LieAlgebra) -> KostantSlice:
     """The slice of the cached principal triple, built once per algebra."""
-    return build_slice(build_principal_triple(algebra))
+    return KostantSlice(algebra, build_principal_triple(algebra))
 
 
 def slice_normalize(
@@ -225,7 +213,7 @@ def slice_normalize(
 
 
 def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupElement:
-    """Group element realizing a witness list: Ad_g = exp_ad(u_1) o ... o exp_ad(u_m).
+    """Group element realizing a witness list: Ad_g = exp(ad u_1) o ... o exp(ad u_m).
 
     An empty witness gives the identity.
     """

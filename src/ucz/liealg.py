@@ -34,7 +34,8 @@ integer `Mat` of x.num summed straight from it, over x.den, and
 checks the round trip.  A `GroupElement` is one `Mat` of determinant one:
 products, inverses and `conjugate(g, y) = from_matrix(g realize(y) g^-1)`
 are `Mat` arithmetic, and the determinant is checked where a matrix
-enters the group.
+enters the group.  `adjoint(g)` is Ad_g as one `Mat`, read back through
+the realization table in integers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .exactlin import (
     _identity_rows,
     _int_matmul,
     _integer_vector,
-    _trace_mul,
     kernel,
 )
 
@@ -104,8 +104,8 @@ class RootSystem:
         self._pos_set = set(self.positive_roots)
         self._root_set = self._pos_set | {_rneg(a) for a in self.positive_roots}
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
-        self._n_pos: dict[tuple[Root, Root], Fraction] = {}
-        self._n_memo: dict[tuple[Root, Root], Fraction] = {}
+        self._n_pos: dict[tuple[Root, Root], int] = {}
+        self._n_memo: dict[tuple[Root, Root], int] = {}
         self._fill_constants()
 
     # -- basic data -------------------------------------------------------
@@ -113,25 +113,22 @@ class RootSystem:
     def _symmetrizer(self) -> list[int]:
         """Integers d_i with d_i A[i][j] symmetric (half squared lengths)."""
         l = self.rank
-        d = [Fraction(0)] * l
-        d[0] = Fraction(1)
-        # propagate along the (connected) Dynkin diagram
+        d = [1] + [0] * (l - 1)
+        # propagate d_j = d_i A[i][j] / A[j][i] along the (connected) Dynkin
+        # diagram, first scaling every d so that the division is exact
         changed = True
         while changed:
             changed = False
             for i in range(l):
                 for j in range(l):
                     if i != j and self._A[i][j] != 0 and d[i] != 0 and d[j] == 0:
-                        d[j] = d[i] * self._A[i][j] / self._A[j][i]
+                        num, den = d[i] * self._A[i][j], self._A[j][i]
+                        k = abs(den) // gcd(num, den)
+                        d = [k * x for x in d]
+                        d[j] = k * num // den
                         changed = True
-        mult = 1
-        for x in d:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        dd = [int(x * mult) for x in d]
-        g = 0
-        for x in dd:
-            g = gcd(g, x)
-        return [x // g for x in dd]
+        g = gcd(*d)
+        return [x // g for x in d]
 
     @property
     def cartan_matrix(self) -> Mat:
@@ -146,16 +143,13 @@ class RootSystem:
     def is_root(self, alpha: Root) -> bool:
         return alpha in self._root_set
 
-    def is_positive(self, alpha: Root) -> bool:
-        return alpha in self._pos_set
-
     def pairing(self, alpha: Root, i: int) -> int:
         """<alpha, alpha_i^vee> for the i-th simple coroot."""
         return sum(m * self._A[i][j] for j, m in enumerate(alpha))
 
-    def inner(self, alpha: Root, beta: Root) -> Fraction:
+    def inner(self, alpha: Root, beta: Root) -> int:
         """(alpha, beta) for the symmetric form with (alpha_i, alpha_i) = 2 d_i."""
-        s = Fraction(0)
+        s = 0
         for i, mi in enumerate(alpha):
             if mi == 0:
                 continue
@@ -166,13 +160,14 @@ class RootSystem:
 
     def coroot_coeffs(self, alpha: Root) -> tuple[int, ...]:
         """alpha^vee as an integer combination of simple coroots."""
-        d_alpha = self.inner(alpha, alpha) / 2
+        # alpha^vee = 2 alpha / (alpha, alpha) and alpha_i^vee = alpha_i / d_i
+        norm = self.inner(alpha, alpha)
         out = []
         for i, m in enumerate(alpha):
-            c = Fraction(m * self._d[i]) / d_alpha
-            if c.denominator != 1:
+            c, r = divmod(2 * m * self._d[i], norm)
+            if r:
                 raise ArithmeticError("coroot expansion must be integral")
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
     # -- root generation ---------------------------------------------------
@@ -221,34 +216,34 @@ class RootSystem:
             a0 = cands[0]
             b0 = _rsub(gamma, a0)
             self._extraspecial[gamma] = (a0, b0)
-            self._n_pos[(a0, b0)] = Fraction(self.p_value(a0, b0) + 1)
+            self._n_pos[(a0, b0)] = self.p_value(a0, b0) + 1
             for a in cands[1:]:
                 b = _rsub(gamma, a)
                 if self.order_key(a) >= self.order_key(b):
                     continue
                 self._n_pos[(a, b)] = self._forced_constant(a, b, gamma, a0, b0)
 
-    def _forced_constant(self, a: Root, b: Root, gamma: Root, a1: Root, b1: Root) -> Fraction:
+    def _forced_constant(self, a: Root, b: Root, gamma: Root, a1: Root, b1: Root) -> int:
         # Jacobi identity on (e_{a1}, e_{b1}, e_{-a}) isolates N_{a,b};
         # every constant on the right involves pairs of strictly smaller
         # height-sum, so the table is filled in one ascending pass.
-        t = Fraction(0)
+        t = 0
         if _rsub(b1, a) in self._root_set:
             t += self.n_constant(b1, _rneg(a)) * self.n_constant(_rsub(b1, a), a1)
         if _rsub(a1, a) in self._root_set:
             t += self.n_constant(_rneg(a), a1) * self.n_constant(_rsub(a1, a), b1)
-        val = self.inner(gamma, gamma) / self.inner(b, b) * t / self._n_pos[(a1, b1)]
-        if val.denominator != 1 or val == 0:
+        val, r = divmod(self.inner(gamma, gamma) * t, self.inner(b, b) * self._n_pos[(a1, b1)])
+        if r or not val:
             raise ArithmeticError(f"structure constant for {a}+{b} not a nonzero integer")
         if abs(val) != self.p_value(a, b) + 1:
             raise ArithmeticError(f"structure constant magnitude broken at {a}+{b}")
         return val
 
-    def n_constant(self, a: Root, b: Root) -> Fraction:
+    def n_constant(self, a: Root, b: Root) -> int:
         """N_{a,b} with [e_a, e_b] = N_{a,b} e_{a+b}; zero when a+b is not a root."""
         s = _radd(a, b)
         if s not in self._root_set:
-            return Fraction(0)
+            return 0
         key = (a, b)
         got = self._n_memo.get(key)
         if got is not None:
@@ -261,15 +256,15 @@ class RootSystem:
                     val = -self._n_pos[(b, a)]
             elif s in self._pos_set:
                 # cycle relation for the triple (a, b, -s)
-                val = -(self.inner(s, s) / self.inner(a, a)) * self.n_constant(_rneg(b), s)
+                val, r = divmod(-self.inner(s, s) * self.n_constant(_rneg(b), s), self.inner(a, a))
+                if r:
+                    raise ArithmeticError(f"non-integral structure constant at {a}, {b}")
             else:
                 val = -self.n_constant(_rneg(a), _rneg(b))
         elif b in self._pos_set:
             val = -self.n_constant(b, a)
         else:
             val = -self.n_constant(_rneg(a), _rneg(b))
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integral structure constant at {a}, {b}")
         self._n_memo[key] = val
         return val
 
@@ -458,7 +453,6 @@ class LieAlgebra:
                 self._root_of_index[idx] = _rneg(rs.positive_roots[k])
         self._index_of_root = {r: i for i, r in self._root_of_index.items()}
         self._table = self._build_table()
-        self._killing: Mat | None = None
         # per basis vector, the nonzero integer (row, col, value) entries of its
         # realization; per coordinate, the (row, col, value) entries that read
         # it, times _readout_den, off a realized matrix
@@ -513,12 +507,6 @@ class LieAlgebra:
     def f(self, k: int) -> Element:
         return self.basis_element(self.idx_f(k))
 
-    def root_of_index(self, idx: int) -> Root | None:
-        return self._root_of_index.get(idx)
-
-    def pos_root_index(self, alpha: Root) -> int:
-        return self.root_system.positive_roots.index(alpha)
-
     # -- structure table ------------------------------------------------------
 
     def _build_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -554,7 +542,7 @@ class LieAlgebra:
             coeffs = rs.coroot_coeffs(alpha)
             return [(self.idx_h(t), c) for t, c in enumerate(coeffs) if c]
         if rs.is_root(s):
-            n = int(rs.n_constant(alpha, beta))
+            n = rs.n_constant(alpha, beta)
             return [(self._index_of_root[s], n)] if n else []
         return []
 
@@ -598,18 +586,6 @@ class LieAlgebra:
     def is_regular(self, x: Element) -> bool:
         return self.centralizer(x).dim == self.rank
 
-    def exp_ad(self, x: Element) -> Mat:
-        """exp(ad x) as an exact matrix; requires ad-nilpotent x."""
-        a = self.ad(x)
-        total = Mat.identity(self.dim)
-        term = Mat.identity(self.dim)
-        for k in range(1, self.dim + 2):
-            term = a * term
-            if term.is_zero():
-                return total
-            total = total + term.scale(Fraction(1, factorial(k)))
-        raise DomainError("exp_ad requires an ad-nilpotent element")
-
     def exp_ad_apply(self, x: Element, y: Element) -> Element:
         """exp(ad x) applied to y by the bracket series (x must be ad-nilpotent)."""
         out = y
@@ -620,13 +596,6 @@ class LieAlgebra:
                 return out
             out = out + term
         raise DomainError("exp_ad_apply requires an ad-nilpotent element")
-
-    def killing_form(self) -> Mat:
-        """Killing form matrix kappa_ij = tr(ad b_i ad b_j), from the integer ad matrices."""
-        if self._killing is None:
-            ads = [self.ad(self.basis_element(i)).num for i in range(self.dim)]
-            self._killing = Mat([[_trace_mul(a, b) for b in ads] for a in ads], 1, self.dim)
-        return self._killing
 
     # -- distinguished subspaces ---------------------------------------------
 
@@ -682,7 +651,7 @@ class LieAlgebra:
             if rs.height(alpha) < 2:
                 continue
             a, b = rs.extraspecial_pair(alpha)
-            n = int(rs.n_constant(a, b))
+            n = rs.n_constant(a, b)
             index = self._index_of_root
             real[index[alpha]] = bracket_over(index[a], index[b], n)
             real[index[_rneg(alpha)]] = bracket_over(index[_rneg(a)], index[_rneg(b)], -n)
@@ -732,6 +701,33 @@ class LieAlgebra:
             if back != [sden * x for x in row]:
                 raise DomainError("matrix lies outside the realized algebra")
         return nums
+
+    def adjoint(self, g: GroupElement) -> Mat:
+        """Ad_g in the fixed basis: column k is Ad_g of basis vector k (type A).
+
+        With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
+        the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
+        d f: outer products of a column of N and a row of M, from one inverse.
+        Its coordinates are read in integers over d f _readout_den.
+        """
+        if g.is_identity():
+            return Mat.identity(self.dim)
+        self._require_acting(g)
+        mat, inv = g.mat, g.inverse().mat
+        num, inv_num = mat.num, inv.num
+        m = len(num)
+        images = []
+        for entries in self._realization:
+            acc = [[0] * m for _ in range(m)]
+            for r, c, v in entries:
+                right = inv_num[c]
+                for row, out in zip(num, acc):
+                    left = row[r] * v
+                    if left:
+                        for j, x in enumerate(right):
+                            out[j] += left * x
+            images.append(self._read_int(acc))
+        return Mat(list(zip(*images)), self._readout_den * mat.den * inv.den)
 
     # -- group operations ----------------------------------------------------------
 

@@ -47,6 +47,7 @@ from .wonderful import (
     all_subsets,
     build_orbit_poset,
     build_parabolic,
+    closure_contains,
     derived_levi,
     fiber_algebra,
     make_boundary_point,
@@ -416,7 +417,7 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
             poset.row(J).dim <= poset.row(I).dim
             for I in subsets
             for J in subsets
-            if frozenset(J) <= frozenset(I)
+            if closure_contains(I, J)
         ),
     ]
     report.add(
@@ -589,6 +590,20 @@ def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, Group
     return _add_random_multiples(ks.triple.f, ks.ge_basis, gen), L.group_identity()
 
 
+def _dressed_witness(
+    L: LieAlgebra, gen: SplitMix64
+) -> tuple[Element, GroupElement, GroupElement, Element]:
+    """(xi_s, gamma, g_in, xi_in): a centralizer witness dressed by seeded unipotents n1, n2.
+
+    g_in = n1 gamma n2^-1 and xi_in = Ad_n2 xi_s, drawn in the order
+    witness, n1, n2.
+    """
+    xi_s, gamma = _centralizer_witness(L, gen)
+    n1 = positive_unipotent(L, gen)
+    n2 = positive_unipotent(L, gen)
+    return xi_s, gamma, n1 * (gamma * n2.inverse()), conjugate(n2, xi_s)
+
+
 def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     report = SuiteReport("reduction", L.descriptor)
     if not L.has_realization:
@@ -611,11 +626,7 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     gen = stream(seed, f"reduction:roundtrip:{L.descriptor}")
     good = 0
     for _ in range(samples):
-        xi_s, gamma = _centralizer_witness(L, gen)
-        n1 = positive_unipotent(L, gen)
-        n2 = positive_unipotent(L, gen)
-        g_in = n1 * (gamma * n2.inverse())
-        xi_in = conjugate(n2, xi_s)
+        xi_s, gamma, g_in, xi_in = _dressed_witness(L, gen)
         g_s, x_s = level_set_normalize(g_in, xi_in)
         if g_s == gamma and x_s == xi_s:
             good += 1
@@ -629,11 +640,7 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     gen = stream(seed, f"reduction:invariance:{L.descriptor}")
     good = 0
     for _ in range(samples):
-        xi_s, gamma = _centralizer_witness(L, gen)
-        n1 = positive_unipotent(L, gen)
-        n2 = positive_unipotent(L, gen)
-        g_in = n1 * (gamma * n2.inverse())
-        xi_in = conjugate(n2, xi_s)
+        _, _, g_in, xi_in = _dressed_witness(L, gen)
         g_s, x_s = level_set_normalize(g_in, xi_in)
         n1p = positive_unipotent(L, gen)
         n2p = positive_unipotent(L, gen)

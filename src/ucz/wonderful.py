@@ -9,9 +9,8 @@ equal exactly when the translated subalgebras coincide.  All subspaces
 are kept in canonical echelon form, so equality is literal.
 
 A translate by (g1, g2) moves the fiber's integer echelon rows by the
-pair (Ad_g1, Ad_g2).  Ad_g is a `Mat` built once per element from outer
-products of the columns of g and the rows of g^-1, read back through the
-realization in integers, so no fiber row is conjugated one by one.
+pair (Ad_g1, Ad_g2).  Ad_g is `LieAlgebra.adjoint(g)`, one `Mat` built
+once per element, so no fiber row is conjugated one by one.
 
 Simple-root indices are 1-based in every public signature, matching the
 orbit tables the command line prints.
@@ -309,34 +308,6 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-def _adjoint(L: LieAlgebra, g: GroupElement) -> Mat:
-    """Ad_g in the basis of L: column k is Ad_g of basis vector k.
-
-    With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
-    the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
-    d f: outer products of a column of N and a row of M, from one inverse.
-    Its coordinates are read in integers over d f _readout_den.
-    """
-    if g.is_identity():
-        return Mat.identity(L.dim)
-    L._require_acting(g)
-    mat, inv = g.mat, g.inverse().mat
-    num, inv_num = mat.num, inv.num
-    m = len(num)
-    images = []
-    for entries in L._realization:
-        acc = [[0] * m for _ in range(m)]
-        for r, c, v in entries:
-            right = inv_num[c]
-            for row, out in zip(num, acc):
-                left = row[r] * v
-                if left:
-                    for j, x in enumerate(right):
-                        out[j] += left * x
-        images.append(L._read_int(acc))
-    return Mat(list(zip(*images)), L._readout_den * mat.den * inv.den)
-
-
 def _move(cols: Sequence[Sequence[int]], x: Sequence[int], scale: int) -> list[int]:
     """scale * sum_k x[k] cols[k], skipping the zero entries of x."""
     acc = [0] * len(cols)
@@ -366,14 +337,14 @@ def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
     """Translate the basepoint fiber of orbit I by (g1, g2)."""
     L = p.algebra
-    realized = _translate(fiber_algebra(p), _adjoint(L, g1), _adjoint(L, g2))
+    realized = _translate(fiber_algebra(p), L.adjoint(g1), L.adjoint(g2))
     return BoundaryPoint(L, p.I, g1, g2, realized)
 
 
 @lru_cache(maxsize=None)
 def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
     """Each Weyl representative w of L with Ad_w, built once per algebra."""
-    return tuple((w, _adjoint(L, w)) for w in L.weyl_representatives())
+    return tuple((w, L.adjoint(w)) for w in L.weyl_representatives())
 
 
 def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
@@ -421,7 +392,7 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    ad_d = _adjoint(L, diagonalizer)
+    ad_d = L.adjoint(diagonalizer)
     # orbit I = {} keeps every w, so every product is used
     witness = {w: diagonalizer * w for w, _ in _weyl_adjoints(L)}
     pair = (xi, xi)

@@ -2,14 +2,14 @@
 
 Every expected value here is computed by hand, forced by an algebraic
 identity (rank-nullity, Grassmann, projector idempotence), or computed by
-the textbook Fraction elimination `oracle_rref` below, which shares no code
+the textbook Fraction code in `oracles.py` (Gauss-Jordan elimination and
+inverse, Leibniz determinant, row-by-column product), which shares no code
 with the integer elimination it checks.  The checks are exact with zero
 tolerance.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import gcd, lcm
 
 import pytest
@@ -20,13 +20,14 @@ from ucz.exactlin import (
     Projector,
     Subspace,
     kernel,
-    project_along,
     rank,
     rref,
     solve,
     vec,
 )
 from ucz.rng import SplitMix64, stream
+
+from .oracles import all_fractions, gauss_jordan, identity, inverse, leibniz_det, product
 
 
 def random_mat(gen: SplitMix64, rows: int, cols: int) -> Mat:
@@ -76,7 +77,7 @@ def test_kernel_identity_is_zero():
 
 def test_kernel_zero_map_is_everything():
     m = Mat([(0, 0, 0), (0, 0, 0)], cols=3)
-    assert kernel(m) == Subspace.full(3)
+    assert kernel(m) == Subspace.from_vectors(3, identity(3))
 
 
 def test_kernel_single_relation():
@@ -128,7 +129,7 @@ def test_intersect_of_complementary_lines():
     a = Subspace.from_vectors(2, [(1, 0)])
     b = Subspace.from_vectors(2, [(0, 1)])
     assert a.intersect(b).dim == 0
-    assert a.sum(b) == Subspace.full(2)
+    assert a.sum(b) == Subspace.from_vectors(2, identity(2))
 
 
 def test_grassmann_identity_in_six_space():
@@ -157,38 +158,29 @@ def test_ambient_mismatch_raises():
 def test_project_along_coordinate_split():
     onto = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     along = Subspace.from_vectors(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
-    assert project_along((1, 2, 3, 4), onto, along) == vec((1, 2, 0, 0))
+    assert Projector(onto, along).apply((1, 2, 3, 4)) == vec((1, 2, 0, 0))
 
 
 def test_project_along_fixes_onto_and_kills_along():
     gen = stream(19, "projector")
     onto = Subspace.from_vectors(5, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 1)])
     along = Subspace.from_vectors(5, [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    proj = Projector(onto, along)
     for _ in range(10):
         c1, c2 = gen.fraction(), gen.fraction()
         v_on = tuple(c1 * a + c2 * b for a, b in zip((1, 1, 0, 0, 0), (0, 0, 1, 0, 1)))
-        assert project_along(v_on, onto, along) == vec(v_on)
+        assert proj.apply(v_on) == vec(v_on)
         v_off = tuple(
             c1 * a + c2 * b for a, b in zip((0, 1, 0, 0, 0), (0, 0, 0, 1, 0))
         )
-        assert project_along(v_off, onto, along) == vec((0,) * 5)
+        assert proj.apply(v_off) == vec((0,) * 5)
 
 
 def test_project_along_needs_complement():
     onto = Subspace.from_vectors(3, [(1, 0, 0)])
     along = Subspace.from_vectors(3, [(0, 1, 0)])
     with pytest.raises(DecompositionError):
-        project_along((1, 1, 1), onto, along)
-
-
-def test_projector_matches_project_along():
-    onto = Subspace.from_vectors(3, [(1, 2, 0)])
-    along = Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
-    proj = Projector(onto, along)
-    gen = stream(23, "projmat")
-    for _ in range(10):
-        v = tuple(gen.fraction() for _ in range(3))
-        assert proj.apply(v) == project_along(v, onto, along)
+        Projector(onto, along)
 
 
 def test_projector_is_idempotent():
@@ -237,26 +229,6 @@ def test_solve_inconsistent_raises():
 # -- oracle for the integer elimination ---------------------------------------
 
 
-def oracle_rref(rows, cols):
-    """Textbook Gauss-Jordan over Fraction, sharing no code with exactlin."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        work[r] = [x / work[r][c] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work, pivots
-
-
 def oracle_matrices():
     """Seeded shapes: empty, zero columns, duplicate rows, tall, wide, negative pivots."""
     rnd = random.Random(97)
@@ -284,34 +256,23 @@ def oracle_matrices():
             yield [[-abs(x) if j == 0 else x for j, x in enumerate(row)] for row in rows], c
 
 
-def all_fractions(m: Mat) -> bool:
-    return all(type(x) is Fraction for row in m.row_list() for x in row)
-
-
 def test_rref_rank_kernel_match_the_oracle():
     count = 0
     for rows, cols in oracle_matrices():
         m = Mat(rows, cols=cols)
-        want, pivots = oracle_rref(rows, cols)
+        want, pivots = gauss_jordan(rows, cols)
         got = rref(m)
         assert got == Mat(want, cols=cols)
         assert got.rows == m.rows and got.cols == cols
-        assert all_fractions(got)
+        assert all_fractions(*got.row_list())
         assert rank(m) == len(pivots)
         ker = kernel(m)
         assert ker.dim == cols - len(pivots)
-        assert all_fractions(ker.basis)
+        assert all_fractions(*ker.basis.row_list())
         for v in ker.basis.row_list():
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
         # the kernel's canonical basis is the oracle's RREF of the oracle's null vectors
-        null = []
-        for j in (j for j in range(cols) if j not in pivots):
-            v = [Fraction(0)] * cols
-            v[j] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -want[r][j]
-            null.append(v)
-        canon, cpiv = oracle_rref(null, cols)
+        canon, cpiv = gauss_jordan(oracle_null(rows, cols), cols)
         assert ker.basis == Mat(canon[: len(cpiv)], cols=cols)
         count += 1
     assert count == 87
@@ -320,13 +281,13 @@ def test_rref_rank_kernel_match_the_oracle():
 def test_subspace_basis_entries_are_fractions():
     s = Subspace.from_vectors(3, [(2, 4, 6), ("1/3", 0, 1)])
     assert s.basis == Mat([(1, 0, 3), (0, 1, 0)], cols=3)
-    assert all_fractions(s.basis)
+    assert all_fractions(*s.basis.row_list())
 
 
 def test_vec_coerces_at_the_edge():
     v = vec(["1/3", 2, Fraction(1, 2)])
     assert v == (Fraction(1, 3), Fraction(2), Fraction(1, 2))
-    assert all(type(x) is Fraction for x in v)
+    assert all_fractions(v)
 
     class Half(Fraction):
         pass
@@ -346,7 +307,7 @@ def test_subspace_keeps_the_oracle_pivots():
     # reduce, contains and coefficients walk the pivots stored at construction
     rnd = random.Random(83)
     for rows, cols in oracle_matrices():
-        want, pivots = oracle_rref(rows, cols)
+        want, pivots = gauss_jordan(rows, cols)
         space = Subspace(cols, Mat(rows, cols=cols))
         assert space._pivots == pivots
         coeffs = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in pivots]
@@ -357,7 +318,7 @@ def test_subspace_keeps_the_oracle_pivots():
         assert space.coefficients(v) == tuple(coeffs)
         assert space.reduce(v) == (Fraction(0),) * cols
     assert Subspace.zero(3)._pivots == []
-    full = Subspace.full(3)
+    full = Subspace.from_vectors(3, identity(3))
     assert full._pivots == [0, 1, 2]
     assert full == Subspace.from_vectors(3, [(0, 0, 5), (0, 2, 1), (1, 1, 1)])
     assert hash(full) == hash(Subspace.from_vectors(3, [(3, 0, 0), (0, 1, 0), (0, 0, 1)]))
@@ -391,14 +352,14 @@ def seeded_spans(seed):
 def test_subspace_is_the_oracle_rref_over_the_lcm_of_its_denominators():
     count = deficient = 0
     for rows, cols in seeded_spans(149):
-        want, pivots = oracle_rref(rows, cols)
+        want, pivots = gauss_jordan(rows, cols)
         want = want[: len(pivots)]
         den = lcm(*(x.denominator for row in want for x in row))
         space = Subspace(cols, Mat(rows, cols=cols))
         assert space.basis.den == den
         assert space.basis.num == tuple(tuple(int(x * den) for x in row) for row in want)
         assert space._pivots == pivots and space.dim == len(pivots)
-        assert space.basis == Mat(want, cols=cols) and all_fractions(space.basis)
+        assert space.basis == Mat(want, cols=cols) and all_fractions(*space.basis.row_list())
         canonical = Subspace(cols, Mat(want, cols=cols), _canonical=True)
         assert canonical == space and hash(canonical) == hash(space)
         assert canonical._pivots == space._pivots
@@ -438,18 +399,18 @@ def test_contains_agrees_with_a_zero_residue_and_the_oracle_rank():
     inside = outside = 0
     for rows, cols in seeded_spans(157):
         space = Subspace.from_vectors(cols, rows)
-        rank_before = len(oracle_rref(rows, cols)[1])
+        rank_before = len(gauss_jordan(rows, cols)[1])
         vectors = [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
         for _ in range(3):
             cs = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 7)) for _ in rows]
-            member = oracle_product([cs], rows, cols)[0] if rows else [Fraction(0)] * cols
+            member = product([cs], rows, cols)[0] if rows else [Fraction(0)] * cols
             vectors.append(tuple(member))
             j = rnd.randrange(cols)
             vectors.append(tuple(x + (j == k) for k, x in enumerate(member)))
         for v in vectors:
             got = space.contains(v)
             assert got == (not any(space.reduce(v)))
-            assert got == (len(oracle_rref(rows + [list(v)], cols)[1]) == rank_before)
+            assert got == (len(gauss_jordan(rows + [list(v)], cols)[1]) == rank_before)
             inside += got
             outside += not got
     assert inside > 100 and outside > 100
@@ -489,7 +450,7 @@ def test_apply_matches_the_oracle_dot_product():
                 got = m.apply(v)
                 assert got == oracle_apply(rows, v)
                 assert len(got) == r
-                assert all(type(x) is Fraction for x in got)
+                assert all_fractions(got)
                 count += 1
     assert count == 100
 
@@ -524,18 +485,6 @@ def sparse_operands(seed):
             yield rows, c
 
 
-def oracle_det(rows):
-    """Leibniz expansion over all permutations."""
-    total = Fraction(0)
-    for perm in permutations(range(len(rows))):
-        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
-        term = Fraction(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
 def test_sparse_mat_sum_difference_and_scale_match_the_oracle():
     rnd = random.Random(101)
     count = 0
@@ -549,26 +498,19 @@ def test_sparse_mat_sum_difference_and_scale_match_the_oracle():
         pairs = [(x, y) for rx, ry in zip(rows, other) for x, y in zip(rx, ry)]
         for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
             assert [x for row in got.row_list() for x in row] == [op(x, y) for x, y in pairs]
-            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
+            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(*got.row_list())
         # a zero result entry comes from cancellation as well as from zero operands
-        assert (a - a).is_zero() and (b - b).is_zero()
+        zero = Mat([[0] * cols for _ in rows], cols=cols)
+        assert a - a == zero and b - b == zero
         assert -a == Mat([[-x for x in row] for row in rows], cols=cols)
-        assert (-a).cols == cols and all_fractions(-a)
+        assert (-a).cols == cols and all_fractions(*(-a).row_list())
         for c in (0, Fraction(0), "0", 1, Fraction(-3, 7)):
             got = a.scale(c)
             want = [[Fraction(c) * x for x in row] for row in rows]
             assert got == Mat(want, cols=cols)
-            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(got)
+            assert (got.rows, got.cols) == (len(rows), cols) and all_fractions(*got.row_list())
         count += 1
     assert count == 36
-
-
-def oracle_product(a, b, cols):
-    """Row-by-column sums over Fraction for an a of any shape and b with `cols` columns."""
-    return [
-        [sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(cols)]
-        for row in a
-    ]
 
 
 def test_sparse_mat_product_and_apply_match_the_oracle():
@@ -585,15 +527,15 @@ def test_sparse_mat_product_and_apply_match_the_oracle():
         # the transpose-shaped left factor meets rows of zeros on both sides
         left = [list(col) for col in zip(*rows)] if inner else [[] for _ in range(cols)]
         got = Mat(left, cols=inner) * Mat(rows, cols=cols)
-        assert got == Mat(oracle_product(left, rows, cols), cols=cols)
-        assert (got.rows, got.cols) == (len(left), cols) and all_fractions(got)
+        assert got == Mat(product(left, rows, cols), cols=cols)
+        assert (got.rows, got.cols) == (len(left), cols) and all_fractions(*got.row_list())
         got = Mat(rows, cols=cols) * Mat(right, cols=right_cols)
-        assert got == Mat(oracle_product(rows, right, right_cols), cols=right_cols)
-        assert all_fractions(got)
+        assert got == Mat(product(rows, right, right_cols), cols=right_cols)
+        assert all_fractions(*got.row_list())
         assert (got.rows, got.cols) == (len(rows), right_cols)
         v = tuple(Fraction(j % 3 - 1, 2) for j in range(cols))
         got = Mat(rows, cols=cols).apply(v)
-        assert got == oracle_apply(rows, v) and all(type(x) is Fraction for x in got)
+        assert got == oracle_apply(rows, v) and all_fractions(got)
         count += 1
     assert count == 36
 
@@ -619,17 +561,15 @@ def test_sparse_det_and_inverse_match_the_oracle():
         for square in (rows, shifted):
             m = Mat(square, cols=cols)
             det = m.det()
-            assert det == oracle_det(square) and type(det) is Fraction
+            assert det == leibniz_det(square) and type(det) is Fraction
             if det == 0:
                 with pytest.raises(DecompositionError):
                     m.inverse()
                 singular += 1
             else:
-                unit = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-                want, _ = oracle_rref([list(a) + b for a, b in zip(square, unit)], 2 * cols)
                 got = m.inverse()
-                assert got == Mat([row[cols:] for row in want], cols=cols)
-                assert all_fractions(got)
+                assert got == Mat(inverse(square), cols=cols)
+                assert all_fractions(*got.row_list())
             count += 1
     assert count == 50
     assert 0 < singular < count
@@ -639,14 +579,14 @@ def test_sparse_reduce_and_coefficients_match_the_oracle():
     rnd = random.Random(127)
     count = 0
     for rows, cols in sparse_operands(131):
-        want, pivots = oracle_rref(rows, cols)
+        want, pivots = gauss_jordan(rows, cols)
         space = Subspace(cols, Mat(rows, cols=cols))
         vectors = [(Fraction(0),) * cols]
         vectors += [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
         vectors += [tuple(x if rnd.random() < 0.3 else Fraction(0) for x in row) for row in rows]
         for _ in range(2):
             cs = [Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in pivots]
-            vectors.append(tuple(oracle_product([cs], want, cols)[0]))
+            vectors.append(tuple(product([cs], want, cols)[0]))
         for v in vectors:
             # against an RREF basis, the residue is v minus its pivot entries times the rows
             at_pivots = [v[p] for p in pivots]
@@ -655,20 +595,20 @@ def test_sparse_reduce_and_coefficients_match_the_oracle():
                 for j in range(cols)
             )
             got = space.reduce(v)
-            assert got == residue and all(type(x) is Fraction for x in got)
+            assert got == residue and all_fractions(got)
             if any(residue):
                 with pytest.raises(DecompositionError):
                     space.coefficients(v)
             else:
                 got = space.coefficients(v)
-                assert got == tuple(at_pivots) and all(type(x) is Fraction for x in got)
+                assert got == tuple(at_pivots) and all_fractions(got)
             count += 1
     assert count > 200
 
 
 def oracle_null(rows, cols):
     """Null vectors of the rows, read off the oracle's RREF."""
-    want, pivots = oracle_rref(rows, cols)
+    want, pivots = gauss_jordan(rows, cols)
     null = []
     for j in (j for j in range(cols) if j not in pivots):
         v = [Fraction(0)] * cols
@@ -701,9 +641,9 @@ def test_sparse_intersect_matches_the_annihilator_oracle():
             v += [sparse_row(cols) for _ in range(extra_v)]
             got = Subspace.from_vectors(cols, u).intersect(Subspace.from_vectors(cols, v))
             ann = oracle_null(u, cols) + oracle_null(v, cols)
-            want, pivots = oracle_rref(oracle_null(ann, cols), cols)
+            want, pivots = gauss_jordan(oracle_null(ann, cols), cols)
             assert got.basis == Mat(want[: len(pivots)], cols=cols)
-            assert all_fractions(got.basis)
+            assert all_fractions(*got.basis.row_list())
             proper += 0 < got.dim < min(len(u), len(v))
             count += 1
     assert count == 24 and proper > 12
@@ -729,18 +669,6 @@ def canonical_operands(seed):
             yield [[entry() for _ in range(c)] for _ in range(r)], c
 
 
-def oracle_inverse(rows):
-    """Gauss-Jordan on [A | I] with `oracle_rref`; None when A is singular."""
-    n = len(rows)
-    augmented = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)
-    ]
-    work, pivots = oracle_rref(augmented, 2 * n)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in work]
-
-
 def assert_canonical(m: Mat, want, cols):
     """den > 0, gcd(den, entries) = 1, and the entries are the oracle's values."""
     assert type(m.den) is int and m.den > 0
@@ -748,7 +676,7 @@ def assert_canonical(m: Mat, want, cols):
     assert gcd(m.den, *(x for row in m.num for x in row)) == 1
     assert (m.rows, m.cols) == (len(want), cols)
     assert [[Fraction(x, m.den) for x in row] for row in m.num] == [list(row) for row in want]
-    assert m.row_list() == [tuple(row) for row in want] and all_fractions(m)
+    assert m.row_list() == [tuple(row) for row in want] and all_fractions(*m.row_list())
 
 
 def test_every_mat_operation_returns_the_canonical_integer_form():
@@ -767,11 +695,11 @@ def test_every_mat_operation_returns_the_canonical_integer_form():
             assert_canonical(a.scale(c), [[Fraction(c) * x for x in row] for row in rows], cols)
         transposed = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(cols)]
         assert_canonical(a.transpose(), transposed, len(rows))
-        assert_canonical(a * a.transpose(), oracle_product(rows, transposed, len(rows)), len(rows))
-        assert_canonical(a.transpose() * a, oracle_product(transposed, rows, cols), cols)
-        assert_canonical(rref(a), oracle_rref(rows, cols)[0], cols)
+        assert_canonical(a * a.transpose(), product(rows, transposed, len(rows)), len(rows))
+        assert_canonical(a.transpose() * a, product(transposed, rows, cols), cols)
+        assert_canonical(rref(a), gauss_jordan(rows, cols)[0], cols)
         if len(rows) == cols:
-            want = oracle_inverse(rows)
+            want = inverse(rows)
             if want is None:
                 with pytest.raises(DecompositionError):
                     a.inverse()
@@ -780,7 +708,7 @@ def test_every_mat_operation_returns_the_canonical_integer_form():
                 inverses += 1
         v = tuple(Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in range(cols))
         got = a.apply(v)
-        assert got == oracle_apply(rows, v) and all(type(x) is Fraction for x in got)
+        assert got == oracle_apply(rows, v) and all_fractions(got)
         count += 1
     assert count == 50 and inverses > 10
 

@@ -7,17 +7,15 @@ coefficients of diag(1,2,-3), all checked by hand.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
 
 import pytest
 
-from ucz import algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError
 from ucz.exactlin import Mat, rank, solve
 from ucz.kostant import (
+    KostantSlice,
     PrincipalTriple,
     build_principal_triple,
-    build_slice,
     in_fiber_product,
     invariant_system,
     invariants_eval,
@@ -29,6 +27,8 @@ from ucz.kostant import (
 )
 from ucz.liealg import conjugate
 from ucz.rng import stream
+
+from .oracles import all_fractions, leibniz_det
 
 DEGREES = {
     "A1": (2,),
@@ -123,7 +123,7 @@ def test_slice_basis_is_homogeneous(any_algebra):
 def test_build_slice_and_slice_for_agree(any_algebra):
     L = any_algebra
     assert slice_for(L) is slice_for(L)
-    fresh = build_slice(build_principal_triple(L))
+    fresh = KostantSlice(L, build_principal_triple(L))
     assert fresh.degrees == slice_for(L).degrees
     assert fresh.ge_basis == slice_for(L).ge_basis
 
@@ -218,18 +218,6 @@ def test_a2_invariants_of_a_split_element(a2):
     x = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
     # det(lambda I - x) = lambda^3 - 7 lambda + 6
     assert invariants_eval(x) == (Fraction(7), Fraction(-6))
-
-
-def leibniz_det(rows):
-    n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
-        term = Fraction(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
 
 
 def lagrange_coefficients(ts, values):
@@ -349,7 +337,7 @@ def test_gradient_matches_dual_derivatives_and_interpolation(type_a_algebra):
     for x in points:
         grad = system.gradient(x)
         assert len(grad) == L.rank and all(len(row) == L.dim for row in grad)
-        assert all(type(d) is Fraction for row in grad for d in row)
+        assert all_fractions(*grad)
         for j in range(L.dim):
             d = L.basis_element(j)
             assert tuple(row[j] for row in grad) == tuple(der for _, der in system.eval_dual(x, d))

@@ -10,7 +10,7 @@ from math import factorial, prod
 
 import pytest
 
-from ucz import algebra_from_descriptor, wonderful
+from ucz import wonderful
 from ucz.errors import ConstructionError, DomainError
 from ucz.exactlin import Mat, Subspace
 from ucz.liealg import conjugate
@@ -30,6 +30,8 @@ from ucz.wonderful import (
     translate_contains,
     weyl_translates,
 )
+
+from .oracles import identity
 
 
 def full_set(L):
@@ -77,10 +79,11 @@ def test_empty_set_gives_the_borel(any_algebra):
 def test_full_set_gives_the_whole_algebra(any_algebra):
     L = any_algebra
     p = build_parabolic(L, full_set(L))
-    assert p.p_I == Subspace.full(L.dim)
+    whole = Subspace.from_vectors(L.dim, identity(L.dim))
+    assert p.p_I == whole
     assert p.u_I.dim == 0
     assert p.z_l_I.dim == 0
-    assert p.derived_p_I == Subspace.full(L.dim)
+    assert p.derived_p_I == whole
 
 
 def test_a2_one_vertex_parabolic_dimensions(a2):
@@ -128,9 +131,7 @@ def test_fiber_on_the_full_set_is_the_diagonal(any_algebra):
     L = any_algebra
     n = L.dim
     fiber = fiber_algebra(build_parabolic(L, full_set(L)))
-    diag = Subspace.from_vectors(
-        2 * n, [tuple(row) + tuple(row) for row in Subspace.full(n).basis.row_list()]
-    )
+    diag = Subspace.from_vectors(2 * n, [row + row for row in identity(n)])
     assert fiber == diag
 
 
@@ -233,13 +234,13 @@ def test_translated_point_contains_translated_pairs(a2):
 def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
     # (g, id) is the moment suite's interior translate; Ad_id is the identity map
     L = type_a_algebra
-    assert wonderful._adjoint(L, L.group_identity()) == Mat.identity(L.dim)
+    assert L.adjoint(L.group_identity()) == Mat.identity(L.dim)
     p = build_parabolic(L, full_set(L))
     gen = stream(53, f"idtrans:{L.descriptor}")
     n = L.dim
     for _ in range(2):
         g = group_sample(L, gen)
-        assert wonderful._adjoint(L, g * g.inverse()) == Mat.identity(n)
+        assert L.adjoint(g * g.inverse()) == Mat.identity(n)
         point = make_boundary_point(p, g, L.group_identity())
         moved = [
             conjugate(g, L.element(row[:n])).coords + row[n:]
@@ -254,7 +255,7 @@ def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):
     n = L.dim
     for _ in range(2):
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
-        ad1, ad2 = wonderful._adjoint(L, g1), wonderful._adjoint(L, g2)
+        ad1, ad2 = L.adjoint(g1), L.adjoint(g2)
         for I in all_subsets(L.rank):
             fiber = fiber_algebra(build_parabolic(L, I))
             moved = [ad1.apply(row[:n]) + ad2.apply(row[n:]) for row in fiber.basis.row_list()]
