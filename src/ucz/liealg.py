@@ -34,15 +34,17 @@ integer `Mat` of x.num summed straight from it, over x.den, and
 checks the round trip.  A `GroupElement` is one `Mat` of determinant one:
 products, inverses and `conjugate(g, y) = from_matrix(g realize(y) g^-1)`
 are `Mat` arithmetic, and the determinant is checked where a matrix
-enters the group.  `adjoint(g)` is Ad_g as one `Mat`, read back through
-the realization table in integers.
+enters the group.  `root_product` multiplies root factors exp(c e_alpha)
+straight into one integer matrix from each root's cached realization
+powers.  `adjoint(g)` is Ad_g as one `Mat`, read back through the
+realization table in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
@@ -70,6 +72,9 @@ _CARTAN: dict[str, list[list[int]]] = {
 }
 
 Root = tuple[int, ...]
+
+# the nonzero (row, col, value) entries of each power Y, Y^2, ... of a nilpotent Y
+Powers = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def _radd(a: Root, b: Root) -> Root:
@@ -373,10 +378,12 @@ class GroupElement:
     The element is one `Mat`, `mat`, whose canonical form makes equal
     elements have equal `mat`; products, inverses and conjugation are
     `Mat` arithmetic.  The determinant is checked where a matrix enters:
-    `GroupElement(mat)`, which `group_exp`, `torus_element` and
-    `weyl_representatives` go through.  det is multiplicative, so
-    products and inverses, and the identity, have determinant one exactly
-    and are built without the check.
+    `GroupElement(mat)`, which `group_exp`, `root_product`, `torus_element`
+    and `weyl_representatives` go through.  For a triangular N / d, as
+    every one of these but the Weyl representatives is, det = 1 is read
+    as prod_i N[i][i] = d^n; any other matrix takes the Bareiss `det`.
+    det is multiplicative, so products and inverses, and the identity,
+    have determinant one exactly and are built without the check.
     """
 
     __slots__ = ("mat", "_inv")
@@ -384,7 +391,12 @@ class GroupElement:
     def __init__(self, mat: Mat):
         if mat.rows != mat.cols:
             raise DomainError("group element must be square")
-        if mat.det() != 1:
+        num = mat.num
+        if _triangular(num):
+            unimodular = prod([row[i] for i, row in enumerate(num)]) == mat.den**mat.rows
+        else:
+            unimodular = mat.det() == 1
+        if not unimodular:
             raise DomainError("group element must have determinant one")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_inv", None)
@@ -419,6 +431,17 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.mat!r})"
+
+
+def _triangular(num: IntRows) -> bool:
+    """Is the square matrix num upper or lower triangular?"""
+    upper = lower = True
+    for i, row in enumerate(num):
+        upper = upper and not any(row[:i])
+        lower = lower and not any(row[i + 1 :])
+        if not (upper or lower):
+            return False
+    return True
 
 
 def _group(mat: Mat) -> GroupElement:
@@ -459,6 +482,8 @@ class LieAlgebra:
         self._realization: list[tuple[tuple[int, int, int], ...]] | None = None
         self._readout: list[tuple[tuple[int, int, int], ...]] | None = None
         self._readout_den = 1
+        # per root vector index, the powers of its realization, on first use
+        self._powers: dict[int, Powers] = {}
         if rs.type_label == "A":
             self._build_realization()
         self.cartan = self._coord_span(self.idx_h(i) for i in range(self.rank))
@@ -591,7 +616,8 @@ class LieAlgebra:
         out = y
         term = y
         for k in range(1, self.dim + 2):
-            term = self.bracket(x, term).scale(Fraction(1, k))
+            term = self.bracket(x, term)
+            term = Element(self, term.num, term.den * k)
             if term.is_zero():
                 return out
             out = out + term
@@ -738,27 +764,33 @@ class LieAlgebra:
     def group_exp(self, x: Element) -> GroupElement:
         """exp of a nilpotent element in the defining representation.
 
-        With realize(x) = Y / D and Y^(K+1) = 0, exp(x) = sum_k Y^k / (k! D^k)
-        = sum_k (K!/k!) D^(K-k) Y^k / (K! D^K): integer powers of Y over one
-        denominator.  x is nilpotent exactly when Y^m = 0.
+        With realize(x) = Y / D, exp(x) is exp(c Y) for c = 1 / D (`_times_exp`).
+        x is nilpotent exactly when Y^m = 0.
         """
         real = self.realize(x)
-        y, d = real.num, real.den
-        m = len(y)
-        powers = [_identity_rows(m)]
-        power = y
-        while any(any(row) for row in power):
-            if len(powers) == m:
-                raise DomainError("group_exp requires a nilpotent element")
-            powers.append(power)
-            power = _int_matmul(power, y)
-        top = len(powers) - 1
-        weights = [factorial(top) // factorial(k) * d ** (top - k) for k in range(top + 1)]
-        num = [
-            [sum(w * p[i][j] for w, p in zip(weights, powers)) for j in range(m)]
-            for i in range(m)
-        ]
-        return GroupElement(Mat(num, factorial(top) * d**top))
+        num, den = _times_exp(_identity_rows(real.rows), 1, _sparse_powers(real.num), 1, real.den)
+        return GroupElement(Mat(num, den))
+
+    def root_product(self, factors: Iterable[tuple[int, object]]) -> GroupElement:
+        """The product of exp(c b_idx) over the (basis index, c) pairs, in order (type A).
+
+        Each factor multiplies the integer product so far by exp(c R) for the
+        realization R of root vector idx (`_times_exp`), from the nonzero
+        entries of R's powers, cached once per root: one entry in type A.
+        """
+        self._require_realization()
+        num, den = _identity_rows(self.rank + 1), 1
+        for idx, c in factors:
+            powers = self._powers.get(idx)
+            if powers is None:
+                if idx not in self._root_of_index:
+                    raise DomainError(f"basis index {idx} is not a root vector")
+                unit = [int(j == idx) for j in range(self.dim)]
+                powers = self._powers[idx] = _sparse_powers(self._combine(unit))
+            c = c if type(c) is int else _as_fraction(c)
+            if c:
+                num, den = _times_exp(num, den, powers, c.numerator, c.denominator)
+        return GroupElement(Mat(num, den))
 
     def torus_element(self, entries: Sequence) -> GroupElement:
         self._require_realization()
@@ -782,6 +814,39 @@ class LieAlgebra:
                 rows[dst][src] = -1 if sign < 0 and src == 0 else 1
             out.append(GroupElement(Mat(rows, 1)))
         return out
+
+
+def _sparse_powers(y: Sequence[Sequence[int]]) -> Powers:
+    """The nonzero (row, col, value) entries of Y, ..., Y^K, Y^(K+1) = 0, for nilpotent Y."""
+    out, power = [], y
+    while any(any(row) for row in power):
+        if len(out) == len(y) - 1:
+            raise DomainError("group_exp requires a nilpotent element")
+        out.append(tuple((i, j, v) for i, row in enumerate(power) for j, v in enumerate(row) if v))
+        power = _int_matmul(power, y)
+    return tuple(out)
+
+
+def _times_exp(
+    num: Sequence[Sequence[int]], den: int, powers: Powers, p: int, q: int
+) -> tuple[list[list[int]], int]:
+    """(N exp(c Y) / D) as integer rows over a denominator, for c = p / q.
+
+    With Y^(K+1) = 0 that is sum_k (K!/k!) p^k q^(K-k) N Y^k over D K! q^K,
+    and N Y^k adds v times column r of N to column s for each nonzero entry
+    (r, s, v) of Y^k, so only those entries are visited.
+    """
+    top = len(powers)
+    base = factorial(top) * q**top
+    out = [[base * x for x in row] for row in num]
+    for k, entries in enumerate(powers, 1):
+        w = factorial(top) // factorial(k) * p**k * q ** (top - k)
+        for r, s, v in entries:
+            wv = w * v
+            for row, orow in zip(num, out):
+                if row[r]:
+                    orow[s] += wv * row[r]
+    return out, den * base
 
 
 def _perm_sign(perm: Sequence[int]) -> int:

@@ -134,21 +134,17 @@ def borel_sample(L: LieAlgebra, gen: SplitMix64) -> Element:
     return _add_random_multiples(build_principal_triple(L).f, L.borel, gen)
 
 
-def _unipotent(L: LieAlgebra, gen: SplitMix64, root_vector) -> GroupElement:
-    g = L.group_identity()
-    for k in range(L.n_pos):
-        c = gen.fraction(num_bound=3)
-        if c:
-            g = g * L.group_exp(root_vector(k).scale(c))
-    return g
+def _unipotent(L: LieAlgebra, gen: SplitMix64, root_index) -> GroupElement:
+    """The product of exp(c_k b_k) over the roots k in order, one gen.fraction(3) c_k each."""
+    return L.root_product([(root_index(k), gen.fraction(num_bound=3)) for k in range(L.n_pos)])
 
 
 def positive_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
-    return _unipotent(L, gen, L.e)
+    return _unipotent(L, gen, L.idx_e)
 
 
 def negative_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
-    return _unipotent(L, gen, L.f)
+    return _unipotent(L, gen, L.idx_f)
 
 
 def group_sample(L: LieAlgebra, gen: SplitMix64) -> GroupElement:

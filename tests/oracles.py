@@ -2,7 +2,8 @@
 
 Each function is the textbook algorithm, written for clarity and not for
 speed: the Leibniz determinant, Gauss-Jordan elimination and inverse, the
-row-by-column product, and the trace of a product.  The tests compare the
+row-by-column product, the trace of a product, and the exponential series
+of a nilpotent matrix.  The tests compare the
 library's exact results with these.  Nothing here imports `ucz`, which
 `test_oracles.py` checks, so a fault in the library cannot hide in its
 own oracle.
@@ -74,3 +75,16 @@ def product(a, b, cols: int) -> list[list[Fraction]]:
 def trace_product(a, b) -> Fraction:
     """tr(A B) of two square matrices."""
     return sum((a[i][k] * b[k][i] for i in range(len(a)) for k in range(len(b))), Fraction(0))
+
+
+def exp_nilpotent(rows) -> list[list[Fraction]]:
+    """sum_k A^k / k! of a nilpotent square A, summed until A^k = 0."""
+    n = len(rows)
+    total = identity(n)
+    term = identity(n)
+    for k in range(1, n + 1):
+        term = [[x / k for x in row] for row in product(term, rows, n)]
+        if all(x == 0 for row in term for x in row):
+            return total
+        total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, term)]
+    raise ValueError("matrix is not nilpotent")

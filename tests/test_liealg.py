@@ -15,11 +15,19 @@ import pytest
 from ucz import algebra_from_descriptor, build_algebra, exactlin
 from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
-from ucz.liealg import Element, GroupElement, conjugate
+from ucz.liealg import Element, GroupElement, LieAlgebra, conjugate
 from ucz.rng import stream
-from ucz.suites import group_sample
+from ucz.suites import group_sample, negative_unipotent, positive_unipotent
 
-from .oracles import all_fractions, inverse, leibniz_det, product, trace_product
+from .oracles import (
+    all_fractions,
+    exp_nilpotent,
+    identity,
+    inverse,
+    leibniz_det,
+    product,
+    trace_product,
+)
 
 DIMS = {"A1": 3, "A2": 8, "A3": 15, "B2": 10, "G2": 14}
 POS_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "G2": 6}
@@ -597,3 +605,139 @@ def test_equal_elements_built_different_ways_compare_and_hash_equal(any_algebra)
             assert (twin.num, twin.den) == (x.num, x.den)
     assert L.element(["5/10"] + [0] * (L.dim - 1)) == L.basis_element(0).scale(Fraction(1, 2))
     assert Element(L, [0] * L.dim, 7) == L.zero() and L.zero().den == 1
+
+
+def exp_product(L, factors):
+    """The oracle product of exp(c realize(b_idx)) over (idx, c), in dense Fractions."""
+    m = L.rank + 1
+    out = identity(m)
+    for idx, c in factors:
+        rows = L.realize(L.basis_element(idx)).row_list()
+        out = product(out, exp_nilpotent([[c * x for x in row] for row in rows]), m)
+    return [tuple(row) for row in out]
+
+
+def test_root_product_matches_the_exponential_series(type_a_algebra):
+    L = type_a_algebra
+    gen = stream(43, f"rootproduct:{L.descriptor}")
+    roots = [L.idx_e(k) for k in range(L.n_pos)] + [L.idx_f(k) for k in range(L.n_pos)]
+    for idx in roots:
+        drawn = [gen.nonzero_fraction(num_bound=5, dens=(2, 3, 5)) for _ in range(2)]
+        for c in drawn + [Fraction(-7, 3), 1, -2]:
+            got = L.root_product([(idx, c)]).mat.row_list()
+            assert all_fractions(*got)
+            assert got == exp_product(L, [(idx, c)])
+    # sequences drawn the way _unipotent draws them, then mixed ones with
+    # repeated roots, which are not triangular
+    for seed in range(4):
+        for index, sampler in ((L.idx_e, positive_unipotent), (L.idx_f, negative_unipotent)):
+            draw = stream(seed, f"unipotent:{L.descriptor}")
+            factors = [(index(k), draw.fraction(num_bound=3)) for k in range(L.n_pos)]
+            g = L.root_product(factors)
+            assert g.mat.row_list() == exp_product(L, factors)
+            assert g == sampler(L, stream(seed, f"unipotent:{L.descriptor}"))
+            before = L.group_identity()
+            for idx, c in factors:
+                before = before * L.group_exp(L.basis_element(idx).scale(c))
+            assert g == before
+    for _ in range(4):
+        factors = [(gen.choice(roots), gen.fraction(num_bound=4)) for _ in range(2 * L.n_pos)]
+        got = L.root_product(factors).mat.row_list()
+        assert got == exp_product(L, factors)
+        assert leibniz_det(got) == 1
+
+
+def test_root_product_sums_higher_powers():
+    # a root vector realized with R^2 != 0, as G2's short roots will be: a
+    # fresh A2 whose e1 realizes as the principal nilpotent E12 + E23
+    L = LieAlgebra("A2")
+    idx = L.idx_e(0)
+    L._realization = list(L._realization)
+    L._realization[idx] = ((0, 1, 1), (1, 2, 1))
+    jordan = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    gen = stream(47, "rootpowers")
+    for c in [gen.nonzero_fraction(dens=(2, 3, 5)) for _ in range(4)] + [Fraction(-5, 2)]:
+        want = exp_nilpotent([[c * x for x in row] for row in jordan])
+        assert L.root_product([(idx, c)]).mat.row_list() == [tuple(row) for row in want]
+        f = L.realize(L.f(1)).row_list()
+        want = product(want, exp_nilpotent([[-c * x for x in row] for row in f]), 3)
+        got = L.root_product([(idx, c), (L.idx_f(1), -c)]).mat.row_list()
+        assert got == [tuple(row) for row in want]
+
+
+def test_root_product_edges(a2, b2):
+    assert a2.root_product([]) == a2.group_identity()
+    assert a2.root_product([(a2.idx_e(1), 0), (a2.idx_f(0), Fraction(0))]).is_identity()
+    for bad in (a2.idx_h(0), a2.idx_h(1), a2.dim, -1):
+        for c in (1, 0):
+            with pytest.raises(DomainError):
+                a2.root_product([(a2.idx_e(0), 1), (bad, c)])
+    with pytest.raises(UnsupportedAlgebraError):
+        b2.root_product([])
+    with pytest.raises(UnsupportedAlgebraError):
+        b2.root_product([(b2.idx_e(0), 1)])
+
+
+def test_group_element_accepts_exactly_the_det_one_matrices():
+    # a triangular matrix is checked by its diagonal product, any other by
+    # Bareiss; both must agree with the Leibniz determinant
+    shapes = {
+        "upper": lambda i, j: i <= j,
+        "lower": lambda i, j: i >= j,
+        "diagonal": lambda i, j: i == j,
+        "full": lambda i, j: True,
+    }
+    gen = stream(41, "detone")
+    seen = set()
+    for n in (3, 4):
+        for name, keep in shapes.items():
+            for trial in range(16):
+                rows = [
+                    [gen.fraction(num_bound=4) if keep(i, j) else Fraction(0) for j in range(n)]
+                    for i in range(n)
+                ]
+                if name == "full":
+                    rows[0][n - 1] = gen.nonzero_fraction()
+                    rows[n - 1][0] = gen.nonzero_fraction()
+                det = leibniz_det(rows)
+                if det and trial % 4 != 3:
+                    # scale the first row to det 1, or to det -1
+                    target = -1 if trial % 4 == 2 else 1
+                    rows[0] = [x * target / det for x in rows[0]]
+                want = leibniz_det(rows) == 1
+                try:
+                    g = GroupElement(Mat(rows, cols=n))
+                except DomainError:
+                    got = False
+                else:
+                    got = True
+                    assert g.mat.row_list() == [tuple(row) for row in rows]
+                assert got == want
+                seen.add((name, got))
+    assert seen == {(name, ok) for name in shapes for ok in (True, False)}
+    half = Fraction(1, 2)
+    assert GroupElement(Mat([(2, 0, 0), (0, half, 0), (0, 0, 1)], cols=3))
+    for rows in ([(2, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 5, 0), (0, -1, 0), (0, 0, 1)]):
+        with pytest.raises(DomainError):
+            GroupElement(Mat(rows, cols=3))
+
+
+def test_triangular_group_elements_skip_bareiss(monkeypatch, a2):
+    # root products of one sign, exp of n and n-, and torus elements are
+    # triangular, so their det check reads the diagonal and never calls det
+    def no_det(self):
+        raise AssertionError("Bareiss det called on a triangular matrix")
+
+    gen = stream(53, "triangular")
+    upper = [(a2.idx_e(k), gen.nonzero_fraction()) for k in range(a2.n_pos)]
+    lower = [(a2.idx_f(k), gen.nonzero_fraction()) for k in range(a2.n_pos)]
+    monkeypatch.setattr(Mat, "det", no_det)
+    built = [
+        a2.root_product(upper),
+        a2.root_product(lower),
+        a2.group_exp(random_nilpos(a2, gen)),
+        a2.torus_element([2, Fraction(-1, 3), Fraction(-3, 2)]),
+    ]
+    assert all(leibniz_det(g.mat.row_list()) == 1 for g in built)
+    with pytest.raises(AssertionError):
+        a2.root_product(upper + lower)
