@@ -22,7 +22,8 @@ a matrix in canonical form.  Readers outside get
 `Subspace.reduce`; an entry that is already a plain `Fraction` is never
 coerced a second time.  `liealg.Element` keeps the same format for
 vectors, integer coordinates over one denominator (`_integer_vector`),
-and `Subspace.contains` and `Mat.apply` read integer vectors as they are.
+and `Subspace.contains`, `Subspace.coefficients` and `Mat.apply` read
+integer vectors as they are.
 
 Every elimination runs over the integers, and this module is the only
 one that does it.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`,
@@ -32,8 +33,11 @@ elimination.  The reduced rows are brought over one denominator, the lcm
 of their pivots (`_int_rref`): the same canonical RREF as a Fraction
 Gauss-Jordan elimination.  `inverse` of N / d is the right block of the
 RREF of [N | d I]; `det` is the Bareiss (fraction-free) determinant of N
-over d^n.  Products and `apply` visit only the nonzero entries, so a
-product with a zero factor is never formed.
+over d^n.  `Mat.inverse` serves the projectors, the slice solvers and
+`solve`; a determinant-one group element is inverted without elimination,
+as its integer adjugate (`_int_adjugate`, from the Faddeev-LeVerrier run
+the invariants share) over d^(m-1).  Products and `apply` visit only the
+nonzero entries, so a product with a zero factor is never formed.
 """
 
 from __future__ import annotations
@@ -271,6 +275,39 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def _faddeev_leverrier(
+    y: Sequence[Sequence[int]],
+) -> tuple[list[int], list[Sequence[Sequence[int]]]]:
+    """Characteristic polynomial and adjugate coefficients of the m x m integer matrix Y.
+
+    Returns (c, B) with det(tI - Y) = t^m + sum_k c_k t^(m-k), c listing
+    c_1..c_m, and adj(tI - Y) = sum_k B[k] t^(m-1-k): B[0] = I,
+    c_k = -tr(Y B[k-1]) / k and B[k] = Y B[k-1] + c_k I for k < m.  Both are
+    integral for integral Y, so the division by k is exact.
+    """
+    m = len(y)
+    b = _identity_rows(m)
+    adjugate = [b]
+    coeffs: list[int] = []
+    for k in range(1, m):
+        # Y B[0] = Y needs no product
+        b = [list(row) for row in (_int_matmul(y, b) if k > 1 else y)]
+        c = -sum([b[i][i] for i in range(m)]) // k
+        coeffs.append(c)
+        for i in range(m):
+            b[i][i] += c
+        adjugate.append(b)
+    # the last step needs only tr(Y B[m-1])
+    coeffs.append(-_trace_mul(y, b) // m)
+    return coeffs, adjugate
+
+
+def _int_adjugate(y: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """adj(Y) of a square integer matrix: B[m-1] = adj(-Y) = (-1)^(m-1) adj(Y) at t = 0."""
+    last = _faddeev_leverrier(y)[1][-1]
+    return last if len(y) % 2 else [[-x for x in row] for row in last]
+
+
 def _primitive(row: Sequence[int]) -> Sequence[int]:
     """The integer row divided by its content (gcd), or the row itself if that is 1."""
     g = gcd(*row)
@@ -446,12 +483,17 @@ class Subspace:
             raise DimensionError("subspace ambient dimensions differ")
         return not any(any(self._residue(row)) for row in other.basis.num)
 
-    def coefficients(self, v: Sequence) -> Vector:
-        """Coordinates of v in the RREF basis: its pivot entries; raises if v is outside."""
-        if not self.contains(v):
+    def coefficients(self, v: Sequence, den: int = 1) -> Vector:
+        """Coordinates of v / den in the RREF basis: its pivot entries; raises if v is outside.
+
+        Integer entries of v are read as they are, so v / den may be an
+        integer vector over a denominator; one Fraction is made per coordinate.
+        """
+        w, e = self._as_integers(v)
+        if any(self._residue(w)):
             raise DecompositionError("vector lies outside the subspace")
-        w = vec(v)
-        return tuple([w[p] for p in self._pivots])
+        e *= den
+        return tuple([Fraction(w[p], e) for p in self._pivots])
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -490,11 +532,11 @@ class Projector:
     """Projection onto `onto` along `along`, precomputed for repeated use.
 
     Requires onto + along to be a direct-sum decomposition of the ambient
-    space; the projector matrix is cached so each application costs one
-    matrix-vector product.
+    space; the projector is kept as one `Mat`, `matrix`, so each
+    application costs one matrix-vector product.
     """
 
-    __slots__ = ("onto", "along", "_mat")
+    __slots__ = ("onto", "along", "matrix")
 
     def __init__(self, onto: Subspace, along: Subspace):
         if onto.ambient_dim != along.ambient_dim:
@@ -511,12 +553,12 @@ class Projector:
         except DecompositionError:
             raise DecompositionError("onto and along overlap; not a direct sum") from None
         coords = Mat(tinv.num[: onto.dim], tinv.den, n)
-        self._mat = Mat(onto_rows, 1, n).transpose() * coords
+        self.matrix = Mat(onto_rows, 1, n).transpose() * coords
         self.onto = onto
         self.along = along
 
     def apply(self, v: Sequence) -> Vector:
-        return self._mat.apply(v)
+        return self.matrix.apply(v)
 
 
 def solve(a: Mat, b: Vector) -> Vector:

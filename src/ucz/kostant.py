@@ -19,9 +19,10 @@ in integers: with M = realize(x) = Y / D, Y integral, a_k(M) = c_k(Y) / D^k,
 so each invariant is -c_k(Y) / D^k for the integer coefficients c_k of
 det(lambda I - Y).
 
-Their Jacobian comes from the same Faddeev-LeVerrier run on Y.  The run
-also yields the adjugate adj(lambda I - Y) = sum_k B_k lambda^(m-1-k), with
-B_0 = I, c_k = -tr(Y B_(k-1)) / k (an exact integer division) and
+Their Jacobian comes from the same Faddeev-LeVerrier run on Y
+(`exactlin._faddeev_leverrier`, which the group layer's inverses share).
+The run also yields the adjugate adj(lambda I - Y) =
+sum_k B_k lambda^(m-1-k), with B_0 = I, c_k = -tr(Y B_(k-1)) / k (an exact integer division) and
 B_k = Y B_(k-1) + c_k I, all integral.  Jacobi's formula
 d det(lambda I - M) = -tr(adj(lambda I - M) dM) gives
 d a_k = -tr(B_(k-1)(M) dM), and B_(k-1)(M) = B_(k-1)(Y) / D^(k-1).  So the
@@ -41,8 +42,7 @@ from .exactlin import (
     Mat,
     Rat,
     Subspace,
-    _identity_rows,
-    _int_matmul,
+    _faddeev_leverrier,
     _trace_mul,
     kernel,
     rank,
@@ -222,32 +222,6 @@ def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupE
         algebra._check_same(u.algebra)
         g = g * algebra.group_exp(u)
     return g
-
-
-def _faddeev_leverrier(
-    y: Sequence[Sequence[int]],
-) -> tuple[list[int], list[Sequence[Sequence[int]]]]:
-    """Characteristic polynomial and adjugate coefficients of the m x m integer matrix Y.
-
-    Returns (c, B) with det(tI - Y) = t^m + sum_k c_k t^(m-k), c listing
-    c_1..c_m, and adj(tI - Y) = sum_k B[k] t^(m-1-k): B[0] = I,
-    c_k = -tr(Y B[k-1]) / k and B[k] = Y B[k-1] + c_k I for k < m.  Both are
-    integral for integral Y, so the division by k is exact.
-    """
-    m = len(y)
-    b = _identity_rows(m)
-    adjugate = [b]
-    coeffs: list[int] = []
-    for k in range(1, m):
-        b = [list(row) for row in _int_matmul(y, b)]
-        c = -sum(b[i][i] for i in range(m)) // k
-        coeffs.append(c)
-        for i in range(m):
-            b[i][i] += c
-        adjugate.append(b)
-    # the last step needs only tr(Y B[m-1])
-    coeffs.append(-_trace_mul(y, b) // m)
-    return coeffs, adjugate
 
 
 class InvariantSystem:

@@ -32,12 +32,14 @@ realization is one table of integer matrices, so `realize(x)` is the
 integer `Mat` of x.num summed straight from it, over x.den, and
 `from_matrix` reads a `Mat`'s integer rows back through the table and
 checks the round trip.  A `GroupElement` is one `Mat` of determinant one:
-products, inverses and `conjugate(g, y) = from_matrix(g realize(y) g^-1)`
-are `Mat` arithmetic, and the determinant is checked where a matrix
-enters the group.  `root_product` multiplies root factors exp(c e_alpha)
-straight into one integer matrix from each root's cached realization
-powers.  `adjoint(g)` is Ad_g as one `Mat`, read back through the
-realization table in integers.
+products and `conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat`
+arithmetic, and the determinant is checked where a matrix enters the
+group.  det N = d^m for g = N / d, so the inverse is adj(N) / d^(m-1),
+the integer adjugate of `exactlin._int_adjugate`, with no elimination.
+`root_product` multiplies root factors exp(c e_alpha) straight into one
+integer matrix from each root's cached realization powers.  `adjoint(g)`
+is Ad_g as one `Mat`, read back through the realization table in
+integers.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ from .exactlin import (
     _as_fraction,
     _echelon,
     _identity_rows,
+    _int_adjugate,
     _int_matmul,
     _integer_vector,
     kernel,
+    rank,
 )
 
 _ZERO = Fraction(0)
@@ -376,8 +380,9 @@ class GroupElement:
     """A determinant-one rational matrix acting on a type A algebra by conjugation.
 
     The element is one `Mat`, `mat`, whose canonical form makes equal
-    elements have equal `mat`; products, inverses and conjugation are
-    `Mat` arithmetic.  The determinant is checked where a matrix enters:
+    elements have equal `mat`; products and conjugation are `Mat`
+    arithmetic, and the inverse of N / d is the integer adjugate of N over
+    d^(m-1) (det N = d^m).  The determinant is checked where a matrix enters:
     `GroupElement(mat)`, which `group_exp`, `root_product`, `torus_element`
     and `weyl_representatives` go through.  For a triangular N / d, as
     every one of these but the Weyl representatives is, det = 1 is read
@@ -412,10 +417,11 @@ class GroupElement:
         return self.mat == Mat.identity(self.mat.rows)
 
     def inverse(self) -> "GroupElement":
-        """The inverse matrix, cached both ways."""
+        """adj(N) / d^(m-1) for self = N / d, as det N = d^m; cached both ways."""
         inv = self._inv
         if inv is None:
-            inv = _group(self.mat.inverse())
+            mat = self.mat
+            inv = _group(Mat(_int_adjugate(mat.num), mat.den ** (mat.rows - 1), mat.rows))
             object.__setattr__(inv, "_inv", self)
             object.__setattr__(self, "_inv", inv)
         return inv
@@ -609,7 +615,8 @@ class LieAlgebra:
         return kernel(self.ad(x))
 
     def is_regular(self, x: Element) -> bool:
-        return self.centralizer(x).dim == self.rank
+        """dim g^x = rank, read as dim - rank(ad x) by rank-nullity."""
+        return self.dim - rank(self.ad(x)) == self.rank
 
     def exp_ad_apply(self, x: Element, y: Element) -> Element:
         """exp(ad x) applied to y by the bracket series (x must be ad-nilpotent)."""

@@ -25,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .errors import ConstructionError, DomainError, PoleError
-from .exactlin import Mat, Projector, Rat, Vector, rank, vec
+from .exactlin import Mat, Projector, Rat, rank, vec
 from .kostant import slice_for, slice_normalize, witness_group_element
 from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 from .rng import SplitMix64, stream
@@ -247,12 +248,18 @@ def _leaf_projector(p: ParabolicData) -> Projector:
     return p._leaf_projector
 
 
-def _central_part(p: ParabolicData, xi1: Element, refusal: str) -> Vector:
-    """The z(l_I) component of xi1, projected along [p_I, p_I] + u_I^-."""
+def _central_part(p: ParabolicData, xi1: Element, refusal: str) -> tuple[list[int], int]:
+    """The z(l_I) component of xi1, projected along [p_I, p_I] + u_I^-.
+
+    Returned as integers over one denominator: the leaf projector's integer
+    rows times xi1.num, over the projector's denominator times xi1.den.
+    """
     p.algebra._check_same(xi1.algebra)
     if not p.p_I.contains(xi1.num):
         raise DomainError(refusal)
-    return tuple([c / xi1.den for c in _leaf_projector(p).apply(xi1.num)])
+    proj = _leaf_projector(p).matrix
+    x = xi1.num
+    return [sum(map(mul, row, x)) for row in proj.num], proj.den * xi1.den
 
 
 def leaf_label(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
@@ -261,7 +268,9 @@ def leaf_label(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
     The projection is along [p_I, p_I], so the label kills the derived
     algebra and has one coordinate per simple root outside I.
     """
-    return p.z_l_I.coefficients(_central_part(p, xi1, "leaf label needs a point of the parabolic"))
+    return p.z_l_I.coefficients(
+        *_central_part(p, xi1, "leaf label needs a point of the parabolic")
+    )
 
 
 def leaf_sigma_values(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
@@ -272,7 +281,7 @@ def leaf_sigma_values(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
     in I, listed in increasing i.  Together with leaf_label this ties
     the leaf predicate to the chart's Casimir coordinates.
     """
-    central = _central_part(p, xi1, "sigma values need a point of the parabolic")
+    central, den = _central_part(p, xi1, "sigma values need a point of the parabolic")
     L = p.algebra
     rs = L.root_system
     h_coeffs = [central[L.idx_h(k)] for k in range(L.rank)]
@@ -281,7 +290,7 @@ def leaf_sigma_values(p: ParabolicData, xi1: Element) -> tuple[Rat, ...]:
         if i in p.I:
             continue
         alpha = rs.simple_roots[i - 1]
-        out.append(sum((c * rs.pairing(alpha, k) for k, c in enumerate(h_coeffs)), _ZERO))
+        out.append(Fraction(sum(c * rs.pairing(alpha, k) for k, c in enumerate(h_coeffs)), den))
     return tuple(out)
 
 
@@ -320,10 +329,9 @@ def nxn_freeness(xi1: Element, xi2: Element) -> bool:
     """
     L = xi1.algebra
     L._check_same(xi2.algebra)
-    for xi in (xi1, xi2):
-        if L.nilpos.intersect(L.centralizer(xi)).dim != 0:
-            return False
-    return True
+    # ad xi is injective on n exactly when n meets g^xi trivially
+    nil = L.nilpos.basis.transpose()
+    return all(rank(L.ad(xi) * nil) == nil.cols for xi in (xi1, xi2))
 
 
 def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Element]:

@@ -12,8 +12,9 @@ runs for all supported types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .exactlin import Mat, Subspace
 from .kostant import (
@@ -81,8 +82,8 @@ SLICE_DEGREES = {
 TORUS_FIXED_COUNTS = {"A1": 2, "A2": 12}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+# plain classes rather than dataclasses: `dataclasses` imports `inspect`, about 1 MB resident
+class CheckResult(NamedTuple):
     name: str
     passed: int
     total: int
@@ -93,11 +94,13 @@ class CheckResult:
         return self.passed == self.total
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    algebra: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("name", "algebra", "checks")
+
+    def __init__(self, name: str, algebra: str):
+        self.name = name
+        self.algebra = algebra
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> int:
@@ -118,15 +121,27 @@ class SuiteReport:
 # -- seeded samplers ---------------------------------------------------------
 
 
-def _combination(L: LieAlgebra, coeffs, space: Subspace) -> Element:
-    """sum_i coeffs[i] b_i over the RREF basis rows b_i of space, as one product."""
-    total = Mat([coeffs], cols=space.dim) * space.basis
-    return Element(L, total.num[0], total.den)
+def _random_combination(
+    L: LieAlgebra, space: Subspace, gen: SplitMix64
+) -> tuple[tuple[Fraction, ...], Element]:
+    """(c, sum_i c_i b_i) over the RREF rows b_i of space, one gen.fraction() c_i each, in order.
+
+    With c_i = p_i / q_i and b_i = N_i / D the sum is the integer row
+    sum_i p_i (q / q_i) N_i over q D, q the lcm of the q_i.
+    """
+    coeffs = tuple([gen.fraction() for _ in range(space.dim)])
+    q = lcm(*[c.denominator for c in coeffs])
+    total = [0] * L.dim
+    for c, row in zip(coeffs, space.basis.num):
+        if c:
+            k = c.numerator * (q // c.denominator)
+            total = [a + k * x for a, x in zip(total, row)]
+    return coeffs, Element(L, total, q * space.basis.den)
 
 
 def _add_random_multiples(x: Element, space: Subspace, gen: SplitMix64) -> Element:
     """x + sum of c * row over the basis rows of space, one gen.fraction() c drawn per row, in order."""
-    return x + _combination(x.algebra, [gen.fraction() for _ in range(space.dim)], space)
+    return x + _random_combination(x.algebra, space, gen)[1]
 
 
 def borel_sample(L: LieAlgebra, gen: SplitMix64) -> Element:
@@ -168,10 +183,10 @@ def fiber_sample(
     independent oracle for the leaf label.
     """
     L = p.algebra
-    central_coeffs = tuple([gen.fraction() for _ in range(p.z_l_I.dim)])
-    x = _add_random_multiples(_combination(L, central_coeffs, p.z_l_I), derived_levi(p), gen)
-    u = _add_random_multiples(L.zero(), p.u_I, gen)
-    v = _add_random_multiples(L.zero(), p.u_I_minus, gen)
+    central_coeffs, central = _random_combination(L, p.z_l_I, gen)
+    x = _add_random_multiples(central, derived_levi(p), gen)
+    u = _random_combination(L, p.u_I, gen)[1]
+    v = _random_combination(L, p.u_I_minus, gen)[1]
     return u + x, v + x, central_coeffs
 
 
@@ -315,8 +330,8 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     good = 0
     for _ in range(samples):
         s = _regular_cartan(L, gen)
-        npart = _add_random_multiples(L.zero(), L.nilpos, gen)
-        mpart = _add_random_multiples(L.zero(), L.nilneg, gen)
+        npart = _random_combination(L, L.nilpos, gen)[1]
+        mpart = _random_combination(L, L.nilneg, gen)[1]
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
         point = make_boundary_point(p0, g1, g2)
         if translate_contains(point, (conjugate(g1, s + npart), conjugate(g2, s + mpart))):
@@ -357,7 +372,7 @@ def _leaf_levi_part(p: ParabolicData, xi: Element) -> Element:
 def _regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:
     """A regular element of the Cartan subalgebra (distinct root values)."""
     while True:
-        s = _add_random_multiples(L.zero(), L.cartan, gen)
+        s = _random_combination(L, L.cartan, gen)[1]
         if L.is_regular(s):
             return s
 

@@ -1,12 +1,12 @@
 """Reference computations over plain `Fraction`s, sharing no code with `ucz`.
 
 Each function is the textbook algorithm, written for clarity and not for
-speed: the Leibniz determinant, Gauss-Jordan elimination and inverse, the
-row-by-column product, the trace of a product, and the exponential series
-of a nilpotent matrix.  The tests compare the
-library's exact results with these.  Nothing here imports `ucz`, which
-`test_oracles.py` checks, so a fault in the library cannot hide in its
-own oracle.
+speed: the Leibniz determinant, Gauss-Jordan elimination, inverse, null
+space and projection along a complement, the row-by-column product, the
+trace of a product, and the exponential series of a nilpotent matrix.
+The tests compare the library's exact results with these.  Nothing here
+imports `ucz`, which `test_oracles.py` checks, so a fault in the library
+cannot hide in its own oracle.
 """
 
 from fractions import Fraction
@@ -62,6 +62,35 @@ def inverse(rows) -> list[list[Fraction]] | None:
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in work]
+
+
+def null_space(rows, cols: int) -> list[list[Fraction]]:
+    """A basis of {v : rows v = 0}: one vector per free column of the reduced form."""
+    work, pivots = gauss_jordan(rows, cols)
+    out = []
+    for j in range(cols):
+        if j not in pivots:
+            v = [Fraction(0)] * cols
+            v[j] = Fraction(1)
+            for row, p in zip(work, pivots):
+                v[p] = -row[j]
+            out.append(v)
+    return out
+
+
+def projection(onto, along, v) -> list[Fraction]:
+    """The part in span(onto) of v = sum a_i onto_i + sum b_j along_j.
+
+    The rows of onto and along together must be a basis; the coordinates
+    (a, b) are read off the reduced form of the columns [onto, along | v].
+    """
+    basis = list(onto) + list(along)
+    system = [[row[i] for row in basis] + [v[i]] for i in range(len(v))]
+    work, pivots = gauss_jordan(system, len(basis) + 1)
+    if pivots != list(range(len(basis))) or len(basis) != len(v):
+        raise ValueError("onto and along do not form a basis")
+    coeffs = [work[k][-1] for k in range(len(onto))]
+    return [sum((c * row[i] for c, row in zip(coeffs, onto)), Fraction(0)) for i in range(len(v))]
 
 
 def product(a, b, cols: int) -> list[list[Fraction]]:

@@ -111,12 +111,18 @@ def test_subspace_coefficients_reconstruct():
         for j, r in enumerate(row):
             rebuilt[j] += c * r
     assert tuple(rebuilt) == vec(v)
+    # an integer vector over a denominator reads as v / den, one Fraction per coordinate
+    got = s.coefficients((6, 12, -3, -9), 9)
+    assert got == (Fraction(2, 3), Fraction(-1, 3)) and all_fractions(got)
+    assert s.coefficients((Fraction(1, 2), 1, 0, 0), 3) == (Fraction(1, 6), Fraction(0))
 
 
 def test_subspace_coefficients_outside_raises():
     s = Subspace.from_vectors(3, [(1, 0, 0)])
     with pytest.raises(DecompositionError):
         s.coefficients((0, 1, 0))
+    with pytest.raises(DecompositionError):
+        s.coefficients((0, 1, 0), 5)
 
 
 def test_intersect_and_sum_of_equal_spaces():

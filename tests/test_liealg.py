@@ -259,6 +259,27 @@ def test_zero_is_not_regular(a2):
     assert not a2.is_regular(a2.zero())
 
 
+def test_is_regular_agrees_with_the_centralizer_dimension(any_algebra):
+    # dim - rank(ad x) against dim kernel(ad x), with nilpotent, zero and
+    # subregular (a Cartan element on the wall alpha_1 = 0) cases
+    L = any_algebra
+    gen = stream(89, f"regular-kernel:{L.descriptor}")
+    e = sum((L.e(k) for k in range(L.rank)), L.zero())
+    cases = [random_element(L, gen) for _ in range(4)] + [random_nilpos(L, gen)]
+    cases += [L.zero(), e, L.e(0), L.h(0), L.f(L.n_pos - 1)]
+    for _ in range(3):
+        cases.append(sum((L.h(k).scale(gen.fraction()) for k in range(L.rank)), L.zero()))
+    if L.rank > 1:
+        # subregular: alpha_1(t) = 0 exactly for t = A[1][0] h_1 - A[0][0] h_2
+        a = L.root_system.cartan_matrix
+        wall = L.h(0).scale(a[1, 0]) - L.h(1).scale(a[0, 0])
+        assert L.centralizer(wall).dim == L.rank + 2
+        cases.append(wall)
+    for x in cases:
+        assert L.is_regular(x) == (L.centralizer(x).dim == L.rank)
+    assert L.is_regular(e) and not L.is_regular(L.zero())
+
+
 def test_a1_exp_ad_closed_form(a1):
     e, h, f = a1.e(0), a1.h(0), a1.f(0)
     gen = stream(7, "expad")
@@ -447,6 +468,30 @@ def test_products_and_inverses_stay_unimodular(type_a_algebra):
         L.torus_element([2] * m)
 
 
+def test_group_inverse_is_the_adjugate_without_elimination(monkeypatch, type_a_algebra):
+    # g = N / d has det N = d^m, so g^-1 = adj(N) / d^(m-1): checked against
+    # Gauss-Jordan on group samples, root products of both signs, torus
+    # elements and every Weyl representative, with Mat.inverse unavailable
+    def no_elimination(self):
+        raise AssertionError("a group element was inverted by elimination")
+
+    L = type_a_algebra
+    m = L.rank + 1
+    gen = stream(97, f"adjugate-inverse:{L.descriptor}")
+    upper = [(L.idx_e(k), gen.nonzero_fraction()) for k in range(L.n_pos)]
+    lower = [(L.idx_f(k), gen.nonzero_fraction()) for k in range(L.n_pos)]
+    samples = [group_sample(L, gen) for _ in range(3)]
+    samples += [L.root_product(upper), L.root_product(lower), L.root_product(upper + lower)]
+    samples += group_inputs(L, gen)[:2] + L.weyl_representatives()
+    assert any(g.mat.den > 1 for g in samples)
+    monkeypatch.setattr(Mat, "inverse", no_elimination)
+    for g in samples:
+        g_inv = g.inverse()
+        assert g_inv.mat == Mat(inverse(g.mat.row_list()), cols=m)
+        assert g_inv.inverse() is g
+        assert (g * g_inv).mat == Mat.identity(m)
+
+
 def test_group_layer_error_paths_survive(a2):
     with pytest.raises(DomainError):
         a2.group_exp(a2.h(0))
@@ -481,10 +526,15 @@ def test_integer_det_and_adjugate_match_the_oracle():
                 rows[-1] = list(rows[0])
             det = leibniz_det(rows)
             assert exactlin._int_det(rows) == det
+            adj = exactlin._int_adjugate(rows)
+            assert product(rows, adj, n) == product(adj, rows, n) == [
+                [det * x for x in row] for row in identity(n)
+            ]
             if det:
                 inv = inverse(rows)
                 want = tuple(tuple(det * x for x in row) for row in inv)
                 assert Mat(rows, cols=n).inverse().scale(det) == Mat(want, cols=n)
+                assert Mat(adj, cols=n) == Mat(want, cols=n)
 
 
 # -- canonical (num, den) form -------------------------------------------------------

@@ -29,7 +29,18 @@ from ucz.logsympl import (
 )
 from ucz.rng import stream
 from ucz.suites import borel_sample, fiber_sample, positive_unipotent
-from ucz.wonderful import all_subsets, build_parabolic
+from ucz.wonderful import all_subsets, build_parabolic, derived_levi
+
+from .oracles import all_fractions, gauss_jordan, null_space, projection
+
+# cartan[i][j] = <alpha_j, alpha_i^vee>, so alpha_i(h_k) = cartan[k][i]
+CARTAN = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [[2, -3], [-1, 2]],
+}
 
 
 def test_chart_coordinate_bookkeeping(any_algebra):
@@ -253,6 +264,85 @@ def test_sigma_values_separate_leaves(any_algebra):
             assert same == (leaf_sigma_values(p, x1) == leaf_sigma_values(p, y1))
 
 
+def leaf_oracle(L, I, xi):
+    """(label, sigma values) of xi from the Chevalley coordinates alone, over Fractions.
+
+    z(l_I) is the Cartan part killed by alpha_i, i in I, and
+    [p_I, p_I] + u_I^- is spanned by every root vector and h_i, i in I.
+    The label is the projection's pivot entries in the reduced basis of
+    z(l_I); sigma_i, i not in I, is alpha_i of its Cartan part.
+    """
+    cartan, n, l = CARTAN[L.descriptor], L.dim, L.rank
+    walls = [[cartan[k][i - 1] for k in range(l)] for i in sorted(I)]
+    onto = []
+    for t in null_space(walls, l):
+        row = [Fraction(0)] * n
+        row[L.n_pos : L.n_pos + l] = t
+        onto.append(row)
+    along = [[Fraction(int(j == k)) for j in range(n)] for k in range(n)]
+    along = [row for k, row in enumerate(along) if not L.n_pos <= k < L.n_pos + l]
+    along += [[Fraction(int(j == L.n_pos + i - 1)) for j in range(n)] for i in sorted(I)]
+    central = projection(onto, along, list(xi.coords))
+    _, pivots = gauss_jordan(onto, n)
+    t = central[L.n_pos : L.n_pos + l]
+    sigma = [sum(t[k] * cartan[k][i - 1] for k in range(l)) for i in range(1, l + 1) if i not in I]
+    return tuple(central[j] for j in pivots), tuple(sigma)
+
+
+def test_leaf_readout_matches_a_fraction_projection(any_algebra):
+    # the integer readout against an independent Gauss-Jordan projection,
+    # on fiber samples of every pole set, and against the sampled central part
+    L = any_algebra
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        gen = stream(73, f"leaf-oracle:{L.descriptor}:{sorted(I)}")
+        for _ in range(4):
+            xi1, _, central = fiber_sample(p, gen)
+            label, sigma = leaf_oracle(L, I, xi1)
+            got_label, got_sigma = leaf_label(p, xi1), leaf_sigma_values(p, xi1)
+            assert got_label == label == central
+            assert got_sigma == sigma
+            assert all_fractions(got_label, got_sigma)
+
+
+def fraction_combination(gen, space, width):
+    """One gen.fraction() c_i per basis row b_i, and sum_i c_i b_i, all over Fractions."""
+    coeffs = [gen.fraction() for _ in range(space.dim)]
+    rows = space.basis.row_list()
+    total = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
+    return coeffs, total
+
+
+def test_fiber_sample_is_the_fraction_built_sum(any_algebra):
+    # the same stream replayed through Fraction sums gives the same points and draws
+    L = any_algebra
+    n = L.dim
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        label = f"fiber-sum:{L.descriptor}:{sorted(I)}"
+        gen, replay = stream(71, label), stream(71, label)
+        for _ in range(3):
+            xi1, xi2, central = fiber_sample(p, gen)
+            coeffs, z = fraction_combination(replay, p.z_l_I, n)
+            _, levi = fraction_combination(replay, derived_levi(p), n)
+            _, u = fraction_combination(replay, p.u_I, n)
+            _, v = fraction_combination(replay, p.u_I_minus, n)
+            assert central == tuple(coeffs) and all_fractions(central)
+            assert xi1.coords == tuple([a + b + c for a, b, c in zip(u, z, levi)])
+            assert xi2.coords == tuple([a + b + c for a, b, c in zip(v, z, levi)])
+        assert gen.state == replay.state
+
+
+def test_borel_sample_is_the_fraction_built_sum(any_algebra):
+    L = any_algebra
+    f = slice_for(L).triple.f
+    gen, replay = stream(79, "borel-sum"), stream(79, "borel-sum")
+    for _ in range(5):
+        _, b = fraction_combination(replay, L.borel, L.dim)
+        assert borel_sample(L, gen).coords == tuple([x + y for x, y in zip(f.coords, b)])
+    assert gen.state == replay.state
+
+
 def test_level_set_membership(a1):
     f, h = slice_for(a1).triple.f, a1.h(0)
     assert level_set_contains(f, f)
@@ -267,6 +357,29 @@ def test_nxn_freeness_on_the_level_set(type_a_algebra):
     gen = stream(67, f"free:{L.descriptor}")
     for _ in range(10):
         assert nxn_freeness(borel_sample(L, gen), borel_sample(L, gen))
+
+
+def test_nxn_freeness_agrees_with_the_intersection(any_algebra):
+    # rank(ad xi on n) = dim n against n cap g^xi = 0, on level-set points and
+    # on points of n, zero and a subregular Cartan element, which are not free
+    L = any_algebra
+    t = slice_for(L).triple
+    gen = stream(83, f"free-intersect:{L.descriptor}")
+
+    def by_intersection(xi1, xi2):
+        return all(L.nilpos.intersect(L.centralizer(xi)).dim == 0 for xi in (xi1, xi2))
+
+    free = [borel_sample(L, gen) for _ in range(4)] + [t.f]
+    bad = [L.zero(), t.e, L.e(0), L.e(L.n_pos - 1), t.e + L.e(L.n_pos - 1)]
+    if L.rank > 1:
+        # z(l_I) for I = {1}: alpha_1 vanishes, so e_alpha_1 centralizes it
+        bad.append(L.element(build_parabolic(L, {1}).z_l_I.basis.row_list()[0]))
+    for x in free + bad:
+        for y in free[:2] + bad[:2]:
+            assert nxn_freeness(x, y) == by_intersection(x, y)
+    assert nxn_freeness(free[0], free[1])
+    for x in bad:
+        assert not nxn_freeness(x, free[0]) and not nxn_freeness(free[0], x)
 
 
 def test_normalize_identity_on_slice_points(a1):

@@ -1,12 +1,14 @@
 """Layer and end-to-end timings of one ucz checkout, recorded under a label.
 
-    python3 tools/bench.py --label change --out BENCH_12.json
-    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_12.json
+    python3 tools/bench.py --label change --out BENCH_13.json
+    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_13.json
 
 `--src` is the `src` directory of the checkout to time (default: the one
 next to this file); its `tests` directory sits beside it.  Each layer
 timing and each `ucz verify <alg> --samples 20` is the minimum of
 five runs, because single runs on a shared host vary by about 30%.
+Inputs a layer caches on (group elements cache their inverse) are made
+fresh for every run, outside the timing.
 The tier-1 suite and the acceptance gate are timed once each and are
 labelled as single runs.  The result is merged into `--out` under
 `--label`, so a parent and a change can be timed in turn into one file;
@@ -29,28 +31,34 @@ REPEATS = 5
 VERIFY_SAMPLES = 20
 UNIPOTENT_CALLS = 200
 GROUP_CALLS = 2000
+INVERSE_CALLS = 200
+LEAF_SAMPLES = 10
+FREENESS_PAIRS = 20
 
 
-def best_of(repeats: int, fn) -> float:
-    """The least wall time of `repeats` calls of fn."""
+def best_of(repeats: int, fn, fresh=tuple) -> float:
+    """The least wall time of `repeats` calls fn(*fresh()), fresh() made outside the timing."""
     best = float("inf")
     for _ in range(repeats):
+        args = fresh()
         start = time.perf_counter()
-        fn()
+        fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def layer_timings(src: Path, repeats: int) -> dict:
-    """Samplers and the det-one check of the checkout at src, timed in this process."""
+    """Samplers, group inverses and the leaf readout of the checkout at src, timed in process."""
     sys.path.insert(0, str(src))
     from fractions import Fraction
 
     from ucz import algebra_from_descriptor
     from ucz.exactlin import Mat
     from ucz.liealg import GroupElement
+    from ucz.logsympl import leaf_label, leaf_sigma_values, nxn_freeness, same_leaf
     from ucz.rng import stream
-    from ucz.suites import positive_unipotent
+    from ucz.suites import borel_sample, fiber_sample, group_sample, positive_unipotent
+    from ucz.wonderful import all_subsets, build_parabolic
 
     out = {}
     for alg in ("A1", "A2", "A3"):
@@ -73,6 +81,58 @@ def layer_timings(src: Path, repeats: int) -> dict:
                 GroupElement(mat)
 
         out[f"GroupElement 4x4 {name}"] = _layer(best_of(repeats, build), GROUP_CALLS)
+
+    for alg in ("A2", "A3"):
+        L = algebra_from_descriptor(alg)
+        gen = stream(13, f"bench:inverse:{alg}")
+        mats = [group_sample(L, gen).mat for _ in range(INVERSE_CALLS)]
+
+        def invert(elements):
+            for g in elements:
+                g.inverse()
+
+        def fresh(mats=mats):
+            return ([GroupElement(mat) for mat in mats],)
+
+        best = best_of(repeats, invert, fresh)
+        out[f"GroupElement.inverse {alg}"] = _layer(best, INVERSE_CALLS)
+
+        gen = stream(13, f"bench:freeness:{alg}")
+        pairs = [(borel_sample(L, gen), borel_sample(L, gen)) for _ in range(FREENESS_PAIRS)]
+
+        def freeness(pairs=pairs):
+            for xi1, xi2 in pairs:
+                nxn_freeness(xi1, xi2)
+
+        out[f"nxn_freeness {alg}"] = _layer(best_of(repeats, freeness), FREENESS_PAIRS)
+
+    for alg in ("A2", "A3", "G2"):
+        L = algebra_from_descriptor(alg)
+        parabolics = [build_parabolic(L, I) for I in all_subsets(L.rank)]
+        calls = len(parabolics) * LEAF_SAMPLES
+
+        def draw(L=L, parabolics=parabolics):
+            gen = stream(14, f"bench:fiber:{L.descriptor}")
+            return [[fiber_sample(p, gen) for _ in range(LEAF_SAMPLES)] for p in parabolics]
+
+        # the first run fills the lazy per-parabolic caches; best_of keeps the least run
+        samples = draw()
+        out[f"fiber_sample {alg}"] = _layer(best_of(repeats, draw), calls)
+        for name, fn in (("leaf_label", leaf_label), ("leaf_sigma_values", leaf_sigma_values)):
+
+            def read(fn=fn, parabolics=parabolics, samples=samples):
+                for p, points in zip(parabolics, samples):
+                    for xi1, _, _ in points:
+                        fn(p, xi1)
+
+            out[f"{name} {alg}"] = _layer(best_of(repeats, read), calls)
+
+        def compare(parabolics=parabolics, samples=samples):
+            for p, points in zip(parabolics, samples):
+                for (x1, x2, _), (y1, y2, _) in zip(points, points[1:] + points[:1]):
+                    same_leaf(p, (x1, x2), (y1, y2))
+
+        out[f"same_leaf {alg}"] = _layer(best_of(repeats, compare), calls)
     return out
 
 
