@@ -441,6 +441,19 @@ class Subspace:
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, ())
 
+    @staticmethod
+    def coordinate_span(ambient_dim: int, idxs: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at the coordinates idxs, built without elimination.
+
+        Unit rows sorted by their coordinate are their own RREF over the
+        denominator 1, with pivots the sorted coordinates.
+        """
+        pivots = sorted(set(idxs))
+        if pivots and not (0 <= pivots[0] and pivots[-1] < ambient_dim):
+            raise DimensionError("coordinate outside the ambient dimension")
+        eye = _identity_rows(ambient_dim)
+        return Subspace(ambient_dim, Mat([eye[i] for i in pivots], 1, ambient_dim), _canonical=True)
+
     @property
     def dim(self) -> int:
         return self.basis.rows

@@ -492,11 +492,13 @@ class LieAlgebra:
         self._powers: dict[int, Powers] = {}
         if rs.type_label == "A":
             self._build_realization()
-        self.cartan = self._coord_span(self.idx_h(i) for i in range(self.rank))
-        self.nilpos = self._coord_span(self.idx_e(k) for k in range(self.n_pos))
-        self.nilneg = self._coord_span(self.idx_f(k) for k in range(self.n_pos))
-        self.borel = self.cartan.sum(self.nilpos)
-        self.borel_minus = self.cartan.sum(self.nilneg)
+        # the basis is [e | h | f], so each of these is a block of coordinates
+        e_end, h_end, n = self.n_pos, self.n_pos + self.rank, self.dim
+        self.cartan = Subspace.coordinate_span(n, range(e_end, h_end))
+        self.nilpos = Subspace.coordinate_span(n, range(e_end))
+        self.nilneg = Subspace.coordinate_span(n, range(h_end, n))
+        self.borel = Subspace.coordinate_span(n, range(h_end))
+        self.borel_minus = Subspace.coordinate_span(n, range(e_end, n))
 
     # -- indices and naming -------------------------------------------------
 
@@ -629,12 +631,6 @@ class LieAlgebra:
                 return out
             out = out + term
         raise DomainError("exp_ad_apply requires an ad-nilpotent element")
-
-    # -- distinguished subspaces ---------------------------------------------
-
-    def _coord_span(self, idxs: Iterable[int]) -> Subspace:
-        eye = _identity_rows(self.dim)
-        return Subspace(self.dim, [eye[i] for i in idxs])
 
     # -- type A realization ------------------------------------------------------
 

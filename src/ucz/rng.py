@@ -11,6 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# one shared Fraction per drawn (numerator, denominator): 57 at the default bound
+_FRACTIONS: dict[tuple[int, int], Fraction] = {}
 
 
 class SplitMix64:
@@ -22,10 +28,10 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -38,8 +44,27 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
     def fraction(self, num_bound: int = 9, dens=(1, 1, 2, 3)) -> Fraction:
-        """Small rational with numerator in [-num_bound, num_bound]."""
-        return Fraction(self.randint(-num_bound, num_bound), self.choice(dens))
+        """Small rational with numerator in [-num_bound, num_bound].
+
+        The draw is Fraction(randint(-num_bound, num_bound), choice(dens)),
+        with both SplitMix64 steps written out, and the value is shared
+        from one table per (numerator, denominator).
+        """
+        if num_bound < 0 or not dens:
+            raise ValueError("empty range")
+        s = (self.state + _GAMMA) & _MASK
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        num = (z ^ (z >> 31)) % (2 * num_bound + 1) - num_bound
+        s = (s + _GAMMA) & _MASK
+        z = ((s ^ (s >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        den = dens[(z ^ (z >> 31)) % len(dens)]
+        self.state = s
+        x = _FRACTIONS.get((num, den))
+        if x is None:
+            x = _FRACTIONS[num, den] = Fraction(num, den)
+        return x
 
     def nonzero_fraction(self, num_bound: int = 9, dens=(1, 1, 2, 3)) -> Fraction:
         while True:

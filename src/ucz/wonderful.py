@@ -64,13 +64,29 @@ def all_subsets(rank: int) -> list[frozenset[int]]:
 
 
 class ParabolicData:
-    """The standard parabolic pair attached to a set of simple roots.
+    """The standard parabolic pair attached to a set of simple roots, in closed form.
 
     p_I is spanned by the Cartan, every positive root space, and the
     negative root spaces whose roots are supported on I.  l_I = p_I cap
     p_I_minus is the Levi, u_I and u_I_minus the nilradicals, z_l_I the
     center of the Levi, and derived_p_I = [p_I, p_I] the complement of
     z_l_I inside p_I used by the leaf projection.
+
+    Every subspace is read off the root system; only the consistency
+    checks eliminate.  The Chevalley basis vectors are root vectors and Cartan
+    coordinates, so l_I, u_I, u_I_minus, p_I and p_I_minus are spans of
+    basis vectors (`Subspace.coordinate_span`).  The center of l_I lies in
+    every Cartan subalgebra of l_I, so in the Cartan h of g, and h is central
+    exactly when [h, e_alpha] = alpha(h) e_alpha vanishes on the Levi roots:
+    z_l_I = {h : alpha_i(h) = 0 for i in I}, the kernel of the |I| x rank
+    matrix alpha_i(h_j) = <alpha_i, alpha_j^vee>, placed at the h coordinates.
+    In [p_I, p_I], each root vector e_alpha of p_I is [h, e_alpha] / alpha(h)
+    for an h with alpha(h) != 0, and the brackets inside the Cartan are
+    [e_alpha, f_alpha] = h_alpha for the Levi roots alpha, which the simple
+    coroots h_i = [e_i, f_i], i in I, span; every other bracket of basis
+    vectors of p_I is a multiple of a root vector of p_I.  So derived_p_I
+    is spanned by every positive root vector, the negative Levi root vectors
+    and h_i for i in I.
     """
 
     __slots__ = (
@@ -97,26 +113,22 @@ class ParabolicData:
         rs = algebra.root_system
         zero_based = {i - 1 for i in self.I}
 
-        def in_levi(alpha) -> bool:
-            return all(m == 0 for j, m in enumerate(alpha) if j not in zero_based)
-
-        levi_idx: list[int] = [algebra.idx_h(i) for i in range(algebra.rank)]
-        u_idx: list[int] = []
-        u_minus_idx: list[int] = []
+        levi_roots: list[int] = []
+        u_roots: list[int] = []
         for k, alpha in enumerate(rs.positive_roots):
-            if in_levi(alpha):
-                levi_idx.append(algebra.idx_e(k))
-                levi_idx.append(algebra.idx_f(k))
-            else:
-                u_idx.append(algebra.idx_e(k))
-                u_minus_idx.append(algebra.idx_f(k))
+            in_levi = all(m == 0 for j, m in enumerate(alpha) if j not in zero_based)
+            (levi_roots if in_levi else u_roots).append(k)
+        levi_idx = [algebra.idx_h(i) for i in range(algebra.rank)]
+        levi_idx += [algebra.idx_e(k) for k in levi_roots]
+        levi_idx += [algebra.idx_f(k) for k in levi_roots]
+        u_idx = [algebra.idx_e(k) for k in u_roots]
+        u_minus_idx = [algebra.idx_f(k) for k in u_roots]
 
-        eye = _identity_rows(n)
-        self.l_I = Subspace(n, [eye[i] for i in levi_idx])
-        self.u_I = Subspace(n, [eye[i] for i in u_idx])
-        self.u_I_minus = Subspace(n, [eye[i] for i in u_minus_idx])
-        self.p_I = self.l_I.sum(self.u_I)
-        self.p_I_minus = self.l_I.sum(self.u_I_minus)
+        self.l_I = Subspace.coordinate_span(n, levi_idx)
+        self.u_I = Subspace.coordinate_span(n, u_idx)
+        self.u_I_minus = Subspace.coordinate_span(n, u_minus_idx)
+        self.p_I = Subspace.coordinate_span(n, levi_idx + u_idx)
+        self.p_I_minus = Subspace.coordinate_span(n, levi_idx + u_minus_idx)
         if self.p_I.dim != self.l_I.dim + self.u_I.dim:
             raise ConstructionError("parabolic is not the direct sum of Levi and nilradical")
         if self.p_I.intersect(self.p_I_minus) != self.l_I:
@@ -126,7 +138,10 @@ class ParabolicData:
         if self.z_l_I.dim != algebra.rank - len(self.I):
             raise ConstructionError("Levi center has the wrong dimension")
 
-        self.derived_p_I = self._derived_subalgebra()
+        derived_idx = [algebra.idx_e(k) for k in range(algebra.n_pos)]
+        derived_idx += [algebra.idx_h(i) for i in sorted(zero_based)]
+        derived_idx += [algebra.idx_f(k) for k in levi_roots]
+        self.derived_p_I = Subspace.coordinate_span(n, derived_idx)
         if (
             self.derived_p_I.sum(self.z_l_I) != self.p_I
             or self.derived_p_I.dim + self.z_l_I.dim != self.p_I.dim
@@ -140,20 +155,21 @@ class ParabolicData:
         self._leaf_projector = None
 
     def _levi_center(self) -> Subspace:
-        """x in l_I with [b, x] = 0 for every Levi basis vector b.
+        """{h in the Cartan : alpha_i(h) = 0 for i in I}, the center of l_I.
 
-        The integer rows of every ad b are stacked; dropping each
-        denominator keeps the kernel, which is the centralizer of l_I.
+        Row i of the system is alpha_i(h_j) = <alpha_i, alpha_j^vee> over the
+        simple coroots h_j.  The h coordinates are consecutive, so the RREF
+        kernel in Q^rank, padded with zeros, is the RREF of z_l_I in g.
         """
         L = self.algebra
-        rows = [row for b in self.l_I.basis.num for row in L.ad(L.element(b)).num]
-        return kernel(Mat(rows, 1, L.dim)).intersect(self.l_I)
-
-    def _derived_subalgebra(self) -> Subspace:
-        """[p_I, p_I], spanned by the integer brackets of the basis vectors of p_I."""
-        L = self.algebra
-        elems = [L.element(row) for row in self.p_I.basis.num]
-        return Subspace(L.dim, [L.bracket(a, b).num for a, b in combinations(elems, 2)])
+        rs = L.root_system
+        system = [
+            [rs.pairing(rs.simple_roots[i - 1], j) for j in range(L.rank)] for i in sorted(self.I)
+        ]
+        centre = kernel(Mat(system, 1, L.rank)).basis
+        before, after = (0,) * L.idx_h(0), (0,) * (L.dim - L.idx_h(L.rank - 1) - 1)
+        rows = [before + row + after for row in centre.num]
+        return Subspace(L.dim, Mat(rows, centre.den, L.dim), _canonical=True)
 
     def __repr__(self) -> str:
         return f"ParabolicData({self.algebra.descriptor}, I={sorted(self.I)})"
@@ -322,11 +338,15 @@ def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
     """A subspace of g x g moved by the pair (Ad_g1, Ad_g2) = (C1 / e1, C2 / e2).
 
     Each canonical integer row (x, y) goes to (e2 C1 x, e1 C2 y), the moved
-    row times e1 e2 times the subspace's denominator.
+    row times e1 e2 times the subspace's denominator.  A pair of identity
+    maps leaves the space itself.
     """
-    e1, e2 = ad1.den, ad2.den
-    c1, c2 = list(zip(*ad1.num)), list(zip(*ad2.num))
     n = ad1.cols
+    e1, e2 = ad1.den, ad2.den
+    eye = _identity_rows(n)
+    if e1 == e2 == 1 and ad1.num == eye and ad2.num == eye:
+        return space
+    c1, c2 = list(zip(*ad1.num)), list(zip(*ad2.num))
     vectors = [_move(c1, row[:n], e2) + _move(c2, row[n:], e1) for row in space.basis.num]
     realized = Subspace(2 * n, vectors)
     if realized.dim != space.dim:

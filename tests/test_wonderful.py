@@ -3,15 +3,19 @@
 Hand-checked anchors: the A1 and A2 parabolic dimension tables, the
 closed-orbit codimension equal to the rank, the diagonal fiber on the
 open-orbit index set, and the two torus-fixed boundary points of A1.
+The closed-form parabolic subspaces are compared with their generic
+definitions (spans, sums, a centralizer and a bracket span) reduced by
+the Gauss-Jordan oracle.
 """
 
+import random
 from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
 
 from ucz import wonderful
-from ucz.errors import ConstructionError, DomainError
+from ucz.errors import ConstructionError, DimensionError, DomainError
 from ucz.exactlin import Mat, Subspace
 from ucz.liealg import conjugate
 from ucz.rng import stream
@@ -31,7 +35,7 @@ from ucz.wonderful import (
     weyl_translates,
 )
 
-from .oracles import identity
+from .oracles import gauss_jordan, identity, null_space
 
 
 def full_set(L):
@@ -65,6 +69,87 @@ def test_parabolic_dimension_relations(any_algebra):
         assert p.derived_p_I.intersect(p.z_l_I).dim == 0
         assert derived_levi(p) == p.derived_p_I.intersect(p.l_I)
         assert derived_levi(p) is derived_levi(p)
+
+
+def _oracle_span(rows, n: int) -> list[tuple]:
+    """The nonzero rows of the Gauss-Jordan reduced form of rows in Q^n."""
+    work, pivots = gauss_jordan(rows, n)
+    return [tuple(row) for row in work[: len(pivots)]]
+
+
+def _units(n: int, idxs) -> list[list[int]]:
+    return [[int(j == i) for j in range(n)] for i in idxs]
+
+
+def test_parabolic_subspaces_match_the_generic_definitions(any_algebra):
+    L = any_algebra
+    n = L.dim
+    roots = L.root_system.positive_roots
+    shuffle = random.Random(f"generic:{L.descriptor}").shuffle
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        outside = [j for j in range(L.rank) if j + 1 not in I]
+        levi_roots = [k for k, a in enumerate(roots) if all(a[j] == 0 for j in outside)]
+        u_roots = [k for k in range(L.n_pos) if k not in levi_roots]
+        levi_idx = [L.idx_h(i) for i in range(L.rank)]
+        levi_idx += [L.idx_e(k) for k in levi_roots] + [L.idx_f(k) for k in levi_roots]
+        spans = {}
+        for name, idxs in (
+            ("l_I", levi_idx),
+            ("u_I", [L.idx_e(k) for k in u_roots]),
+            ("u_I_minus", [L.idx_f(k) for k in u_roots]),
+        ):
+            rows = _units(n, idxs)
+            shuffle(rows)
+            spans[name] = _oracle_span(rows, n)
+        spans["p_I"] = _oracle_span(spans["l_I"] + spans["u_I"], n)
+        spans["p_I_minus"] = _oracle_span(spans["l_I"] + spans["u_I_minus"], n)
+
+        # the centralizer of l_I inside l_I: x = sum c_k b_k with [b_j, x] = 0 for every j
+        levi = [L.element(row) for row in spans["l_I"]]
+        images = [[L.bracket(b, x).coords for x in levi] for b in levi]
+        system = [[image[i] for image in row] for row in images for i in range(n)]
+        centre = [
+            [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*spans["l_I"])]
+            for coeffs in null_space(system, len(levi))
+        ]
+        spans["z_l_I"] = _oracle_span(centre, n)
+
+        # the span of the brackets of the basis of p_I
+        basis = [L.element(row) for row in spans["p_I"]]
+        spans["derived_p_I"] = _oracle_span(
+            [L.bracket(a, b).coords for a, b in combinations(basis, 2)], n
+        )
+        for name, rows in spans.items():
+            space = getattr(p, name)
+            assert space.basis.row_list() == rows, (L.descriptor, sorted(I), name)
+            assert space._pivots == gauss_jordan(rows, n)[1]
+
+
+def test_coordinate_spans_are_the_spans_of_their_units(any_algebra):
+    L = any_algebra
+    n = L.dim
+    rand = random.Random(f"units:{L.descriptor}")
+    for size in range(n + 1):
+        idxs = rand.sample(range(n), size)
+        units = _units(n, idxs)
+        for order in (idxs, sorted(idxs), idxs[::-1] + idxs[:1]):
+            space = Subspace.coordinate_span(n, order)
+            assert space == Subspace.from_vectors(n, units)
+            assert space._pivots == sorted(idxs)
+    blocks = {
+        "cartan": [L.idx_h(i) for i in range(L.rank)],
+        "nilpos": [L.idx_e(k) for k in range(L.n_pos)],
+        "nilneg": [L.idx_f(k) for k in range(L.n_pos)],
+    }
+    blocks["borel"] = blocks["cartan"] + blocks["nilpos"]
+    blocks["borel_minus"] = blocks["nilneg"] + blocks["cartan"]
+    for name, idxs in blocks.items():
+        assert getattr(L, name) == Subspace.from_vectors(n, _units(n, idxs)), name
+    with pytest.raises(DimensionError):
+        Subspace.coordinate_span(n, [n])
+    with pytest.raises(DimensionError):
+        Subspace.coordinate_span(n, [-1])
 
 
 def test_empty_set_gives_the_borel(any_algebra):
@@ -247,6 +332,31 @@ def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
             for row in fiber_algebra(p).basis.row_list()
         ]
         assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
+
+
+def test_identity_torus_call_reuses_the_weyl_translate_fibers(type_a_algebra):
+    L = type_a_algebra
+    one = L.group_identity()
+    m = L.rank + 1
+    # distinct traceless diagonal entries: a regular element of the Cartan
+    s = L.from_matrix(Mat([[2 * i - L.rank if i == j else 0 for j in range(m)] for i in range(m)]))
+    assert L.is_regular(s)
+    points = torus_fixed_fiber_points(s, one)
+    expected = [
+        (I, w, fiber)
+        for I in all_subsets(L.rank)
+        if len(I) < L.rank
+        for w, fiber in weyl_translates(build_parabolic(L, I))
+    ]
+    assert len(points) == len(expected)
+    for q, (I, w, fiber) in zip(points, expected):
+        assert q.I == I and q.g1 == q.g2 == w
+        assert q.realized_fiber is fiber
+    ad = L.adjoint(one)
+    for I in all_subsets(L.rank):
+        fiber = fiber_algebra(build_parabolic(L, I))
+        assert wonderful._translate(fiber, ad, ad) is fiber
+        assert make_boundary_point(build_parabolic(L, I), one, one).realized_fiber is fiber
 
 
 def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):

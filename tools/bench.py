@@ -1,14 +1,16 @@
 """Layer and end-to-end timings of one ucz checkout, recorded under a label.
 
-    python3 tools/bench.py --label change --out BENCH_13.json
-    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_13.json
+    python3 tools/bench.py --label change --out BENCH_15.json
+    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_15.json
 
 `--src` is the `src` directory of the checkout to time (default: the one
 next to this file); its `tests` directory sits beside it.  Each layer
 timing and each `ucz verify <alg> --samples 20` is the minimum of
 five runs, because single runs on a shared host vary by about 30%.
-Inputs a layer caches on (group elements cache their inverse) are made
-fresh for every run, outside the timing.
+Inputs a layer caches on (group elements cache their inverse, the
+parabolic data of an (algebra, I) pair is built once) are made fresh for
+every run, outside the timing.  The catalogue set-up, `import ucz` and
+then every algebra with every parabolic, is timed in a fresh process.
 The tier-1 suite and the acceptance gate are timed once each and are
 labelled as single runs.  The result is merged into `--out` under
 `--label`, so a parent and a change can be timed in turn into one file;
@@ -48,7 +50,7 @@ def best_of(repeats: int, fn, fresh=tuple) -> float:
 
 
 def layer_timings(src: Path, repeats: int) -> dict:
-    """Samplers, group inverses and the leaf readout of the checkout at src, timed in process."""
+    """Parabolic sweeps, samplers, group inverses and the leaf readout at src, in process."""
     sys.path.insert(0, str(src))
     from fractions import Fraction
 
@@ -58,9 +60,24 @@ def layer_timings(src: Path, repeats: int) -> dict:
     from ucz.logsympl import leaf_label, leaf_sigma_values, nxn_freeness, same_leaf
     from ucz.rng import stream
     from ucz.suites import borel_sample, fiber_sample, group_sample, positive_unipotent
-    from ucz.wonderful import all_subsets, build_parabolic
+    from ucz.wonderful import _build_parabolic_cached, all_subsets, build_parabolic
+
+    def uncached():
+        _build_parabolic_cached.cache_clear()
+        return ()
 
     out = {}
+    for alg in ALGEBRAS:
+        L = algebra_from_descriptor(alg)
+        subsets = all_subsets(L.rank)
+
+        def sweep(L=L, subsets=subsets):
+            for I in subsets:
+                build_parabolic(L, I)
+
+        out[f"build_parabolic sweep {alg}"] = _layer(
+            best_of(repeats, sweep, uncached), len(subsets)
+        )
     for alg in ("A1", "A2", "A3"):
         L = algebra_from_descriptor(alg)
 
@@ -141,8 +158,26 @@ def _layer(best_s: float, calls: int) -> dict:
     return {"best_s": round(best_s, 6), "calls": calls, "per_call_us": per_call_us}
 
 
+CATALOGUE = """
+import json, time
+start = time.perf_counter()
+from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
+from ucz.wonderful import all_subsets, build_parabolic
+imported = time.perf_counter()
+for descriptor in ALGEBRA_DESCRIPTORS:
+    L = algebra_from_descriptor(descriptor)
+    for I in all_subsets(L.rank):
+        build_parabolic(L, I)
+print(json.dumps([imported - start, time.perf_counter() - imported]))
+"""
+
+
 def end_to_end(src: Path, repeats: int) -> tuple[dict, dict]:
-    """`ucz verify` per algebra (best of repeats) and the suites (single runs), in subprocesses."""
+    """End-to-end timings, each in a subprocess.
+
+    `ucz verify` per algebra and the catalogue set-up are the best of
+    repeats; the suites are single runs.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
     root = src.parent
 
@@ -151,6 +186,8 @@ def end_to_end(src: Path, repeats: int) -> tuple[dict, dict]:
             [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True
         )
 
+    # compiled once up front, so no timed run pays for compiling a module it imports
+    run(["-m", "compileall", "-q", str(src / "ucz")]).check_returncode()
     verify = {}
     for alg in ALGEBRAS:
         args = ["-m", "ucz", "verify", alg, "--samples", str(VERIFY_SAMPLES)]
@@ -160,6 +197,11 @@ def end_to_end(src: Path, repeats: int) -> tuple[dict, dict]:
             "best_s": round(best, 4),
             "exit_codes": sorted(codes),
         }
+    runs = [json.loads(run(["-c", CATALOGUE]).stdout) for _ in range(repeats)]
+    verify["fresh process: import ucz"] = {"best_s": round(min(r[0] for r in runs), 4)}
+    verify["fresh process: every algebra and parabolic"] = {
+        "best_s": round(min(r[1] for r in runs), 4)
+    }
     singles = {}
     pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     for name, extra in (("tier-1", []), ("gate", ["tests/test_acceptance.py"])):
