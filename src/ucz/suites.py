@@ -12,6 +12,7 @@ runs for all supported types.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -71,13 +72,19 @@ __all__ = [
     "fiber_sample",
 ]
 
-SLICE_DEGREES = {
-    "A1": (2,),
-    "A2": (2, 3),
-    "A3": (2, 3, 4),
-    "B2": (2, 4),
-    "G2": (2, 6),
-}
+
+def root_degrees(L: LieAlgebra) -> tuple[int, ...]:
+    """Degrees of the basic invariants, the exponents plus one, read off the roots.
+
+    Exactly c exponents are >= k when c positive roots have height k
+    (Kostant, 1959).  Independent of `KostantSlice.degrees`, which grades
+    g^e by ad h.
+    """
+    rs = L.root_system
+    counts = Counter(rs.height(alpha) for alpha in rs.positive_roots).values()
+    exponents = [sum(1 for c in counts if c >= j) for j in range(1, L.rank + 1)]
+    return tuple(sorted(m + 1 for m in exponents))
+
 
 TORUS_FIXED_COUNTS = {"A1": 2, "A2": 12}
 
@@ -218,7 +225,7 @@ def run_kostant_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         1,
         f"dim g^e = {ks.ge_basis.dim}, expected {L.rank}",
     )
-    expected = SLICE_DEGREES[L.descriptor]
+    expected = root_degrees(L)
     report.add(
         "slice degrees",
         1 if ks.degrees == expected else 0,

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
-from .exactlin import Mat, Subspace, _identity_rows, kernel
+from .exactlin import Mat, Subspace, _identity_rows, kernel, rank
 from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 
 __all__ = [
@@ -72,10 +72,11 @@ class ParabolicData:
     center of the Levi, and derived_p_I = [p_I, p_I] the complement of
     z_l_I inside p_I used by the leaf projection.
 
-    Every subspace is read off the root system; only the consistency
-    checks eliminate.  The Chevalley basis vectors are root vectors and Cartan
-    coordinates, so l_I, u_I, u_I_minus, p_I and p_I_minus are spans of
-    basis vectors (`Subspace.coordinate_span`).  The center of l_I lies in
+    Every subspace is read off the root system; the consistency checks
+    compare coordinate sets and take one rank of at most rank x rank.  The
+    Chevalley basis vectors are root vectors and Cartan coordinates, so l_I,
+    u_I, u_I_minus, p_I and p_I_minus are spans of basis vectors
+    (`Subspace.coordinate_span`).  The center of l_I lies in
     every Cartan subalgebra of l_I, so in the Cartan h of g, and h is central
     exactly when [h, e_alpha] = alpha(h) e_alpha vanishes on the Levi roots:
     z_l_I = {h : alpha_i(h) = 0 for i in I}, the kernel of the |I| x rank
@@ -131,7 +132,8 @@ class ParabolicData:
         self.p_I_minus = Subspace.coordinate_span(n, levi_idx + u_minus_idx)
         if self.p_I.dim != self.l_I.dim + self.u_I.dim:
             raise ConstructionError("parabolic is not the direct sum of Levi and nilradical")
-        if self.p_I.intersect(self.p_I_minus) != self.l_I:
+        # coordinate spans meet in the span of their shared coordinates
+        if set(self.p_I._pivots) & set(self.p_I_minus._pivots) != set(self.l_I._pivots):
             raise ConstructionError("opposite parabolics do not meet in the Levi")
 
         self.z_l_I = self._levi_center()
@@ -142,9 +144,17 @@ class ParabolicData:
         derived_idx += [algebra.idx_h(i) for i in sorted(zero_based)]
         derived_idx += [algebra.idx_f(k) for k in levi_roots]
         self.derived_p_I = Subspace.coordinate_span(n, derived_idx)
+        # p_I = derived_p_I (+) z_l_I exactly when the coordinates of derived_p_I and
+        # the support of z_l_I lie in those of p_I, and z_l_I maps isomorphically
+        # onto the coordinates of p_I that derived_p_I misses
+        coords, derived = set(self.p_I._pivots), set(self.derived_p_I._pivots)
+        rest = sorted(coords - derived)
+        z = self.z_l_I.basis.num
         if (
-            self.derived_p_I.sum(self.z_l_I) != self.p_I
-            or self.derived_p_I.dim + self.z_l_I.dim != self.p_I.dim
+            not derived <= coords
+            or any(row[j] for row in z for j in range(n) if j not in coords)
+            or len(z) != len(rest)
+            or rank(Mat([[row[j] for j in rest] for row in z], 1, len(rest))) != len(rest)
         ):
             raise ConstructionError("derived algebra and Levi center do not split the parabolic")
 
@@ -189,16 +199,18 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + x) with u in u_I, v in u_I_minus, x in l_I.
 
     A subalgebra of g x g of dimension dim g: the fiber of the boundary
-    family at the basepoint of orbit I.
+    family at the basepoint of orbit I.  Its own RREF over the denominator
+    1 is (e_j, 0), j in u_I, and (e_j, e_j), j in l_I, sorted by j, then
+    (0, e_j), j in u_I_minus.
     """
     if p._fiber is not None:
         return p._fiber
     n = p.algebra.dim
-    zero = (0,) * n
-    vectors = [row + zero for row in p.u_I.basis.num]
-    vectors += [zero + row for row in p.u_I_minus.basis.num]
-    vectors += [row + row for row in p.l_I.basis.num]
-    fiber = Subspace(2 * n, vectors)
+    eye, zero = _identity_rows(n), (0,) * n
+    levi = set(p.l_I._pivots)
+    rows = [eye[j] + (eye[j] if j in levi else zero) for j in p.p_I._pivots]
+    rows += [zero + eye[j] for j in p.u_I_minus._pivots]
+    fiber = Subspace(2 * n, Mat(rows, 1, 2 * n), _canonical=True)
     if fiber.dim != n:
         raise ConstructionError("fiber algebra has the wrong dimension")
     p._fiber = fiber
@@ -206,23 +218,41 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
 
 
 def derived_levi(p: ParabolicData) -> Subspace:
-    """derived_p_I cap l_I: the semisimple part of the Levi."""
+    """derived_p_I cap l_I: the semisimple part of the Levi.
+
+    Two coordinate spans meet in their shared coordinates: e_alpha and
+    f_alpha for the Levi roots alpha, and h_i for i in I.
+    """
     if p._derived_levi is None:
-        p._derived_levi = p.derived_p_I.intersect(p.l_I)
+        shared = set(p.derived_p_I._pivots) & set(p.l_I._pivots)
+        levi = Subspace.coordinate_span(p.algebra.dim, shared)
+        if levi.dim != p.l_I.dim - p.z_l_I.dim:
+            raise ConstructionError("semisimple part of the Levi has the wrong dimension")
+        p._derived_levi = levi
     return p._derived_levi
 
 
 def stabilizer_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + y) with x - y central in the Levi.
 
-    Contains the fiber algebra with codimension zero and exceeds it by
-    the central shifts (z, 0), z in z(l_I).
+    Contains the fiber algebra with codimension rank - |I| = dim z(l_I):
+    the central shifts (z, 0).  z(l_I) lies in the Cartan, inside l_I, so
+    over the denominator d of its RREF rows z_i the RREF is (0, z_i) and
+    every fiber row times d, where the row (e_k, e_k) at the pivot k of
+    z_i is reduced to (d e_k, d e_k - z_i).
     """
     if p._stabilizer is not None:
         return p._stabilizer
     n = p.algebra.dim
-    zero = (0,) * n
-    stab = fiber_algebra(p).sum(Subspace(2 * n, [row + zero for row in p.z_l_I.basis.num]))
+    fiber, centre = fiber_algebra(p), p.z_l_I
+    d = centre.basis.den
+    shifts = dict(zip(centre._pivots, centre.basis.num))
+    rows = {n + k: (0,) * n + z for k, z in shifts.items()}
+    for k, row in zip(fiber._pivots, fiber.basis.num):
+        rows[k] = [d * x for x in row]
+        if k in shifts:
+            rows[k][n:] = [x - y for x, y in zip(rows[k][n:], shifts[k])]
+    stab = Subspace(2 * n, Mat([rows[k] for k in sorted(rows)], d, 2 * n), _canonical=True)
     if stab.dim != n + p.algebra.rank - len(p.I):
         raise ConstructionError("stabilizer algebra has the wrong dimension")
     p._stabilizer = stab

@@ -2,11 +2,12 @@
 
 Frozen oracles: the principal h matrices diag(2,0,-2) and diag(3,1,-1,-3),
 the coefficient vectors (4,3) for B2 and (6,10) for G2 read off the
-transposed Cartan systems, the exponent tables, and the char-poly
-coefficients of diag(1,2,-3), all checked by hand.
+transposed Cartan systems, the exponent tables, the Weyl group orders,
+and the char-poly coefficients of diag(1,2,-3), all checked by hand.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -27,6 +28,7 @@ from ucz.kostant import (
 )
 from ucz.liealg import conjugate
 from ucz.rng import stream
+from ucz.suites import root_degrees
 
 from .oracles import all_fractions, leibniz_det
 
@@ -37,6 +39,7 @@ DEGREES = {
     "B2": (2, 4),
     "G2": (2, 6),
 }
+WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12}
 H_COEFFS = {"A1": (1,), "A2": (2, 2), "A3": (3, 4, 3), "B2": (4, 3), "G2": (6, 10)}
 
 
@@ -107,6 +110,15 @@ def test_slice_degrees_and_dimension(any_algebra):
     assert ks.degrees == DEGREES[L.descriptor]
     assert ks.ge_basis.dim == L.rank
     assert sum(2 * d - 1 for d in ks.degrees) == L.dim
+
+
+def test_root_degrees_are_the_exponents_plus_one(any_algebra):
+    L = any_algebra
+    degrees = root_degrees(L)
+    assert degrees == DEGREES[L.descriptor]
+    assert all(type(d) is int for d in degrees)
+    assert sum(d - 1 for d in degrees) == L.n_pos
+    assert prod(degrees) == WEYL_ORDERS[L.descriptor]
 
 
 def test_slice_basis_is_homogeneous(any_algebra):

@@ -3,9 +3,10 @@
 Hand-checked anchors: the A1 and A2 parabolic dimension tables, the
 closed-orbit codimension equal to the rank, the diagonal fiber on the
 open-orbit index set, and the two torus-fixed boundary points of A1.
-The closed-form parabolic subspaces are compared with their generic
-definitions (spans, sums, a centralizer and a bracket span) reduced by
-the Gauss-Jordan oracle.
+The closed-form parabolic subspaces, fiber and stabilizer algebras and
+semisimple Levi parts are compared with their generic definitions
+(spans, sums, a centralizer, a bracket span and an intersection) reduced
+by the Gauss-Jordan oracle.
 """
 
 import random
@@ -124,6 +125,42 @@ def test_parabolic_subspaces_match_the_generic_definitions(any_algebra):
             space = getattr(p, name)
             assert space.basis.row_list() == rows, (L.descriptor, sorted(I), name)
             assert space._pivots == gauss_jordan(rows, n)[1]
+
+
+def _oracle_meet(a, b, n: int) -> list[tuple]:
+    """The intersection of the row spans of a and b in Q^n: the points u A with u A = v B."""
+    system = [[row[i] for row in a] + [-row[i] for row in b] for i in range(n)]
+    points = [
+        [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*a)]
+        for coeffs in null_space(system, len(a) + len(b))
+    ]
+    return _oracle_span(points, n)
+
+
+def test_boundary_subspaces_match_the_generic_definitions(any_algebra):
+    L = any_algebra
+    n = L.dim
+    zero = (0,) * n
+    shuffle = random.Random(f"boundary:{L.descriptor}").shuffle
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        # u_I (+) u_I_minus (+) diag(l_I), then that plus (z(l_I), 0)
+        rows = [row + zero for row in p.u_I.basis.row_list()]
+        rows += [zero + row for row in p.u_I_minus.basis.row_list()]
+        rows += [row + row for row in p.l_I.basis.row_list()]
+        shuffle(rows)
+        fiber = _oracle_span(rows, 2 * n)
+        rows += [row + zero for row in p.z_l_I.basis.row_list()]
+        shuffle(rows)
+        stab = _oracle_span(rows, 2 * n)
+        levi = _oracle_meet(p.derived_p_I.basis.row_list(), p.l_I.basis.row_list(), n)
+        for space, rows in (
+            (fiber_algebra(p), fiber),
+            (stabilizer_algebra(p), stab),
+            (derived_levi(p), levi),
+        ):
+            assert space.basis.row_list() == rows, (L.descriptor, sorted(I))
+            assert space._pivots == gauss_jordan(rows, space.ambient_dim)[1]
 
 
 def test_coordinate_spans_are_the_spans_of_their_units(any_algebra):

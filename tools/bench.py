@@ -1,16 +1,18 @@
 """Layer and end-to-end timings of one ucz checkout, recorded under a label.
 
-    python3 tools/bench.py --label change --out BENCH_15.json
-    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_15.json
+    python3 tools/bench.py --label change --out BENCH_16.json
+    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_16.json
 
 `--src` is the `src` directory of the checkout to time (default: the one
 next to this file); its `tests` directory sits beside it.  Each layer
 timing and each `ucz verify <alg> --samples 20` is the minimum of
 five runs, because single runs on a shared host vary by about 30%.
 Inputs a layer caches on (group elements cache their inverse, the
-parabolic data of an (algebra, I) pair is built once) are made fresh for
-every run, outside the timing.  The catalogue set-up, `import ucz` and
-then every algebra with every parabolic, is timed in a fresh process.
+parabolic data of an (algebra, I) pair is built once, and so are its
+fiber, stabilizer and derived Levi) are made fresh for every run, outside
+the timing.  The catalogue set-up, `import ucz`, then every algebra with
+every parabolic, then the fiber, stabilizer and derived Levi of each, is
+timed in a fresh process.
 The tier-1 suite and the acceptance gate are timed once each and are
 labelled as single runs.  The result is merged into `--out` under
 `--label`, so a parent and a change can be timed in turn into one file;
@@ -60,7 +62,14 @@ def layer_timings(src: Path, repeats: int) -> dict:
     from ucz.logsympl import leaf_label, leaf_sigma_values, nxn_freeness, same_leaf
     from ucz.rng import stream
     from ucz.suites import borel_sample, fiber_sample, group_sample, positive_unipotent
-    from ucz.wonderful import _build_parabolic_cached, all_subsets, build_parabolic
+    from ucz.wonderful import (
+        _build_parabolic_cached,
+        all_subsets,
+        build_parabolic,
+        derived_levi,
+        fiber_algebra,
+        stabilizer_algebra,
+    )
 
     def uncached():
         _build_parabolic_cached.cache_clear()
@@ -78,6 +87,27 @@ def layer_timings(src: Path, repeats: int) -> dict:
         out[f"build_parabolic sweep {alg}"] = _layer(
             best_of(repeats, sweep, uncached), len(subsets)
         )
+        parabolics = [build_parabolic(L, I) for I in subsets]
+        for name, fn, slot in (
+            ("fiber_algebra", fiber_algebra, "_fiber"),
+            ("stabilizer_algebra", stabilizer_algebra, "_stabilizer"),
+            ("derived_levi", derived_levi, "_derived_levi"),
+        ):
+
+            def boundary(fn=fn, parabolics=parabolics):
+                for p in parabolics:
+                    fn(p)
+
+            def cleared(slot=slot, parabolics=parabolics):
+                for p in parabolics:
+                    setattr(p, slot, None)
+                return ()
+
+            # the first run builds the fiber a stabilizer reads; only the timed cache is cleared
+            boundary()
+            out[f"{name} sweep {alg}"] = _layer(
+                best_of(repeats, boundary, cleared), len(subsets)
+            )
     for alg in ("A1", "A2", "A3"):
         L = algebra_from_descriptor(alg)
 
@@ -162,13 +192,17 @@ CATALOGUE = """
 import json, time
 start = time.perf_counter()
 from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
-from ucz.wonderful import all_subsets, build_parabolic
+from ucz.wonderful import all_subsets, build_parabolic, derived_levi, stabilizer_algebra
 imported = time.perf_counter()
+parabolics = []
 for descriptor in ALGEBRA_DESCRIPTORS:
     L = algebra_from_descriptor(descriptor)
-    for I in all_subsets(L.rank):
-        build_parabolic(L, I)
-print(json.dumps([imported - start, time.perf_counter() - imported]))
+    parabolics += [build_parabolic(L, I) for I in all_subsets(L.rank)]
+built = time.perf_counter()
+for p in parabolics:
+    stabilizer_algebra(p)  # builds the fiber first
+    derived_levi(p)
+print(json.dumps([imported - start, built - imported, time.perf_counter() - built]))
 """
 
 
@@ -201,6 +235,9 @@ def end_to_end(src: Path, repeats: int) -> tuple[dict, dict]:
     verify["fresh process: import ucz"] = {"best_s": round(min(r[0] for r in runs), 4)}
     verify["fresh process: every algebra and parabolic"] = {
         "best_s": round(min(r[1] for r in runs), 4)
+    }
+    verify["fresh process: every fiber, stabilizer and derived Levi"] = {
+        "best_s": round(min(r[2] for r in runs), 4)
     }
     singles = {}
     pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
