@@ -25,6 +25,16 @@ vectors, integer coordinates over one denominator (`_integer_vector`),
 and `Subspace.contains`, `Subspace.coefficients` and `Mat.apply` read
 integer vectors as they are.
 
+Membership is tested on the free columns.  With RREF rows N_i over d and
+pivots p_i, an integer vector w lies in the span exactly when
+d w_j = sum_i w[p_i] N_i[j] at every free (non-pivot) column j; at the
+pivots both sides are d w[p_i] by construction.  A `Subspace` lists its
+free columns once, on first use: the all-zero ones by index, every other
+one as its integer column over the pivots.  `contains`, `contains_space`
+and `coefficients` compare those columns only, so on a coordinate span
+the test is that w vanishes off the span.  Only `reduce` forms the whole
+residue d w - sum_i w[p_i] N_i.
+
 Every elimination runs over the integers, and this module is the only
 one that does it.  Row reduction (`rref`, `rank`, `kernel`, `Subspace`,
 `inverse`) combines rows as pv*row - f*prow and divides them by their
@@ -407,7 +417,7 @@ class Subspace:
     its pivot column `_pivots[i]` and 0 at every other pivot.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_pivots", "_free")
 
     def __init__(
         self, ambient_dim: int, basis: Mat | Sequence[Sequence[int]], _canonical: bool = False
@@ -425,13 +435,15 @@ class Subspace:
         else:
             rows = basis
         if _canonical:
-            pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+            # a row's pivot holds its first nonzero value, found by index in C
+            pivots = [row.index(next(filter(None, row))) for row in rows]
         else:
             num, den, pivots = _int_rref(rows, ambient_dim)
             basis = Mat(num, den, ambient_dim)
         self.ambient_dim = ambient_dim
         self.basis = basis
         self._pivots = pivots
+        self._free = None
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -467,10 +479,56 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _as_integers(self, v: Sequence) -> tuple[list[int], int]:
+    def _as_integers(self, v: Sequence) -> tuple[Sequence[int], int]:
+        """(w, e) with v = w / e; an all-int v is read as it is, with e = 1."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector length differs from ambient dimension")
-        return _integer_vector(v)
+        for x in v:
+            if type(x) is not int:
+                return _integer_vector(v)
+        return v, 1
+
+    def _free_columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(zero, free, cols) over the free (non-pivot) columns of the RREF, built on first use.
+
+        zero lists the free columns where every basis row is 0 and free the
+        others; cols holds the integer column of each column in free, one
+        entry per pivot.
+        """
+        index = self._free
+        if index is None:
+            num = self.basis.num
+            pivots = set(self._pivots)
+            zero, free, cols = [], [], []
+            for j, col in enumerate(zip(*num) if num else [()] * self.ambient_dim):
+                if j not in pivots:
+                    if any(col):
+                        free.append(j)
+                        cols.append(col)
+                    else:
+                        zero.append(j)
+            index = self._free = (tuple(zero), tuple(free), tuple(cols))
+        return index
+
+    def _inside(self, w: Sequence[int]) -> bool:
+        """Is the integer vector w in the span?  den w_j = sum_i w[p_i] num_i[j] at every free j.
+
+        w is in the span exactly when den w = sum_i w[p_i] num_i.  At a pivot
+        column p_k both sides are den w[p_k] by construction, so only the
+        free columns are compared; on a coordinate span every free column is
+        zero and the test is that w vanishes off the span.
+        """
+        zero, free, cols = self._free_columns()
+        for j in zero:
+            if w[j]:
+                return False
+        if free:
+            den = self.basis.den
+            at = [w[p] for p in self._pivots]
+            for j, col in zip(free, cols):
+                if den * w[j] != sum(map(mul, at, col)):
+                    return False
+        return True
 
     def _residue(self, w: Sequence[int]) -> list[int]:
         """den w - sum_i w[p_i] num_i for an integer vector w: zero exactly when w is inside."""
@@ -489,12 +547,12 @@ class Subspace:
         return tuple([Fraction(x, den) if x else _ZERO for x in self._residue(w)])
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._residue(self._as_integers(v)[0]))
+        return self._inside(self._as_integers(v)[0])
 
     def contains_space(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("subspace ambient dimensions differ")
-        return not any(any(self._residue(row)) for row in other.basis.num)
+        return all(map(self._inside, other.basis.num))
 
     def coefficients(self, v: Sequence, den: int = 1) -> Vector:
         """Coordinates of v / den in the RREF basis: its pivot entries; raises if v is outside.
@@ -503,7 +561,7 @@ class Subspace:
         integer vector over a denominator; one Fraction is made per coordinate.
         """
         w, e = self._as_integers(v)
-        if any(self._residue(w)):
+        if not self._inside(w):
             raise DecompositionError("vector lies outside the subspace")
         e *= den
         return tuple([Fraction(w[p], e) for p in self._pivots])

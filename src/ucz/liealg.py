@@ -30,12 +30,15 @@ Type A algebras carry the defining (l+1) x (l+1) matrix realization, which
 is what group elements act through; B2 and G2 are Lie-algebra only.  The
 realization is one table of integer matrices, so `realize(x)` is the
 integer `Mat` of x.num summed straight from it, over x.den, and
-`from_matrix` reads a `Mat`'s integer rows back through the table and
-checks the round trip.  A `GroupElement` is one `Mat` of determinant one:
-products and `conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat`
-arithmetic, and the determinant is checked where a matrix enters the
-group.  det N = d^m for g = N / d, so the inverse is adj(N) / d^(m-1),
-the integer adjugate of `exactlin._int_adjugate`, with no elimination.
+`from_matrix` reads a `Mat`'s integer rows back through the table.  The
+flattened table spans a `Subspace` of the m x m matrices, and a matrix is
+read only if it passes that span's free-column membership test: for sl_m
+the one free column is the last diagonal entry, so the test is the trace.
+A `GroupElement` is one `Mat` of determinant one: products and
+`conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat` arithmetic,
+and the determinant is checked where a matrix enters the group.
+det N = d^m for g = N / d, so the inverse is adj(N) / d^(m-1), the
+integer adjugate of `exactlin._int_adjugate`, with no elimination.
 `root_product` multiplies root factors exp(c e_alpha) straight into one
 integer matrix from each root's cached realization powers.  `adjoint(g)`
 is Ad_g as one `Mat`, read back through the realization table in
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -56,7 +60,6 @@ from .exactlin import (
     Subspace,
     Vector,
     _as_fraction,
-    _echelon,
     _identity_rows,
     _int_adjugate,
     _int_matmul,
@@ -488,6 +491,8 @@ class LieAlgebra:
         self._realization: list[tuple[tuple[int, int, int], ...]] | None = None
         self._readout: list[tuple[tuple[int, int, int], ...]] | None = None
         self._readout_den = 1
+        # the span of the flattened realization matrices, for the read-back check
+        self._realized: Subspace | None = None
         # per root vector index, the powers of its realization, on first use
         self._powers: dict[int, Powers] = {}
         if rs.type_label == "A":
@@ -688,10 +693,11 @@ class LieAlgebra:
             tuple((r, c, v) for r, row in enumerate(mk) for c, v in enumerate(row) if v)
             for mk in real
         ]
-        # coordinates are read off the entries at the pivot positions of the
-        # stacked flattened basis matrices
+        # the realized algebra as a subspace of the flattened m x m matrices;
+        # coordinates are read off the entries at its pivot positions
         stack_rows = [tuple(x for row in mk for x in row) for mk in real]
-        pivots = _echelon(list(stack_rows), m * m)
+        self._realized = Subspace(m * m, stack_rows)
+        pivots = self._realized._pivots
         square = Mat([[row[p] for row in stack_rows] for p in pivots], 1, self.dim).inverse()
         self._readout_den = square.den
         self._readout = [
@@ -722,14 +728,15 @@ class LieAlgebra:
         return Element(self, self._read_int(mat.num), self._readout_den * mat.den)
 
     def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Coordinates times _readout_den of the element realized by rows, read back to check."""
+        """Coordinates times _readout_den of the element realized by rows, checked to exist.
+
+        The flattened rows must lie in the realized span, which the free-column
+        test of `Subspace` decides; for sl_m that is the one free column, the trace.
+        """
         self._require_realization()
-        sden = self._readout_den
-        nums = [sum(v * rows[r][c] for r, c, v in terms) for terms in self._readout]
-        for back, row in zip(self._combine(nums), rows):
-            if back != [sden * x for x in row]:
-                raise DomainError("matrix lies outside the realized algebra")
-        return nums
+        if not self._realized._inside(list(chain.from_iterable(rows))):
+            raise DomainError("matrix lies outside the realized algebra")
+        return [sum(v * rows[r][c] for r, c, v in terms) for terms in self._readout]
 
     def adjoint(self, g: GroupElement) -> Mat:
         """Ad_g in the fixed basis: column k is Ad_g of basis vector k (type A).

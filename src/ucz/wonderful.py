@@ -73,14 +73,16 @@ class ParabolicData:
     z_l_I inside p_I used by the leaf projection.
 
     Every subspace is read off the root system; the consistency checks
-    compare coordinate sets and take one rank of at most rank x rank.  The
-    Chevalley basis vectors are root vectors and Cartan coordinates, so l_I,
-    u_I, u_I_minus, p_I and p_I_minus are spans of basis vectors
-    (`Subspace.coordinate_span`).  The center of l_I lies in
-    every Cartan subalgebra of l_I, so in the Cartan h of g, and h is central
-    exactly when [h, e_alpha] = alpha(h) e_alpha vanishes on the Levi roots:
-    z_l_I = {h : alpha_i(h) = 0 for i in I}, the kernel of the |I| x rank
-    matrix alpha_i(h_j) = <alpha_i, alpha_j^vee>, placed at the h coordinates.
+    compare coordinate sets, read closure of p_I and p_I_minus, with their
+    nilradicals as ideals, off one pass over the structure table, and take
+    one rank of at most rank x rank.  The Chevalley basis vectors are root
+    vectors and Cartan coordinates, so l_I, u_I, u_I_minus, p_I and
+    p_I_minus are spans of basis vectors (`Subspace.coordinate_span`).
+    The center of l_I lies in every Cartan subalgebra of l_I, so in the
+    Cartan h of g, and h is central exactly when [h, e_alpha] =
+    alpha(h) e_alpha vanishes on the Levi roots: z_l_I = {h : alpha_i(h) = 0
+    for i in I}, the kernel of the |I| x rank matrix alpha_i(h_j) =
+    <alpha_i, alpha_j^vee>, placed at the h coordinates.
     In [p_I, p_I], each root vector e_alpha of p_I is [h, e_alpha] / alpha(h)
     for an h with alpha(h) != 0, and the brackets inside the Cartan are
     [e_alpha, f_alpha] = h_alpha for the Levi roots alpha, which the simple
@@ -111,20 +113,9 @@ class ParabolicData:
         self.algebra = algebra
         self.I = _check_subset(algebra.rank, I)
         n = algebra.dim
-        rs = algebra.root_system
         zero_based = {i - 1 for i in self.I}
 
-        levi_roots: list[int] = []
-        u_roots: list[int] = []
-        for k, alpha in enumerate(rs.positive_roots):
-            in_levi = all(m == 0 for j, m in enumerate(alpha) if j not in zero_based)
-            (levi_roots if in_levi else u_roots).append(k)
-        levi_idx = [algebra.idx_h(i) for i in range(algebra.rank)]
-        levi_idx += [algebra.idx_e(k) for k in levi_roots]
-        levi_idx += [algebra.idx_f(k) for k in levi_roots]
-        u_idx = [algebra.idx_e(k) for k in u_roots]
-        u_minus_idx = [algebra.idx_f(k) for k in u_roots]
-
+        levi_idx, u_idx, u_minus_idx = _coordinates(algebra, self.I)
         self.l_I = Subspace.coordinate_span(n, levi_idx)
         self.u_I = Subspace.coordinate_span(n, u_idx)
         self.u_I_minus = Subspace.coordinate_span(n, u_minus_idx)
@@ -133,8 +124,22 @@ class ParabolicData:
         if self.p_I.dim != self.l_I.dim + self.u_I.dim:
             raise ConstructionError("parabolic is not the direct sum of Levi and nilradical")
         # coordinate spans meet in the span of their shared coordinates
-        if set(self.p_I._pivots) & set(self.p_I_minus._pivots) != set(self.l_I._pivots):
+        plus, minus = set(self.p_I._pivots), set(self.p_I_minus._pivots)
+        if plus & minus != set(self.l_I._pivots):
             raise ConstructionError("opposite parabolics do not meet in the Levi")
+        # a bracket of basis vectors is a combination of the basis vectors in its
+        # table entry, so one pass over the table decides closure for both
+        # parabolics, and with it for l_I = p_I cap p_I_minus
+        pairs = ((plus, set(u_idx)), (minus, set(u_minus_idx)))
+        for (i, j), terms in algebra._table.items():
+            for coords, nil in pairs:
+                if i in coords and j in coords:
+                    inside = nil if i in nil or j in nil else coords
+                    for k, _ in terms:
+                        if k not in inside:
+                            raise ConstructionError(
+                                "parabolic is not a subalgebra with its nilradical as an ideal"
+                            )
 
         self.z_l_I = self._levi_center()
         if self.z_l_I.dim != algebra.rank - len(self.I):
@@ -142,7 +147,7 @@ class ParabolicData:
 
         derived_idx = [algebra.idx_e(k) for k in range(algebra.n_pos)]
         derived_idx += [algebra.idx_h(i) for i in sorted(zero_based)]
-        derived_idx += [algebra.idx_f(k) for k in levi_roots]
+        derived_idx += [j for j in levi_idx if j > algebra.idx_h(algebra.rank - 1)]
         self.derived_p_I = Subspace.coordinate_span(n, derived_idx)
         # p_I = derived_p_I (+) z_l_I exactly when the coordinates of derived_p_I and
         # the support of z_l_I lie in those of p_I, and z_l_I maps isomorphically
@@ -183,6 +188,21 @@ class ParabolicData:
 
     def __repr__(self) -> str:
         return f"ParabolicData({self.algebra.descriptor}, I={sorted(self.I)})"
+
+
+def _coordinates(algebra: LieAlgebra, I: frozenset[int]) -> tuple[list[int], list[int], list[int]]:
+    """The basis indices of l_I, u_I and u_I_minus; the Levi roots are those supported on I."""
+    zero_based = {i - 1 for i in I}
+    levi_idx = [algebra.idx_h(i) for i in range(algebra.rank)]
+    u_idx, u_minus_idx, levi_f = [], [], []
+    for k, alpha in enumerate(algebra.root_system.positive_roots):
+        if all(m == 0 for j, m in enumerate(alpha) if j not in zero_based):
+            levi_idx.append(algebra.idx_e(k))
+            levi_f.append(algebra.idx_f(k))
+        else:
+            u_idx.append(algebra.idx_e(k))
+            u_minus_idx.append(algebra.idx_f(k))
+    return levi_idx + levi_f, u_idx, u_minus_idx
 
 
 @lru_cache(maxsize=None)

@@ -422,6 +422,87 @@ def test_contains_agrees_with_a_zero_residue_and_the_oracle_rank():
     assert inside > 100 and outside > 100
 
 
+def membership_spaces(seed):
+    """(space, spanning rows, cols): seeded dense spans, coordinate spans, zero and full spaces."""
+    for rows, cols in seeded_spans(seed):
+        yield Subspace.from_vectors(cols, rows), rows, cols
+    rnd = random.Random(seed)
+    for cols in (1, 4, 9):
+        yield Subspace.zero(cols), [], cols
+        yield Subspace.from_vectors(cols, identity(cols)), identity(cols), cols
+        for size in range(cols + 1):
+            idxs = rnd.sample(range(cols), size)
+            units = [[Fraction(int(i == j)) for j in range(cols)] for i in idxs]
+            yield Subspace.coordinate_span(cols, idxs), units, cols
+
+
+def test_membership_matches_the_oracle_rank_in_every_input_form():
+    rnd = random.Random(163)
+    counts = {True: 0, False: 0}
+    single_free = 0
+    for space, rows, cols in membership_spaces(163):
+        want, pivots = gauss_jordan(rows, cols)
+        want = want[: len(pivots)]
+        free = [j for j in range(cols) if j not in pivots]
+        vectors = [(Fraction(0),) * cols]
+        for _ in range(3):
+            cs = [Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for _ in want]
+            member = product([cs], want, cols)[0] if want else [Fraction(0)] * cols
+            vectors.append(tuple(member))
+            # a non-member that differs from the member in a single free coordinate
+            for j in free:
+                moved = list(member)
+                moved[j] += Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 6), rnd.randint(1, 7))
+                vectors.append(tuple(moved))
+                single_free += 1
+            # one pivot coordinate moved: inside only when its RREF row is a unit vector
+            if pivots:
+                moved = list(member)
+                moved[rnd.choice(pivots)] += 1
+                vectors.append(tuple(moved))
+        for v in vectors:
+            inside = len(gauss_jordan(want + [list(v)], cols)[1]) == len(pivots)
+            k = lcm(*(x.denominator for x in v)) * rnd.randint(1, 5)
+            ints = tuple(int(x * k) for x in v)
+            for form in (v, ints, tuple(str(x) for x in v), list(ints)):
+                assert space.contains(form) is inside
+            if inside:
+                coeffs = tuple(v[p] for p in pivots)
+                assert space.coefficients(v) == coeffs
+                got = space.coefficients(ints, k)
+                assert got == coeffs and all_fractions(got)
+            else:
+                with pytest.raises(DecompositionError):
+                    space.coefficients(v)
+                with pytest.raises(DecompositionError):
+                    space.coefficients(ints, k)
+            counts[inside] += 1
+        # a space is contained exactly when stacking its rows keeps the oracle rank
+        others = [Subspace.from_vectors(cols, vectors[:3]), Subspace.from_vectors(cols, vectors)]
+        others += [Subspace.zero(cols), Subspace.from_vectors(cols, identity(cols))]
+        for other in others:
+            stacked = want + [list(row) for row in other.basis.row_list()]
+            inside = len(gauss_jordan(stacked, cols)[1]) == len(pivots)
+            assert space.contains_space(other) is inside
+            counts[inside] += 1
+    assert counts[True] > 200 and counts[False] > 200 and single_free > 200
+
+
+def test_membership_checks_lengths():
+    for space in (
+        Subspace.from_vectors(3, [(1, Fraction(1, 2), 0)]),
+        Subspace.coordinate_span(3, [1]),
+        Subspace.zero(3),
+    ):
+        for v in ((1, 0), (0, 0, 0, 0), ("1", "0")):
+            with pytest.raises(DimensionError):
+                space.contains(v)
+            with pytest.raises(DimensionError):
+                space.coefficients(v)
+        with pytest.raises(DimensionError):
+            space.contains_space(Subspace.zero(4))
+
+
 # -- matrix times vector ---------------------------------------------------------
 
 

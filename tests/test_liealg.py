@@ -182,6 +182,44 @@ def test_from_matrix_rejects_nonzero_trace(a1):
         a1.from_matrix(Mat.identity(2))
 
 
+def test_read_back_refuses_every_matrix_off_the_realized_span(type_a_algebra):
+    # sl_m is the traceless matrices: a realized element moved by t in one
+    # entry stays inside exactly when the entry is off the diagonal
+    L = type_a_algebra
+    m = L.rank + 1
+    gen = stream(59, f"readback:{L.descriptor}")
+    refused = 0
+    for _ in range(4):
+        x = random_element(L, gen)
+        rows = [list(row) for row in L.realize(x).row_list()]
+        for r in range(m):
+            for c in range(m):
+                moved = [list(row) for row in rows]
+                moved[r][c] += gen.nonzero_fraction()
+                mat = Mat(moved, cols=m)
+                if sum(moved[i][i] for i in range(m)):
+                    with pytest.raises(DomainError, match="outside the realized algebra"):
+                        L.from_matrix(mat)
+                    refused += 1
+                else:
+                    assert L.realize(L.from_matrix(mat)) == mat
+    assert refused == 4 * m
+    # conjugate and adjoint read g Y g^-1 back; with a wrong cached inverse h,
+    # g Y h leaves sl_m exactly when its trace tr(Y h g) is nonzero
+    for _ in range(3):
+        g, h = group_sample(L, gen), group_sample(L, gen)
+        object.__setattr__(g, "_inv", h)
+        hg = product(h.mat.row_list(), g.mat.row_list(), m)
+        y = random_element(L, gen)
+        assert trace_product(L.realize(y).row_list(), hg) != 0
+        with pytest.raises(DomainError, match="outside the realized algebra"):
+            conjugate(g, y)
+        basis = [L.realize(L.basis_element(k)).row_list() for k in range(L.dim)]
+        assert any(trace_product(b, hg) for b in basis)
+        with pytest.raises(DomainError, match="outside the realized algebra"):
+            L.adjoint(g)
+
+
 def test_realize_unavailable_off_type_a(b2, g2):
     for L in (b2, g2):
         assert not L.has_realization

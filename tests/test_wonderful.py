@@ -225,6 +225,30 @@ def test_parabolic_and_levi_are_subalgebras(a2):
                 assert space.contains(a2.bracket(x, y).coords)
 
 
+def test_a_nilradical_root_vector_in_the_levi_list_is_refused(any_algebra, monkeypatch):
+    # e_beta of u_I moved into the Levi list, its f_beta kept in u_I^-: every
+    # dimension and intersection check still holds, but [e_beta, f_beta] = h_beta
+    # leaves u_I^-, which must be an ideal of p_I^-
+    L = any_algebra
+    coordinates = wonderful._coordinates
+    moved = 0
+    for I in all_subsets(L.rank):
+        wonderful.ParabolicData(L, I)  # the true lists pass
+        for e in coordinates(L, I)[1]:
+
+            def mutated(algebra, subset, e=e):
+                levi, u, u_minus = coordinates(algebra, subset)
+                return levi + [e], [j for j in u if j != e], u_minus
+
+            with monkeypatch.context() as m:
+                m.setattr(wonderful, "_coordinates", mutated)
+                with pytest.raises(ConstructionError, match="nilradical as an ideal"):
+                    wonderful.ParabolicData(L, I)
+            moved += 1
+    # every positive root lies in u_I for each I it is not supported on
+    assert moved == sum(build_parabolic(L, I).u_I.dim for I in all_subsets(L.rank)) > 0
+
+
 def test_levi_center_commutes(any_algebra):
     L = any_algebra
     for I in all_subsets(L.rank):

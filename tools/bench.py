@@ -1,22 +1,24 @@
-"""Layer and end-to-end timings of one ucz checkout, recorded under a label.
+"""Layer and end-to-end timings of ucz checkouts, timed alternately into one file.
 
-    python3 tools/bench.py --label change --out BENCH_16.json
-    python3 tools/bench.py --src OTHER/src --label parent --out BENCH_16.json
+    python3 tools/bench.py --src parent=OTHER/src --src change=src --out BENCH_17.json
 
-`--src` is the `src` directory of the checkout to time (default: the one
-next to this file); its `tests` directory sits beside it.  Each layer
-timing and each `ucz verify <alg> --samples 20` is the minimum of
-five runs, because single runs on a shared host vary by about 30%.
-Inputs a layer caches on (group elements cache their inverse, the
-parabolic data of an (algebra, I) pair is built once, and so are its
-fiber, stabilizer and derived Levi) are made fresh for every run, outside
-the timing.  The catalogue set-up, `import ucz`, then every algebra with
-every parabolic, then the fiber, stabilizer and derived Levi of each, is
-timed in a fresh process.
-The tier-1 suite and the acceptance gate are timed once each and are
-labelled as single runs.  The result is merged into `--out` under
-`--label`, so a parent and a change can be timed in turn into one file;
-without `--out` it is printed.  Standard library only.
+Each `--src LABEL=DIR` names the `src` directory of a checkout (default:
+`change=` the one next to this file); its `tests` directory sits beside
+it.  The checkouts are timed in turn, step by step, and the order flips
+every repeat, so a phase of the host's speed falls on both sides alike.
+A repeat times, for each checkout, every layer in one fresh process
+(`--layers DIR`, each layer the better of two runs there), then
+`ucz verify <alg> --samples 20` per algebra and the catalogue set-up
+(`import ucz`, then every algebra with every parabolic, then the fiber,
+stabilizer and derived Levi of each), each in a fresh process of its own.
+Every figure is the minimum over the repeats, because single runs on a
+shared host vary by about 30%.  Inputs a layer caches on (group elements
+cache their inverse, the parabolic data of an (algebra, I) pair is built
+once, and so are its fiber, stabilizer and derived Levi) are made fresh
+for every run, outside the timing.  The tier-1 suite and the acceptance
+gate are timed once per checkout, in turn, and are labelled as single
+runs.  Each label's result is merged into `--out`; without `--out` the
+results are printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ from pathlib import Path
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "G2")
 REPEATS = 5
+IN_PROCESS_RUNS = 2
 VERIFY_SAMPLES = 20
 UNIPOTENT_CALLS = 200
 GROUP_CALLS = 2000
 INVERSE_CALLS = 200
 LEAF_SAMPLES = 10
 FREENESS_PAIRS = 20
+MEMBERSHIP_PAIRS = 100
+FROM_MATRIX_CALLS = 200
 
 
 def best_of(repeats: int, fn, fresh=tuple) -> float:
@@ -52,13 +57,14 @@ def best_of(repeats: int, fn, fresh=tuple) -> float:
 
 
 def layer_timings(src: Path, repeats: int) -> dict:
-    """Parabolic sweeps, samplers, group inverses and the leaf readout at src, in process."""
+    """Parabolic sweeps, samplers, group inverses, leaf readout and membership, in process."""
     sys.path.insert(0, str(src))
     from fractions import Fraction
 
     from ucz import algebra_from_descriptor
     from ucz.exactlin import Mat
-    from ucz.liealg import GroupElement
+    from ucz.kostant import build_principal_triple
+    from ucz.liealg import GroupElement, conjugate, pair_row
     from ucz.logsympl import leaf_label, leaf_sigma_values, nxn_freeness, same_leaf
     from ucz.rng import stream
     from ucz.suites import borel_sample, fiber_sample, group_sample, positive_unipotent
@@ -68,6 +74,7 @@ def layer_timings(src: Path, repeats: int) -> dict:
         build_parabolic,
         derived_levi,
         fiber_algebra,
+        make_boundary_point,
         stabilizer_algebra,
     )
 
@@ -180,6 +187,53 @@ def layer_timings(src: Path, repeats: int) -> dict:
                     same_leaf(p, (x1, x2), (y1, y2))
 
         out[f"same_leaf {alg}"] = _layer(best_of(repeats, compare), calls)
+
+    # Subspace.contains on members and on non-members next to them: the Borel
+    # (a coordinate span) on x - f and x for x in f + b, and a fiber of A3 and
+    # its translate by a pair of group elements on a fiber pair (x1, x2) and
+    # (x1 + h_1, x2), whose Levi parts differ
+    L = algebra_from_descriptor("A3")
+    gen = stream(15, "bench:contains")
+    f = build_principal_triple(L).f
+    points = [borel_sample(L, gen) for _ in range(MEMBERSHIP_PAIRS)]
+    borel = [(x - f).num for x in points] + [x.num for x in points]
+    p = build_parabolic(L, {2})
+    fiber = fiber_algebra(p)
+    pairs = [fiber_sample(p, gen)[:2] for _ in range(MEMBERSHIP_PAIRS)]
+    rows = [pair_row(x1, x2) for x1, x2 in pairs]
+    rows += [pair_row(x1 + L.h(0), x2) for x1, x2 in pairs]
+    g1, g2 = group_sample(L, gen), group_sample(L, gen)
+    point = make_boundary_point(p, g1, g2)
+    moved = [pair_row(conjugate(g1, x1), conjugate(g2, x2)) for x1, x2 in pairs]
+    moved += [pair_row(conjugate(g1, x1 + L.h(0)), conjugate(g2, x2)) for x1, x2 in pairs]
+    for name, space, vectors in (
+        ("coordinate span (Borel) A3", L.borel, borel),
+        ("fiber A3 I={2}", fiber, rows),
+        ("translated fiber A3 I={2}", point.realized_fiber, moved),
+    ):
+        want = [True] * MEMBERSHIP_PAIRS + [False] * MEMBERSHIP_PAIRS
+        if [space.contains(v) for v in vectors] != want:
+            raise AssertionError(f"Subspace.contains {name} misreads a vector")
+
+        def contains(space=space, vectors=vectors):
+            for v in vectors:
+                space.contains(v)
+
+        out[f"Subspace.contains {name}"] = _layer(best_of(repeats, contains), len(vectors))
+
+    for alg in ("A2", "A3"):
+        L = algebra_from_descriptor(alg)
+        gen = stream(16, f"bench:from_matrix:{alg}")
+        mats = [
+            L.realize(L.element([gen.fraction() for _ in range(L.dim)]))
+            for _ in range(FROM_MATRIX_CALLS)
+        ]
+
+        def read(L=L, mats=mats):
+            for mat in mats:
+                L.from_matrix(mat)
+
+        out[f"from_matrix {alg}"] = _layer(best_of(repeats, read), FROM_MATRIX_CALLS)
     return out
 
 
@@ -188,6 +242,11 @@ def _layer(best_s: float, calls: int) -> dict:
     return {"best_s": round(best_s, 6), "calls": calls, "per_call_us": per_call_us}
 
 
+CATALOGUE_STEPS = (
+    "import ucz",
+    "every algebra and parabolic",
+    "every fiber, stabilizer and derived Levi",
+)
 CATALOGUE = """
 import json, time
 start = time.perf_counter()
@@ -206,77 +265,128 @@ print(json.dumps([imported - start, built - imported, time.perf_counter() - buil
 """
 
 
-def end_to_end(src: Path, repeats: int) -> tuple[dict, dict]:
-    """End-to-end timings, each in a subprocess.
-
-    `ucz verify` per algebra and the catalogue set-up are the best of
-    repeats; the suites are single runs.
-    """
+def _python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """The interpreter run on args in a fresh process, with src on its path and cwd its checkout."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    root = src.parent
+    return subprocess.run(
+        [sys.executable, *args], cwd=src.parent, env=env, capture_output=True, text=True
+    )
 
-    def run(args: list[str]) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True
-        )
 
-    # compiled once up front, so no timed run pays for compiling a module it imports
-    run(["-m", "compileall", "-q", str(src / "ucz")]).check_returncode()
-    verify = {}
-    for alg in ALGEBRAS:
+def _steps(src: Path) -> dict:
+    """One repeat's timings of src, each step a callable that starts fresh processes."""
+
+    def layers():
+        done = _python(src, [str(Path(__file__).resolve()), "--layers", str(src)])
+        done.check_returncode()
+        return json.loads(done.stdout)
+
+    def verify(alg: str):
         args = ["-m", "ucz", "verify", alg, "--samples", str(VERIFY_SAMPLES)]
-        codes = set()
-        best = best_of(repeats, lambda args=args: codes.add(run(args).returncode))
-        verify[f"verify {alg} --samples {VERIFY_SAMPLES}"] = {
-            "best_s": round(best, 4),
-            "exit_codes": sorted(codes),
-        }
-    runs = [json.loads(run(["-c", CATALOGUE]).stdout) for _ in range(repeats)]
-    verify["fresh process: import ucz"] = {"best_s": round(min(r[0] for r in runs), 4)}
-    verify["fresh process: every algebra and parabolic"] = {
-        "best_s": round(min(r[1] for r in runs), 4)
-    }
-    verify["fresh process: every fiber, stabilizer and derived Levi"] = {
-        "best_s": round(min(r[2] for r in runs), 4)
-    }
-    singles = {}
+        start = time.perf_counter()
+        code = _python(src, args).returncode
+        return time.perf_counter() - start, code
+
+    def catalogue():
+        return json.loads(_python(src, ["-c", CATALOGUE]).stdout)
+
+    steps = {"layers": layers, "catalogue": catalogue}
+    steps.update({alg: (lambda alg=alg: verify(alg)) for alg in ALGEBRAS})
+    return steps
+
+
+def _single_runs(src: Path) -> dict:
+    """The tier-1 suite and the acceptance gate, one run each."""
+    out = {}
     pytest = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     for name, extra in (("tier-1", []), ("gate", ["tests/test_acceptance.py"])):
         start = time.perf_counter()
-        done = run(pytest + extra)
+        done = _python(src, pytest + extra)
         lines = done.stdout.strip().splitlines()
-        singles[name] = {
+        out[name] = {
             "single_run_s": round(time.perf_counter() - start, 3),
             "summary": lines[-1] if lines else "",
             "exit_code": done.returncode,
         }
-    return verify, singles
+    return out
+
+
+def alternate(checkouts: dict[str, Path], repeats: int) -> dict:
+    """Every checkout timed step by step in turn, the order flipped every repeat."""
+    labels = list(checkouts)
+    steps = {label: _steps(src) for label, src in checkouts.items()}
+    runs = {label: {name: [] for name in steps[label]} for label in labels}
+    for src in checkouts.values():
+        # compiled once up front, so no timed run pays for compiling a module it imports
+        _python(src, ["-m", "compileall", "-q", str(src / "ucz")]).check_returncode()
+    for r in range(repeats):
+        order = labels if r % 2 == 0 else labels[::-1]
+        for name in steps[labels[0]]:
+            for label in order:
+                runs[label][name].append(steps[label][name]())
+    results = {}
+    for label in labels:
+        got = runs[label]
+        first = got["layers"][0]
+        layers = {
+            row: _layer(min(run[row]["best_s"] for run in got["layers"]), first[row]["calls"])
+            for row in first
+        }
+        end_to_end = {
+            f"verify {alg} --samples {VERIFY_SAMPLES}": {
+                "best_s": round(min(t for t, _ in got[alg]), 4),
+                "exit_codes": sorted({code for _, code in got[alg]}),
+            }
+            for alg in ALGEBRAS
+        }
+        for k, name in enumerate(CATALOGUE_STEPS):
+            end_to_end[f"fresh process: {name}"] = {
+                "best_s": round(min(run[k] for run in got["catalogue"]), 4)
+            }
+        results[label] = {
+            "repeats": repeats,
+            "layers_best_s": layers,
+            "end_to_end_best_s": end_to_end,
+        }
+    for label in labels:
+        results[label]["single_runs"] = _single_runs(checkouts[label])
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
-    parser.add_argument("--label", default="change")
-    parser.add_argument("--out", type=Path, default=None, help="JSON file to merge the result into")
+    parser.add_argument(
+        "--src",
+        action="append",
+        metavar="LABEL=DIR",
+        help="a checkout's src directory under a label; repeat to time checkouts in turn",
+    )
+    parser.add_argument("--out", type=Path, default=None, help="JSON file to merge results into")
+    parser.add_argument("--layers", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "ucz").is_dir():
-        parser.error(f"{src} holds no ucz package")
-    verify, singles = end_to_end(src, REPEATS)
-    result = {
-        "repeats": REPEATS,
-        "layers_best_s": layer_timings(src, REPEATS),
-        "end_to_end_best_s": verify,
-        "single_runs": singles,
-    }
+    if args.layers is not None:
+        # one repeat's layer timings, in this fresh process
+        print(json.dumps(layer_timings(args.layers.resolve(), IN_PROCESS_RUNS)))
+        return 0
+    checkouts = {}
+    for item in args.src or [f"change={Path(__file__).resolve().parents[1] / 'src'}"]:
+        label, sep, path = item.partition("=")
+        src = Path(path).resolve()
+        if not sep or not label or label in checkouts:
+            parser.error(f"--src wants a new LABEL=DIR, got {item!r}")
+        if not (src / "ucz").is_dir():
+            parser.error(f"{src} holds no ucz package")
+        checkouts[label] = src
+    results = alternate(checkouts, REPEATS)
     if args.out is None:
-        print(json.dumps({args.label: result}, indent=2))
+        print(json.dumps(results, indent=2))
         return 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("harness", "tools/bench.py")
     host = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
     doc.setdefault("host", host)
-    doc[args.label] = result
+    doc["order"] = f"alternating {', '.join(checkouts)}, flipped every repeat"
+    doc.update(results)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
