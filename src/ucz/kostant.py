@@ -12,12 +12,13 @@ over the grading.  The witness list is returned so that
 exp(ad u_1) o exp(ad u_2) o ... o exp(ad u_m) maps the input to the normal
 form, i.e. the LAST list entry is applied first.
 
-Invariants (type A) are coefficients of the characteristic polynomial of
-the defining realization: for det(lambda I - M) = lambda^m + sum_k a_k
-lambda^(m-k), the reported tuple is (-a_2, ..., -a_m).  They are computed
-in integers: with M = realize(x) = Y / D, Y integral, a_k(M) = c_k(Y) / D^k,
-so each invariant is -c_k(Y) / D^k for the integer coefficients c_k of
-det(lambda I - Y).
+Invariants are coefficients of the characteristic polynomial of the
+realization: for det(lambda I - M) = lambda^m + sum_k a_k lambda^(m-k),
+they are -a_d for the degrees d of `root_degrees`, (2, 4) for B2 and
+(2, 6) for G2.  They are computed in integers: with M = realize(x) = Y / D,
+Y integral, a_k(M) = c_k(Y) / D^k, so each invariant is -c_k(Y) / D^k for
+the integer coefficients c_k of det(lambda I - Y).
+
 
 Their Jacobian comes from the same Faddeev-LeVerrier run on Y
 (`exactlin._faddeev_leverrier`, which the group layer's inverses share).
@@ -33,6 +34,7 @@ exact run gives the whole gradient.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -224,21 +226,33 @@ def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupE
     return g
 
 
+def root_degrees(L: LieAlgebra) -> tuple[int, ...]:
+    """Degrees of the basic invariants, the exponents plus one, read off the roots.
+
+    Exactly c exponents are >= k when c positive roots have height k
+    (Kostant, 1959).  Independent of `KostantSlice.degrees`, which grades
+    g^e by ad h.
+    """
+    rs = L.root_system
+    counts = Counter(rs.height(alpha) for alpha in rs.positive_roots).values()
+    exponents = [sum(1 for c in counts if c >= j) for j in range(1, L.rank + 1)]
+    return tuple(sorted(m + 1 for m in exponents))
+
+
 class InvariantSystem:
-    """The fundamental invariants of a type A algebra, exactly evaluable."""
+    """The fundamental invariants, the char-poly coefficient of each degree, exactly evaluable."""
 
     __slots__ = ("algebra", "degrees")
 
     def __init__(self, algebra: LieAlgebra):
-        algebra._require_realization()
         self.algebra = algebra
-        self.degrees = tuple(range(2, algebra.rank + 2))
+        self.degrees = root_degrees(algebra)
 
     def eval(self, x: Element) -> tuple[Rat, ...]:
         real = self.algebra.realize(x)
         d = real.den
         coeffs, _ = _faddeev_leverrier(real.num)
-        return tuple(Fraction(-c, d**k) for k, c in enumerate(coeffs[1:], 2))
+        return tuple(Fraction(-coeffs[k - 1], d**k) for k in self.degrees)
 
     def gradient(self, x: Element) -> tuple[tuple[Rat, ...], ...]:
         """Exact rank x dim Jacobian of the invariants at x, one row per invariant."""
@@ -246,11 +260,12 @@ class InvariantSystem:
         d = real.den
         _, adjugate = _faddeev_leverrier(real.num)
         basis = self.algebra._realization
-        return tuple(
+        rows = []
+        for k in self.degrees:
+            b, scale = adjugate[k - 1], d ** (k - 1)
             # tr(B R_j), summed over the nonzero entries (row, col, value) of R_j
-            tuple(Fraction(sum(b[col][row] * v for row, col, v in r), d**k) for r in basis)
-            for k, b in enumerate(adjugate[1:], 1)
-        )
+            rows.append(tuple(Fraction(sum(b[c][r] * v for r, c, v in rj), scale) for rj in basis))
+        return tuple(rows)
 
     def eval_dual(self, x: Element, direction: Element) -> tuple[tuple[Rat, Rat], ...]:
         """Invariants of x + eps*direction as (value, derivative) pairs.
@@ -262,8 +277,11 @@ class InvariantSystem:
         d = real.den
         coeffs, adjugate = _faddeev_leverrier(real.num)
         return tuple(
-            (Fraction(-c, d**k), Fraction(_trace_mul(b, z.num), d ** (k - 1) * z.den))
-            for k, (c, b) in enumerate(zip(coeffs[1:], adjugate[1:]), 2)
+            (
+                Fraction(-coeffs[k - 1], d**k),
+                Fraction(_trace_mul(adjugate[k - 1], z.num), d ** (k - 1) * z.den),
+            )
+            for k in self.degrees
         )
 
 
@@ -273,12 +291,12 @@ def invariant_system(algebra: LieAlgebra) -> InvariantSystem:
 
 
 def invariants_eval(x: Element) -> tuple[Rat, ...]:
-    """Invariant values of x, lowest degree first (type A)."""
+    """Invariant values of x, lowest degree first."""
     return invariant_system(x.algebra).eval(x)
 
 
 def slice_from_invariants(kslice: KostantSlice, values) -> Element:
-    """The unique slice point with the prescribed invariant values (type A).
+    """The unique slice point with the prescribed invariant values.
 
     Solved by back-substitution up the grading: the invariant of degree d_k
     is affine in the slice coordinate of the same degree and cannot involve

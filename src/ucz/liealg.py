@@ -1,6 +1,6 @@
-"""Split semisimple Lie algebras of rank at most 3 in a Chevalley basis.
+"""Split semisimple Lie algebras A1, A2, A3, B2 and G2 in a Chevalley basis.
 
-Supported descriptors: A1, A2, A3, B2, G2.  The basis is ordered as
+The basis is ordered as
 [e_alpha for alpha in Phi+] + [h_1..h_l] + [f_alpha for alpha in Phi+],
 with positive roots sorted by height then lexicographically by coordinates
 in the simple-root basis.
@@ -26,29 +26,33 @@ integers.  The structure table is integral, so `bracket` sums integer
 products over x.den * y.den.  `coords` reads the coordinates back as
 `Fraction`s for callers outside.
 
-Type A algebras carry the defining (l+1) x (l+1) matrix realization, which
-is what group elements act through; B2 and G2 are Lie-algebra only.  The
-realization is one table of integer matrices, so `realize(x)` is the
-integer `Mat` of x.num summed straight from it, over x.den, and
-`from_matrix` reads a `Mat`'s integer rows back through the table.  The
-flattened table spans a `Subspace` of the m x m matrices, and a matrix is
-read only if it passes that span's free-column membership test: for sl_m
-the one free column is the last diagonal entry, so the test is the trace.
+Group elements act through one m x m realization in a weight basis for
+every algebra: `_GENERATORS` gives m and the simple e_i and f_i, h_i =
+[e_i, f_i], and the other root vectors come from their extraspecial
+brackets, so each h_i is diagonal and each e_alpha strictly upper
+triangular.  The realization is one table of integer matrices, built on
+first use, so `realize(x)` is the integer `Mat` of x.num summed straight
+from it, over x.den, and `from_matrix` reads a `Mat`'s integer rows back
+through the table.  The flattened table spans a `Subspace` of the m x m
+matrices, and a matrix is read only if it passes that span's free-column
+membership test: for sl_m the one free column is the last diagonal
+entry, so the test is the trace.
 A `GroupElement` is one `Mat` of determinant one: products and
 `conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat` arithmetic,
 and the determinant is checked where a matrix enters the group.
 det N = d^m for g = N / d, so the inverse is adj(N) / d^(m-1), the
 integer adjugate of `exactlin._int_adjugate`, with no elimination.
 `root_product` multiplies root factors exp(c e_alpha) straight into one
-integer matrix from each root's cached realization powers.  `adjoint(g)`
-is Ad_g as one `Mat`, read back through the realization table in
-integers.
+integer matrix from each root's cached realization powers; the torus
+elements are products of coroot cocharacters, and the Weyl
+representatives are words in Steinberg's n_i.  `adjoint(g)` is Ad_g as
+one `Mat`, read back through the realization table in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -78,6 +82,21 @@ _CARTAN: dict[str, list[list[int]]] = {
     "G2": [[2, -3], [-1, 2]],
 }
 
+Entries = tuple[tuple[int, int, int], ...]
+
+# the size m of each realization and the nonzero 0-based (row, col, value)
+# entries of the simple e_i and f_i in a weight basis; sl_(l+1) for A_l
+_GENERATORS: dict[str, tuple[int, list[Entries], list[Entries]]] = {
+    f"A{l}": (l + 1, [((i, i + 1, 1),) for i in range(l)], [((i + 1, i, 1),) for i in range(l)])
+    for l in (1, 2, 3)
+}
+# sp_4, alpha_1 long: e1 = E23, e2 = E12 - E34
+_GENERATORS["B2"] = (4, [((1, 2, 1),), ((0, 1, 1), (2, 3, -1))],
+                     [((2, 1, 1),), ((1, 0, 1), (3, 2, -1))])
+# alpha_1 short: e1 = E12 + 2 E34 + E45 + E67, e2 = E23 + E56
+_GENERATORS["G2"] = (7, [((0, 1, 1), (2, 3, 2), (3, 4, 1), (5, 6, 1)), ((1, 2, 1), (4, 5, 1))],
+                     [((1, 0, 1), (3, 2, 1), (4, 3, 2), (6, 5, 1)), ((2, 1, 1), (5, 4, 1))])
+
 Root = tuple[int, ...]
 
 # the nonzero (row, col, value) entries of each power Y, Y^2, ... of a nilpotent Y
@@ -105,7 +124,6 @@ class RootSystem:
                 f"unsupported algebra {descriptor!r}; choose from {sorted(_CARTAN)}"
             )
         self.descriptor = descriptor
-        self.type_label = descriptor[0]
         self.rank = int(descriptor[1:])
         self._A = _CARTAN[descriptor]
         self._d = self._symmetrizer()
@@ -213,6 +231,21 @@ class RootSystem:
             p += 1
             down = _rsub(down, alpha)
         return p
+
+    def weyl_order(self, generators: Iterable[int]) -> int:
+        """|W_J| for J a set of 0-based simple reflections s_i.
+
+        s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and an element is its
+        tuple of images of the simple roots: w s_i sends alpha_j to
+        w(alpha_j) - A[i][j] w(alpha_i).
+        """
+
+        def times_s(i: int):
+            return lambda w: tuple(
+                tuple(b - self._A[i][j] * a for a, b in zip(w[i], wj)) for j, wj in enumerate(w)
+            )
+
+        return len(_closure(tuple(self.simple_roots), [times_s(i) for i in generators]))
 
     # -- structure constants ------------------------------------------------
 
@@ -380,15 +413,15 @@ def pair_row(x: Element, y: Element) -> tuple[int, ...]:
 
 
 class GroupElement:
-    """A determinant-one rational matrix acting on a type A algebra by conjugation.
+    """A determinant-one rational matrix acting on an algebra's realization by conjugation.
 
     The element is one `Mat`, `mat`, whose canonical form makes equal
     elements have equal `mat`; products and conjugation are `Mat`
     arithmetic, and the inverse of N / d is the integer adjugate of N over
     d^(m-1) (det N = d^m).  The determinant is checked where a matrix enters:
-    `GroupElement(mat)`, which `group_exp`, `root_product`, `torus_element`
-    and `weyl_representatives` go through.  For a triangular N / d, as
-    every one of these but the Weyl representatives is, det = 1 is read
+    `GroupElement(mat)`, which `group_exp`, `root_product` and
+    `torus_element` go through.  For a triangular N / d, as every one of
+    these but the Steinberg n_i is, det = 1 is read
     as prod_i N[i][i] = d^n; any other matrix takes the Bareiss `det`.
     det is multiplicative, so products and inverses, and the identity,
     have determinant one exactly and are built without the check.
@@ -411,10 +444,6 @@ class GroupElement:
 
     def __setattr__(self, *args):
         raise AttributeError("GroupElement is immutable")
-
-    @staticmethod
-    def identity(size: int) -> "GroupElement":
-        return _group(Mat.identity(size))
 
     def is_identity(self) -> bool:
         return self.mat == Mat.identity(self.mat.rows)
@@ -485,18 +514,10 @@ class LieAlgebra:
                 self._root_of_index[idx] = _rneg(rs.positive_roots[k])
         self._index_of_root = {r: i for i, r in self._root_of_index.items()}
         self._table = self._build_table()
-        # per basis vector, the nonzero integer (row, col, value) entries of its
-        # realization; per coordinate, the (row, col, value) entries that read
-        # it, times _readout_den, off a realized matrix
-        self._realization: list[tuple[tuple[int, int, int], ...]] | None = None
-        self._readout: list[tuple[tuple[int, int, int], ...]] | None = None
-        self._readout_den = 1
-        # the span of the flattened realization matrices, for the read-back check
-        self._realized: Subspace | None = None
+        # the size of the matrix realization, which is built on first use
+        self.matrix_size = _GENERATORS[descriptor][0]
         # per root vector index, the powers of its realization, on first use
         self._powers: dict[int, Powers] = {}
-        if rs.type_label == "A":
-            self._build_realization()
         # the basis is [e | h | f], so each of these is a block of coordinates
         e_end, h_end, n = self.n_pos, self.n_pos + self.rank, self.dim
         self.cartan = Subspace.coordinate_span(n, range(e_end, h_end))
@@ -637,29 +658,21 @@ class LieAlgebra:
             out = out + term
         raise DomainError("exp_ad_apply requires an ad-nilpotent element")
 
-    # -- type A realization ------------------------------------------------------
-
-    @property
-    def has_realization(self) -> bool:
-        return self._realization is not None
-
-    def _require_realization(self) -> None:
-        if self._realization is None:
-            raise UnsupportedAlgebraError(
-                f"{self.descriptor} carries no matrix realization; group operations are type A only"
-            )
+    # -- matrix realization ---------------------------------------------------------
 
     def _require_acting(self, g: GroupElement) -> None:
-        self._require_realization()
-        if g.mat.rows != self.rank + 1:
+        if g.mat.rows != self.matrix_size:
             raise DomainError("group element has the wrong size for this algebra")
 
-    def _build_realization(self) -> None:
+    @cached_property
+    def _realization(self) -> list[Entries]:
+        """Per basis vector, the nonzero integer (row, col, value) entries of its realization."""
         rs = self.root_system
-        m = self.rank + 1
+        m, simple_e, simple_f = _GENERATORS[self.descriptor]
+        index = self._index_of_root
         real: list[IntRows | None] = [None] * self.dim
 
-        def matrix(*entries: tuple[int, int, int]) -> IntRows:
+        def matrix(entries: Entries) -> IntRows:
             out = [[0] * m for _ in range(m)]
             for r, c, v in entries:
                 out[r][c] = v
@@ -672,13 +685,10 @@ class LieAlgebra:
                 raise ArithmeticError("the realization table must be integral")
             return tuple(tuple(x // n for x in row) for row in out)
 
-        for i in range(self.rank):
-            real[self.idx_h(i)] = matrix((i, i, 1), (i + 1, i + 1, -1))
-        for k, alpha in enumerate(rs.positive_roots):
-            if rs.height(alpha) == 1:
-                i = alpha.index(1)
-                real[self.idx_e(k)] = matrix((i, i + 1, 1))
-                real[self.idx_f(k)] = matrix((i + 1, i, 1))
+        for i, alpha in enumerate(rs.simple_roots):
+            ie, jf = index[alpha], index[_rneg(alpha)]
+            real[ie], real[jf] = matrix(simple_e[i]), matrix(simple_f[i])
+            real[self.idx_h(i)] = bracket_over(ie, jf, 1)
         # non-simple root vectors through their extraspecial brackets keeps
         # realization signs consistent with the abstract constants
         for alpha in rs.positive_roots:
@@ -686,27 +696,34 @@ class LieAlgebra:
                 continue
             a, b = rs.extraspecial_pair(alpha)
             n = rs.n_constant(a, b)
-            index = self._index_of_root
             real[index[alpha]] = bracket_over(index[a], index[b], n)
             real[index[_rneg(alpha)]] = bracket_over(index[_rneg(a)], index[_rneg(b)], -n)
-        self._realization = [
+        return [
             tuple((r, c, v) for r, row in enumerate(mk) for c, v in enumerate(row) if v)
             for mk in real
         ]
-        # the realized algebra as a subspace of the flattened m x m matrices;
-        # coordinates are read off the entries at its pivot positions
-        stack_rows = [tuple(x for row in mk for x in row) for mk in real]
-        self._realized = Subspace(m * m, stack_rows)
-        pivots = self._realized._pivots
-        square = Mat([[row[p] for row in stack_rows] for p in pivots], 1, self.dim).inverse()
-        self._readout_den = square.den
-        self._readout = [
+
+    @cached_property
+    def _readback(self) -> tuple[Subspace, list[Entries], int]:
+        """(span, readout, D) for reading coordinates off a realized matrix.
+
+        span is the realized algebra in the flattened m x m matrices, and
+        readout lists per coordinate the (row, col, value) entries at the
+        span's pivots that read it, times D.
+        """
+        m = self.matrix_size
+        flat = [list(chain.from_iterable(self._combine(unit))) for unit in _identity_rows(self.dim)]
+        span = Subspace(m * m, flat)
+        pivots = span._pivots
+        square = Mat([[row[p] for row in flat] for p in pivots], 1, self.dim).inverse()
+        readout = [
             tuple(divmod(p, m) + (v,) for p, v in zip(pivots, row) if v) for row in square.num
         ]
+        return span, readout, square.den
 
     def _combine(self, ints: Sequence[int]) -> list[list[int]]:
         """The integer matrix sum_j ints[j] R_j over the realization table."""
-        m = self.rank + 1
+        m = self.matrix_size
         acc = [[0] * m for _ in range(m)]
         for k, entries in zip(ints, self._realization):
             if k:
@@ -715,36 +732,34 @@ class LieAlgebra:
         return acc
 
     def realize(self, x: Element) -> Mat:
-        """Defining-representation matrix of x (type A only), summed from the integer table."""
-        self._require_realization()
+        """The realization matrix of x, summed from the integer table."""
         return Mat(self._combine(x.num), x.den)
 
     def from_matrix(self, mat: Mat) -> Element:
         """Inverse of realize; raises DomainError off the realized algebra."""
-        self._require_realization()
-        m = self.rank + 1
+        m = self.matrix_size
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        return Element(self, self._read_int(mat.num), self._readout_den * mat.den)
+        return Element(self, self._read_int(mat.num), self._readback[2] * mat.den)
 
     def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Coordinates times _readout_den of the element realized by rows, checked to exist.
+        """Coordinates, times the readout denominator, of the element realized by rows.
 
         The flattened rows must lie in the realized span, which the free-column
         test of `Subspace` decides; for sl_m that is the one free column, the trace.
         """
-        self._require_realization()
-        if not self._realized._inside(list(chain.from_iterable(rows))):
+        span, readout, _ = self._readback
+        if not span._inside(list(chain.from_iterable(rows))):
             raise DomainError("matrix lies outside the realized algebra")
-        return [sum(v * rows[r][c] for r, c, v in terms) for terms in self._readout]
+        return [sum(v * rows[r][c] for r, c, v in terms) for terms in readout]
 
     def adjoint(self, g: GroupElement) -> Mat:
-        """Ad_g in the fixed basis: column k is Ad_g of basis vector k (type A).
+        """Ad_g in the fixed basis: column k is Ad_g of basis vector k.
 
         With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
         the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
         d f: outer products of a column of N and a row of M, from one inverse.
-        Its coordinates are read in integers over d f _readout_den.
+        Its coordinates are read in integers over d f times the readout denominator.
         """
         if g.is_identity():
             return Mat.identity(self.dim)
@@ -763,16 +778,15 @@ class LieAlgebra:
                         for j, x in enumerate(right):
                             out[j] += left * x
             images.append(self._read_int(acc))
-        return Mat(list(zip(*images)), self._readout_den * mat.den * inv.den)
+        return Mat(list(zip(*images)), self._readback[2] * mat.den * inv.den)
 
     # -- group operations ----------------------------------------------------------
 
     def group_identity(self) -> GroupElement:
-        self._require_realization()
-        return GroupElement.identity(self.rank + 1)
+        return _group(Mat.identity(self.matrix_size))
 
     def group_exp(self, x: Element) -> GroupElement:
-        """exp of a nilpotent element in the defining representation.
+        """exp of a nilpotent element in the realization.
 
         With realize(x) = Y / D, exp(x) is exp(c Y) for c = 1 / D (`_times_exp`).
         x is nilpotent exactly when Y^m = 0.
@@ -782,14 +796,13 @@ class LieAlgebra:
         return GroupElement(Mat(num, den))
 
     def root_product(self, factors: Iterable[tuple[int, object]]) -> GroupElement:
-        """The product of exp(c b_idx) over the (basis index, c) pairs, in order (type A).
+        """The product of exp(c b_idx) over the (basis index, c) pairs, in order.
 
         Each factor multiplies the integer product so far by exp(c R) for the
         realization R of root vector idx (`_times_exp`), from the nonzero
         entries of R's powers, cached once per root: one entry in type A.
         """
-        self._require_realization()
-        num, den = _identity_rows(self.rank + 1), 1
+        num, den = _identity_rows(self.matrix_size), 1
         for idx, c in factors:
             powers = self._powers.get(idx)
             if powers is None:
@@ -802,28 +815,51 @@ class LieAlgebra:
                 num, den = _times_exp(num, den, powers, c.numerator, c.denominator)
         return GroupElement(Mat(num, den))
 
-    def torus_element(self, entries: Sequence) -> GroupElement:
-        self._require_realization()
-        m = self.rank + 1
-        if len(entries) != m:
-            raise DomainError("torus element needs rank+1 diagonal entries")
-        diagonal = [[v if i == j else 0 for j in range(m)] for i, v in enumerate(entries)]
-        return GroupElement(Mat(diagonal))
+    def torus_element(self, ts: Sequence) -> GroupElement:
+        """prod_i alpha_i^vee(t_i): diagonal entry k is prod_i t_i^(h_i[k][k]), h_i realized."""
+        if len(ts) != self.rank:
+            raise DomainError("torus element needs one parameter per simple coroot")
+        m = self.matrix_size
+        rows = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        for i, t in enumerate(ts):
+            t = _as_fraction(t)
+            if not t:
+                raise DomainError("torus parameters must be nonzero")
+            for k, _, v in self._realization[self.idx_h(i)]:
+                rows[k][k] *= t**v
+        return GroupElement(Mat(rows))
 
     def weyl_representatives(self) -> list[GroupElement]:
-        """Determinant-one permutation representatives of the Weyl group (type A)."""
-        self._require_realization()
-        from itertools import permutations
+        """The first word in Steinberg's n_i = exp(e_i) exp(-f_i) exp(e_i) over each Weyl element.
 
-        m = self.rank + 1
-        out = []
-        for perm in permutations(range(m)):
-            sign = _perm_sign(perm)
-            rows = [[0] * m for _ in range(m)]
-            for src, dst in enumerate(perm):
-                rows[dst][src] = -1 if sign < 0 and src == 0 else 1
-            out.append(GroupElement(Mat(rows, 1)))
-        return out
+        n_i acts on the weights as s_i, so a word is monomial and its support
+        tells its Weyl element: breadth first, |W| words, the identity first.
+        """
+        index = self._index_of_root
+        steinberg = [
+            self.root_product([(index[a], 1), (index[_rneg(a)], -1), (index[a], 1)])
+            for a in self.root_system.simple_roots
+        ]
+        return _closure(
+            self.group_identity(),
+            [lambda w, n=n: w * n for n in steinberg],
+            key=lambda g: tuple(tuple(map(bool, row)) for row in g.mat.num),
+        )
+
+
+def _closure(one, moves, key=lambda x: x) -> list:
+    """one and all it reaches by the moves, breadth first, keeping the first element per key."""
+    found, frontier = {key(one): one}, [one]
+    while frontier:
+        new = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if key(y) not in found:
+                    found[key(y)] = y
+                    new.append(y)
+        frontier = new
+    return list(found.values())
 
 
 def _sparse_powers(y: Sequence[Sequence[int]]) -> Powers:
@@ -859,23 +895,6 @@ def _times_exp(
     return out, den * base
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def build_algebra(type_label: str, rank: int) -> LieAlgebra:
     """Construct (once) the catalogue algebra of the given type and rank."""
@@ -893,7 +912,7 @@ def algebra_from_descriptor(descriptor: str) -> LieAlgebra:
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:
-    """Adjoint action Ad_g(y) = g realize(y) g^-1 (type A)."""
+    """Adjoint action Ad_g(y) = g realize(y) g^-1."""
     L = y.algebra
     L._require_acting(g)
     return L.from_matrix(g.mat * L.realize(y) * g.inverse().mat)

@@ -5,14 +5,14 @@ and returns a report of named checks with pass counts.  All sampling is
 drawn from per-check SplitMix64 streams derived from the master seed, so
 a report is a pure function of (algebra, seed, samples).
 
-Checks that need the defining matrix realization are skipped with an
-explanatory note on algebras that have none; everything root-theoretic
-runs for all supported types.
+Every suite runs every check on every catalogue algebra: the group
+elements act through each algebra's matrix realization, the invariants
+are its char-poly coefficients of the algebra's degrees, and the expected
+count of torus-fixed boundary points is read off the Weyl group.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -23,6 +23,7 @@ from .kostant import (
     in_fiber_product,
     invariants_eval,
     jacobian_rank_at,
+    root_degrees,
     slice_for,
     slice_from_invariants,
     slice_normalize,
@@ -73,20 +74,10 @@ __all__ = [
 ]
 
 
-def root_degrees(L: LieAlgebra) -> tuple[int, ...]:
-    """Degrees of the basic invariants, the exponents plus one, read off the roots.
-
-    Exactly c exponents are >= k when c positive roots have height k
-    (Kostant, 1959).  Independent of `KostantSlice.degrees`, which grades
-    g^e by ad h.
-    """
-    rs = L.root_system
-    counts = Counter(rs.height(alpha) for alpha in rs.positive_roots).values()
-    exponents = [sum(1 for c in counts if c >= j) for j in range(1, L.rank + 1)]
-    return tuple(sorted(m + 1 for m in exponents))
-
-
-TORUS_FIXED_COUNTS = {"A1": 2, "A2": 12}
+def _torus_fixed_count(L: LieAlgebra) -> int:
+    """Count of torus-fixed boundary points: |W / W_I| over proper I (De Concini-Procesi, 1983)."""
+    order = L.root_system.weyl_order
+    return sum(order(range(L.rank)) // order([i - 1 for i in I]) for I in all_subsets(L.rank)[:-1])
 
 
 # plain classes rather than dataclasses: `dataclasses` imports `inspect`, about 1 MB resident
@@ -170,14 +161,12 @@ def negative_unipotent(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
 
 
 def group_sample(L: LieAlgebra, gen: SplitMix64) -> GroupElement:
-    """A determinant-one element: unipotent * torus * opposite unipotent."""
-    m = L.rank + 1
-    entries = [gen.nonzero_fraction(num_bound=3) for _ in range(m - 1)]
-    prod = Fraction(1)
-    for t in entries:
-        prod *= t
-    entries.append(Fraction(1) / prod)
-    return positive_unipotent(L, gen) * (L.torus_element(entries) * negative_unipotent(L, gen))
+    """Unipotent * torus * opposite unipotent, the torus at t_i = d_1 ... d_i for seeded d_i."""
+    ts, t = [], Fraction(1)
+    for _ in range(L.rank):
+        t *= gen.nonzero_fraction(num_bound=3)
+        ts.append(t)
+    return positive_unipotent(L, gen) * (L.torus_element(ts) * negative_unipotent(L, gen))
 
 
 def fiber_sample(
@@ -195,11 +184,6 @@ def fiber_sample(
     u = _random_combination(L, p.u_I, gen)[1]
     v = _random_combination(L, p.u_I_minus, gen)[1]
     return u + x, v + x, central_coeffs
-
-
-def _skip(report: SuiteReport, why: str) -> SuiteReport:
-    report.add("skipped", 0, 0, why)
-    return report
 
 
 # -- kostant -----------------------------------------------------------------
@@ -251,9 +235,6 @@ def run_kostant_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         "idempotent, stepwise-independent",
     )
 
-    if not L.has_realization:
-        return _skip(report, "invariant checks need the matrix realization")
-
     gen = stream(seed, f"kostant:invariants:{L.descriptor}")
     good = 0
     for _ in range(samples):
@@ -298,9 +279,6 @@ def run_kostant_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 
 def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     report = SuiteReport("moment", L.descriptor)
-    if not L.has_realization:
-        return _skip(report, "moment-image checks need the matrix realization")
-
     subsets = all_subsets(L.rank)
     gen = stream(seed, f"moment:forward:{L.descriptor}")
     good = 0
@@ -445,20 +423,19 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         "open orbit dim n; rank-many divisors; closure order respects dimension",
     )
 
-    expected = TORUS_FIXED_COUNTS.get(L.descriptor)
-    if expected is not None and L.has_realization:
-        gen = stream(seed, f"wonderful:torus:{L.descriptor}")
-        s = _regular_cartan(L, gen)
-        d = group_sample(L, gen)
-        xi = conjugate(d, s)
-        points = torus_fixed_fiber_points(xi, d)
-        pair_ok = all(translate_contains(q, (xi, xi)) for q in points)
-        report.add(
-            "torus-fixed boundary points",
-            1 if (len(points) == expected and pair_ok) else 0,
-            1,
-            f"count {len(points)}, expected {expected}; all contain the diagonal pair",
-        )
+    expected = _torus_fixed_count(L)
+    gen = stream(seed, f"wonderful:torus:{L.descriptor}")
+    s = _regular_cartan(L, gen)
+    d = group_sample(L, gen)
+    xi = conjugate(d, s)
+    points = torus_fixed_fiber_points(xi, d)
+    pair_ok = all(translate_contains(q, (xi, xi)) for q in points)
+    report.add(
+        "torus-fixed boundary points",
+        1 if (len(points) == expected and pair_ok) else 0,
+        1,
+        f"count {len(points)}, expected {expected}; all contain the diagonal pair",
+    )
     return report
 
 
@@ -469,27 +446,25 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     report = SuiteReport("logsympl", L.descriptor)
     n = L.dim
     subsets = all_subsets(L.rank)
-    full_checks = L.descriptor in ("A1", "A2")
     size = 2 * n
     ident = Mat.identity(size)
 
-    if full_checks:
-        good = 0
-        total = 0
-        for I in subsets:
-            chart = build_chart(L, I)
-            gen = stream(seed, f"logsympl:inverse:{L.descriptor}:{sorted(I)}")
-            for _ in range(samples):
-                pt = _stratum_sample(chart, frozenset(), gen)
-                total += 1
-                if bivector_matrix(pt).matrix * omega_matrix(pt) == ident:
-                    good += 1
-        report.add(
-            "inverse identity",
-            good,
-            total,
-            f"bivector * two-form = identity at {samples} off-divisor points per chart",
-        )
+    good = 0
+    total = 0
+    for I in subsets:
+        chart = build_chart(L, I)
+        gen = stream(seed, f"logsympl:inverse:{L.descriptor}:{sorted(I)}")
+        for _ in range(samples):
+            pt = _stratum_sample(chart, frozenset(), gen)
+            total += 1
+            if bivector_matrix(pt).matrix * omega_matrix(pt) == ident:
+                good += 1
+    report.add(
+        "inverse identity",
+        good,
+        total,
+        f"bivector * two-form = identity at {samples} off-divisor points per chart",
+    )
 
     pole_ok = 0
     pole_total = 0
@@ -502,10 +477,7 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
             omega_matrix(chart.basepoint())
         except PoleError:
             pole_ok += 1
-    if pole_total:
-        report.add(
-            "pole behavior", pole_ok, pole_total, "the two-form refuses divisor points"
-        )
+    report.add("pole behavior", pole_ok, pole_total, "the two-form refuses divisor points")
 
     law_ok = 0
     law_total = 0
@@ -517,19 +489,13 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
             law_total += 1
             if stratum_rank(chart, S) != size - 2 * len(S):
                 continue
-            if full_checks:
-                gen = stream(
-                    seed, f"logsympl:rank:{L.descriptor}:{sorted(I)}:{sorted(S)}"
-                )
-                pts_ok = True
-                for _ in range(max(1, samples // 10)):
-                    pt = _stratum_sample(chart, frozenset(S), gen)
-                    if bivector_matrix(pt).rank() != size - 2 * len(S):
-                        pts_ok = False
-                        break
-                if not pts_ok:
-                    continue
-            law_ok += 1
+            gen = stream(seed, f"logsympl:rank:{L.descriptor}:{sorted(I)}:{sorted(S)}")
+            if all(
+                bivector_matrix(_stratum_sample(chart, frozenset(S), gen)).rank()
+                == size - 2 * len(S)
+                for _ in range(max(1, samples // 10))
+            ):
+                law_ok += 1
     report.add(
         "stratum rank law",
         law_ok,
@@ -545,7 +511,7 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
             if not frozenset(S) <= frozenset(I):
                 continue
             cas_total += 1
-            if casimir_check(chart, S, seed=seed, samples=3 if full_checks else 1):
+            if casimir_check(chart, S, seed=seed, samples=3):
                 cas_ok += 1
     report.add(
         "casimir property",
@@ -588,16 +554,16 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, GroupElement]:
     """A slice point together with a nontrivial exact centralizing element.
 
-    For rank 1 the slice point f has its own span as centralizer; for rank 2
-    a slice point with a repeated eigenvalue carries a rational nilpotent in
-    its centralizer.  Higher ranks fall back to the identity witness.
+    For rank 1 the slice point f has its own span as centralizer; on A2 a
+    slice point with a repeated eigenvalue carries a rational nilpotent in
+    its centralizer.  The other algebras fall back to the identity witness.
     """
     ks = slice_for(L)
     if L.rank == 1:
         xi_s = ks.triple.f
         gamma = L.group_exp(ks.triple.f.scale(gen.nonzero_fraction()))
         return xi_s, gamma
-    if L.rank == 2 and L.descriptor == "A2":
+    if L.descriptor == "A2":
         r = gen.nonzero_fraction(num_bound=3)
         xi_s = slice_from_invariants(ks, (3 * r * r, -2 * r * r * r))
         m = L.realize(xi_s)
@@ -624,9 +590,6 @@ def _dressed_witness(
 
 def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     report = SuiteReport("reduction", L.descriptor)
-    if not L.has_realization:
-        return _skip(report, "reduction checks need the matrix realization")
-
     gen = stream(seed, f"reduction:freeness:{L.descriptor}")
     good = 0
     for _ in range(samples):
@@ -675,19 +638,16 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     )
 
     gen = stream(seed, f"reduction:boundary:{L.descriptor}")
-    expected = TORUS_FIXED_COUNTS.get(L.descriptor)
-    if expected is not None:
-        s = _regular_cartan(L, gen)
-        points = torus_fixed_fiber_points(s, L.group_identity())
-        ok = len(points) == expected and all(
-            translate_contains(q, (s, s)) for q in points
-        )
-        report.add(
-            "boundary fiber membership",
-            1 if ok else 0,
-            1,
-            f"{len(points)} torus-fixed points, expected {expected}, all in the fiber",
-        )
+    expected = _torus_fixed_count(L)
+    s = _regular_cartan(L, gen)
+    points = torus_fixed_fiber_points(s, L.group_identity())
+    ok = len(points) == expected and all(translate_contains(q, (s, s)) for q in points)
+    report.add(
+        "boundary fiber membership",
+        1 if ok else 0,
+        1,
+        f"{len(points)} torus-fixed points, expected {expected}, all in the fiber",
+    )
     return report
 
 

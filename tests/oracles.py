@@ -1,9 +1,11 @@
 """Reference computations over plain `Fraction`s, sharing no code with `ucz`.
 
 Each function is the textbook algorithm, written for clarity and not for
-speed: the Leibniz determinant, Gauss-Jordan elimination, inverse, null
-space and projection along a complement, the row-by-column product, the
-trace of a product, and the exponential series of a nilpotent matrix.
+speed: the Leibniz and elimination determinants, Gauss-Jordan
+elimination, inverse, null space, coordinates in a span and projection
+along a complement, the row-by-column product, the trace of a product,
+the exponential series of a nilpotent matrix, and the order of a Weyl
+group closed from its simple reflections.
 The tests compare the library's exact results with these.  Nothing here
 imports `ucz`, which `test_oracles.py` checks, so a fault in the library
 cannot hide in its own oracle.
@@ -33,6 +35,25 @@ def leibniz_det(rows) -> Fraction:
             term *= rows[i][j]
         total += term
     return total
+
+
+def elimination_det(rows) -> Fraction:
+    """The product of the pivots of Gaussian elimination, with a sign per row swap."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n = len(work)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] / work[c][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    return det
 
 
 def gauss_jordan(rows, cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -78,6 +99,17 @@ def null_space(rows, cols: int) -> list[list[Fraction]]:
     return out
 
 
+def span_coordinates(basis, v) -> list[Fraction] | None:
+    """The a with sum_i a_i basis_i = v for independent rows basis_i; None off their span."""
+    system = [[row[i] for row in basis] + [v[i]] for i in range(len(v))]
+    work, pivots = gauss_jordan(system, len(basis) + 1)
+    if len(basis) in pivots:
+        return None
+    if pivots != list(range(len(basis))):
+        raise ValueError("basis rows are dependent")
+    return [work[k][-1] for k in range(len(basis))]
+
+
 def projection(onto, along, v) -> list[Fraction]:
     """The part in span(onto) of v = sum a_i onto_i + sum b_j along_j.
 
@@ -117,3 +149,34 @@ def exp_nilpotent(rows) -> list[list[Fraction]]:
             return total
         total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, term)]
     raise ValueError("matrix is not nilpotent")
+
+
+def weyl_group_order(cartan, generators=None) -> int:
+    """|W_J|, generated by s_i(alpha_j) = alpha_j - cartan[i][j] alpha_i for i in J (0-based).
+
+    An element is its integer matrix on simple-root coordinates, one column
+    per simple root; the group is closed breadth first from the identity.
+    """
+    l = len(cartan)
+    gens = [
+        tuple(
+            tuple(int(r == j) - (cartan[i][j] if r == i else 0) for j in range(l))
+            for r in range(l)
+        )
+        for i in (range(l) if generators is None else generators)
+    ]
+    one = tuple(tuple(int(r == c) for c in range(l)) for r in range(l))
+    seen, frontier = {one}, [one]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                ws = tuple(
+                    tuple(sum(w[r][k] * s[k][c] for k in range(l)) for c in range(l))
+                    for r in range(l)
+                )
+                if ws not in seen:
+                    seen.add(ws)
+                    new.append(ws)
+        frontier = new
+    return len(seen)

@@ -8,8 +8,9 @@ Frozen oracles used here:
   - slice degree tables (2,), (2,3), (2,3,4), (2,4), (2,6);
   - the A1 normalization closed form f+ah+be -> f+(a*a+b)e;
   - the A1 chart rank table {(): 6, (1,): 4};
-  - 2 torus-fixed boundary points for A1 and 12 for A2 at diag(1,2,-3),
-    the latter re-derived below by an inline brute-force enumeration.
+  - 2 torus-fixed boundary points for A1, 12 for A2 at diag(1,2,-3) and
+    16 for B2 at diag(1,2,-2,-1), the latter two re-derived below by an
+    inline brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -55,7 +56,6 @@ from ucz.wonderful import (
     translate_contains,
 )
 
-TYPE_A = ("A1", "A2", "A3")
 DEGREES = {
     "A1": (2,),
     "A2": (2, 3),
@@ -117,8 +117,7 @@ def test_criterion_03_normalization_sweep():
             assert again == [] and out2 == out
             _, out3 = slice_normalize(ks, xi, stepwise=True)
             assert out3 == out
-            if L.has_realization:
-                assert invariants_eval(out) == invariants_eval(xi)
+            assert invariants_eval(out) == invariants_eval(xi)
     a1 = algebra_from_descriptor("A1")
     ks = slice_for(a1)
     f, h, e = ks.triple.f, a1.h(0), a1.e(0)
@@ -130,10 +129,9 @@ def test_criterion_03_normalization_sweep():
 
 
 def test_criterion_04_section_of_the_adjoint_quotient():
-    for d in TYPE_A:
-        L = algebra_from_descriptor(d)
+    for L in algebras():
         ks = slice_for(L)
-        gen = stream(42, f"acc4:{d}")
+        gen = stream(42, f"acc4:{L.descriptor}")
         for _ in range(100):
             vals = tuple(gen.fraction() for _ in range(L.rank))
             point = slice_from_invariants(ks, vals)
@@ -166,10 +164,9 @@ def test_criterion_05_fiber_algebras_at_basepoints():
 
 
 def test_criterion_06_compactified_moment_image():
-    for d in TYPE_A:
-        L = algebra_from_descriptor(d)
+    for L in algebras():
         subsets = all_subsets(L.rank)
-        gen = stream(42, f"acc6:{d}")
+        gen = stream(42, f"acc6:{L.descriptor}")
         for k in range(100):
             p = build_parabolic(L, subsets[k % len(subsets)])
             xi1, xi2, _ = fiber_sample(p, gen)
@@ -249,9 +246,8 @@ def test_criterion_09_leaf_classification():
 
 
 def test_criterion_10_hamiltonian_reduction():
-    for d in TYPE_A:
-        L = algebra_from_descriptor(d)
-        gen = stream(42, f"acc10:free:{d}")
+    for L in algebras():
+        gen = stream(42, f"acc10:free:{L.descriptor}")
         for _ in range(100):
             xi1, xi2 = borel_sample(L, gen), borel_sample(L, gen)
             assert level_set_contains(xi1, xi2)
@@ -296,37 +292,44 @@ def test_criterion_11_torus_fixed_boundary_points():
     for q in points:
         assert translate_contains(q, (h, h))
 
-    a2 = algebra_from_descriptor("A2")
-    xi = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
-    # inline brute-force oracle: realize every (I, w1, w2) fiber directly
-    # and count the distinct ones containing (xi, xi)
-    n = a2.dim
-    reps = a2.weyl_representatives()
-    distinct: list[Subspace] = []
-    per_orbit = {}
-    for I in all_subsets(a2.rank):
-        if len(I) == a2.rank:
-            continue
-        base = fiber_algebra(build_parabolic(a2, I))
-        for w1, w2 in product(reps, reps):
-            vectors = []
-            for row in base.basis.row_list():
-                left = conjugate(w1, a2.element(row[:n]))
-                right = conjugate(w2, a2.element(row[n:]))
-                vectors.append(tuple(left.coords) + tuple(right.coords))
-            realized = Subspace.from_vectors(2 * n, vectors)
-            if not realized.contains(tuple(xi.coords) * 2):
+    cases = {
+        "A2": ([(1, 0, 0), (0, 2, 0), (0, 0, -3)], 12, (6, 3, 3)),
+        "B2": ([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, -1)], 16, (8, 4, 4)),
+    }
+    for d, (diagonal, count, split) in cases.items():
+        L = algebra_from_descriptor(d)
+        xi = L.from_matrix(Mat(diagonal, cols=len(diagonal)))
+        assert L.is_regular(xi)
+        # inline brute-force oracle: realize every (I, w1, w2) fiber directly
+        # and count the distinct ones containing (xi, xi)
+        n = L.dim
+        reps = L.weyl_representatives()
+        distinct: list[Subspace] = []
+        per_orbit = {}
+        for I in all_subsets(L.rank):
+            if len(I) == L.rank:
                 continue
-            if realized not in distinct:
-                distinct.append(realized)
-                per_orbit[I] = per_orbit.get(I, 0) + 1
-    assert len(distinct) == 12
-    assert per_orbit == {frozenset(): 6, frozenset({1}): 3, frozenset({2}): 3}
+            base = fiber_algebra(build_parabolic(L, I))
+            for w1, w2 in product(reps, reps):
+                vectors = []
+                for row in base.basis.row_list():
+                    left = conjugate(w1, L.element(row[:n]))
+                    right = conjugate(w2, L.element(row[n:]))
+                    vectors.append(tuple(left.coords) + tuple(right.coords))
+                realized = Subspace.from_vectors(2 * n, vectors)
+                if not realized.contains(tuple(xi.coords) * 2):
+                    continue
+                if realized not in distinct:
+                    distinct.append(realized)
+                    per_orbit[I] = per_orbit.get(I, 0) + 1
+        assert len(distinct) == count
+        assert per_orbit == dict(zip([frozenset(), frozenset({1}), frozenset({2})], split))
 
-    found = torus_fixed_fiber_points(xi, a2.group_identity())
-    assert len(found) == len(distinct)
-    assert sorted(tuple(q.realized_fiber.basis.row_list()) for q in found) == sorted(
-        tuple(s.basis.row_list()) for s in distinct
-    )
-    for q in found:
-        assert translate_contains(q, (xi, xi))
+        found = torus_fixed_fiber_points(xi, L.group_identity())
+        assert len(found) == len(distinct)
+        assert sorted(tuple(q.realized_fiber.basis.row_list()) for q in found) == sorted(
+            tuple(s.basis.row_list()) for s in distinct
+        )
+        for q in found:
+            assert translate_contains(q, (xi, xi))
+

@@ -23,7 +23,7 @@ from ucz.errors import (
     DomainError,
     PoleError,
 )
-from ucz.suites import SuiteReport
+from ucz.suites import SUITE_NAMES, SuiteReport
 
 A1_DESCRIBE = """\
 algebra A1: dim n = 3, rank l = 1, positive roots = 1
@@ -220,14 +220,16 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == A1_DESCRIBE
 
 
-# sha256 of `ucz verify <alg> --samples 3 --seed 11 --format json`; any change
-# to the arithmetic under the suites must leave these reports byte-identical
+# sha256 of `ucz verify <alg> --samples 3 --seed 11 --format json`.  A change
+# to the arithmetic under the suites must leave these reports byte-identical;
+# a change that adds checks to a report re-records its hash and says why in
+# CHANGES.md.
 VERIFY_JSON_SHA256 = {
     "A1": "b053000c33b9cba6f247911cba7370e3d79a2118bcc34c140709b8a11aa53f63",
     "A2": "23664ca9ce2a17c3bbf97a8e19701320085cfc96d8badee7d157e14eaa9cf4ad",
-    "A3": "9693a70ef7e728f8e50d42ec640badfeb1130f093f9163d023d363844febd692",
-    "B2": "02112ad72b0aa9f972d3961307c20a564d27caa424f33d2c0b54895d04f3885f",
-    "G2": "4e9d1f883dbe0c9f36363708f88da9435ee92c15e7b67e2d4d6589ba7247da12",
+    "A3": "d211c45c90bb8ed21b2b458574e8c6d1420d646f35e7ec26985324b856da8092",
+    "B2": "74845fd6fe9015d71523e9926290dc420f6b7af4cf7b642cf9e5288e50a1e255",
+    "G2": "9991431bfc7f4389bf0648147d92219bfd13986007ae077c0d4d64f988673be7",
 }
 
 
@@ -237,3 +239,15 @@ def test_verify_json_is_pinned(capsys, descriptor):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256[descriptor]
+
+
+@pytest.mark.parametrize("descriptor", sorted(VERIFY_JSON_SHA256))
+def test_verify_runs_every_check_on_every_algebra(capsys, descriptor):
+    # no suite or check passes vacuously, with a total of 0, and none is skipped
+    assert main(["verify", descriptor, "--samples", "1", "--seed", "5", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [s["name"] for s in report["suites"]] == list(SUITE_NAMES)
+    for suite in report["suites"]:
+        assert suite["total"] > 0
+        for check in suite["details"]:
+            assert check["total"] > 0 and check["name"] != "skipped"

@@ -21,6 +21,7 @@ from ucz.kostant import (
     invariant_system,
     invariants_eval,
     jacobian_rank_at,
+    root_degrees,
     slice_for,
     slice_from_invariants,
     slice_normalize,
@@ -28,9 +29,8 @@ from ucz.kostant import (
 )
 from ucz.liealg import conjugate
 from ucz.rng import stream
-from ucz.suites import root_degrees
 
-from .oracles import all_fractions, leibniz_det
+from .oracles import all_fractions, elimination_det, leibniz_det
 
 DEGREES = {
     "A1": (2,),
@@ -193,8 +193,8 @@ def test_normal_form_is_orbit_invariant(a2):
         assert out_moved == out
 
 
-def test_witness_composes_to_the_normal_form(type_a_algebra):
-    L = type_a_algebra
+def test_witness_composes_to_the_normal_form(any_algebra):
+    L = any_algebra
     ks = slice_for(L)
     gen = stream(23, f"witness:{L.descriptor}")
     for _ in range(10):
@@ -204,13 +204,13 @@ def test_witness_composes_to_the_normal_form(type_a_algebra):
         assert conjugate(g, xi) == out
 
 
-def test_witness_group_element_of_empty_is_identity(type_a_algebra):
-    L = type_a_algebra
+def test_witness_group_element_of_empty_is_identity(any_algebra):
+    L = any_algebra
     assert witness_group_element(L, []) == L.group_identity()
 
 
-def test_invariants_of_nilpotents_vanish(type_a_algebra):
-    L = type_a_algebra
+def test_invariants_of_nilpotents_vanish(any_algebra):
+    L = any_algebra
     zero = (Fraction(0),) * L.rank
     for k in range(L.n_pos):
         assert invariants_eval(L.e(k)) == zero
@@ -252,7 +252,7 @@ def test_invariants_match_the_leibniz_char_poly(type_a_algebra):
     # D > 1; oracle: det(tI - realize(x)) by Leibniz at m + 1 integers t,
     # interpolated to t^m + sum_k a_k t^(m-k), invariants (-a_2, ..., -a_m)
     L = type_a_algebra
-    m = L.rank + 1
+    m = L.matrix_size
     gen = stream(53, f"charpoly:{L.descriptor}")
     ts = range(m + 1)
     dens = set()
@@ -270,15 +270,43 @@ def test_invariants_match_the_leibniz_char_poly(type_a_algebra):
     assert max(dens) > 1
 
 
-def test_dual_invariants_match_interpolated_derivatives(type_a_algebra):
+def test_invariants_are_the_char_poly_coefficients_of_the_degrees(any_algebra):
+    # oracle: det(tI - realize(x)) by elimination at m + 1 integers t,
+    # interpolated to t^m + sum_k a_k t^(m-k); the invariants are -a_d for
+    # the degrees d, and every other coefficient vanishes but G2's
+    # a_4 = a_2^2 / 4
+    L = any_algebra
+    m = L.matrix_size
+    degrees = invariant_system(L).degrees
+    assert degrees == root_degrees(L)
+    gen = stream(59, f"charpoly-degrees:{L.descriptor}")
+    ts = range(m + 1)
+    for _ in range(3):
+        x = L.element([gen.fraction(dens=(1, 2, 3)) for _ in range(L.dim)])
+        mat = L.realize(x).row_list()
+        values = [
+            elimination_det([[int(i == j) * t - mat[i][j] for j in range(m)] for i in range(m)])
+            for t in ts
+        ]
+        a = lagrange_coefficients(ts, values)[::-1]
+        assert a[0] == 1
+        assert invariants_eval(x) == tuple(-a[d] for d in degrees)
+        rest = [k for k in range(1, m + 1) if k not in degrees]
+        if L.descriptor == "G2":
+            assert a[4] == a[2] ** 2 / 4
+            rest.remove(4)
+        assert all(a[k] == 0 for k in rest)
+
+
+def test_dual_invariants_match_interpolated_derivatives(any_algebra):
     # x = f + c e_1 has mostly zero entries, so the dual rows hold entries
     # with a zero value and a nonzero derivative, which must not be skipped
-    L = type_a_algebra
+    L = any_algebra
     system = invariant_system(L)
     f = build_principal_triple(L).f
     gen = stream(43, f"dual:{L.descriptor}")
-    # the invariants of x + t d are polynomials in t of degree at most rank + 1
-    ts = range(L.rank + 2)
+    # the invariants of x + t d are polynomials in t of degree at most the top degree
+    ts = range(max(system.degrees) + 1)
     vander = Mat([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
     for _ in range(4):
         x = f + L.e(0).scale(gen.fraction())
@@ -296,8 +324,8 @@ def test_slice_from_invariants_examples(a1):
     assert slice_from_invariants(ks, (5,)) == ks.triple.f + a1.e(0).scale(5)
 
 
-def test_slice_from_invariants_roundtrip(type_a_algebra):
-    L = type_a_algebra
+def test_slice_from_invariants_roundtrip(any_algebra):
+    L = any_algebra
     ks = slice_for(L)
     gen = stream(31, f"sect:{L.descriptor}")
     for _ in range(10):
@@ -336,14 +364,15 @@ def test_invariants_are_conjugation_invariant(a3):
         assert invariants_eval(conjugate(g, x)) == invariants_eval(x)
 
 
-def test_gradient_matches_dual_derivatives_and_interpolation(type_a_algebra):
+def test_gradient_matches_dual_derivatives_and_interpolation(any_algebra):
     # at x = 0 and x = f + c e_1 many realized entries are zero while their
     # derivatives are not; column j of the gradient is the derivative along b_j
-    L = type_a_algebra
+    L = any_algebra
     system = invariant_system(L)
     f = build_principal_triple(L).f
     gen = stream(47, f"gradient:{L.descriptor}")
-    ts = range(L.rank + 2)
+    ts = range(max(system.degrees) + 1)
+
     vander = Mat([[Fraction(t) ** k for k in ts] for t in ts], cols=len(ts))
     points = [L.zero(), f] + [f + L.e(0).scale(gen.nonzero_fraction()) for _ in range(2)]
     for x in points:

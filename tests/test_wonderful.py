@@ -15,9 +15,10 @@ from math import factorial, prod
 
 import pytest
 
-from ucz import wonderful
+from ucz import suites, wonderful
 from ucz.errors import ConstructionError, DimensionError, DomainError
 from ucz.exactlin import Mat, Subspace
+from ucz.kostant import build_principal_triple
 from ucz.liealg import conjugate
 from ucz.rng import stream
 from ucz.suites import group_sample
@@ -36,7 +37,7 @@ from ucz.wonderful import (
     weyl_translates,
 )
 
-from .oracles import gauss_jordan, identity, null_space
+from .oracles import gauss_jordan, identity, null_space, weyl_group_order
 
 
 def full_set(L):
@@ -377,9 +378,9 @@ def test_translated_point_contains_translated_pairs(a2):
         assert translate_contains(point, pair)
 
 
-def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
+def test_translate_by_the_identity_is_conjugation_free(any_algebra):
     # (g, id) is the moment suite's interior translate; Ad_id is the identity map
-    L = type_a_algebra
+    L = any_algebra
     assert L.adjoint(L.group_identity()) == Mat.identity(L.dim)
     p = build_parabolic(L, full_set(L))
     gen = stream(53, f"idtrans:{L.descriptor}")
@@ -395,12 +396,11 @@ def test_translate_by_the_identity_is_conjugation_free(type_a_algebra):
         assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
 
 
-def test_identity_torus_call_reuses_the_weyl_translate_fibers(type_a_algebra):
-    L = type_a_algebra
+def test_identity_torus_call_reuses_the_weyl_translate_fibers(any_algebra):
+    L = any_algebra
     one = L.group_identity()
-    m = L.rank + 1
-    # distinct traceless diagonal entries: a regular element of the Cartan
-    s = L.from_matrix(Mat([[2 * i - L.rank if i == j else 0 for j in range(m)] for i in range(m)]))
+    # ad h is 2 height(alpha) on e_alpha, so the principal h is regular in the Cartan
+    s = build_principal_triple(L).h
     assert L.is_regular(s)
     points = torus_fixed_fiber_points(s, one)
     expected = [
@@ -420,8 +420,8 @@ def test_identity_torus_call_reuses_the_weyl_translate_fibers(type_a_algebra):
         assert make_boundary_point(build_parabolic(L, I), one, one).realized_fiber is fiber
 
 
-def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):
-    L = type_a_algebra
+def test_integer_translate_matches_the_fraction_adjoint_pair(any_algebra):
+    L = any_algebra
     gen = stream(61, f"inttrans:{L.descriptor}")
     n = L.dim
     for _ in range(2):
@@ -431,10 +431,12 @@ def test_integer_translate_matches_the_fraction_adjoint_pair(type_a_algebra):
             fiber = fiber_algebra(build_parabolic(L, I))
             moved = [ad1.apply(row[:n]) + ad2.apply(row[n:]) for row in fiber.basis.row_list()]
             assert wonderful._translate(fiber, ad1, ad2) == Subspace.from_vectors(2 * n, moved)
+    # |W / W_I| distinct fibers per orbit, the orders from the oracle's reflection group
+    cartan = L.root_system.cartan_matrix.num
     for I in all_subsets(L.rank):
-        blocks = _levi_blocks(L.rank, I)
-        size = factorial(L.rank + 1) // prod(factorial(b) for b in blocks)
+        size = weyl_group_order(cartan) // weyl_group_order(cartan, [i - 1 for i in I])
         assert len(weyl_translates(build_parabolic(L, I))) == size
+
 
 
 def test_torus_fixed_points_of_a1(a1):
@@ -481,7 +483,8 @@ def test_torus_fixed_points_match_the_pair_brute_force_on_a2(a2):
         u_plus = u_plus + a2.e(k).scale(gen.fraction())
         u_minus = u_minus + a2.f(k).scale(gen.fraction())
     t1, t2 = gen.nonzero_fraction(), gen.nonzero_fraction()
-    torus = a2.torus_element([t1, t2, 1 / (t1 * t2)])
+    torus = a2.torus_element([t1, t1 * t2])
+
     d = a2.group_exp(u_plus) * (torus * a2.group_exp(u_minus))
     assert d != a2.group_identity()
     s = a2.from_matrix(Mat([(1, 0, 0), (0, 2, 0), (0, 0, -3)], cols=3))
@@ -576,3 +579,13 @@ def test_a_translate_missing_the_torus_pair_is_an_error(a1, monkeypatch):
     monkeypatch.setattr(wonderful, "translate_contains", lambda point, pair: False)
     with pytest.raises(ConstructionError):
         torus_fixed_fiber_points(a1.h(0), a1.group_identity())
+
+
+def test_torus_fixed_counts_from_the_weyl_group(any_algebra):
+    # sum over the proper I of |W / W_I|, from the simple reflections on root
+    # coordinates, against the frozen counts and the enumeration at the principal h
+    L = any_algebra
+    count = suites._torus_fixed_count(L)
+    assert count == {"A1": 2, "A2": 12, "A3": 74, "B2": 16, "G2": 24}[L.descriptor]
+    h = build_principal_triple(L).h
+    assert len(torus_fixed_fiber_points(h, L.group_identity())) == count
