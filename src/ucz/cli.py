@@ -167,17 +167,12 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     text, ok = _run_report(args)
-    code = 0 if ok else 1
     if args.output is None:
         sys.stdout.write(text)
-        return code
-    try:
+    else:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return IO_ERROR
-    return code
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,11 +224,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except UnsupportedAlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    except argparse.ArgumentTypeError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        try:  # bytes a failed flush keeps would fail again at exit, status 120
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return IO_ERROR
+    except (UnsupportedAlgebraError, argparse.ArgumentTypeError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except _INTERNAL_ERRORS as exc:

@@ -7,8 +7,9 @@ a report is a pure function of (algebra, seed, samples).
 
 Every suite runs every check on every catalogue algebra: the group
 elements act through each algebra's matrix realization, the invariants
-are its char-poly coefficients of the algebra's degrees, and the expected
-count of torus-fixed boundary points is read off the Weyl group.
+are its char-poly coefficients of the algebra's degrees, the expected
+count of torus-fixed boundary points is read off the Weyl group, and one
+construction gives every type a nontrivial reduction centralizer witness.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, Subspace
+from .exactlin import Mat, Subspace, _trace_mul, kernel
 from .kostant import (
     build_principal_triple,
     in_fiber_product,
@@ -552,26 +553,21 @@ def run_logsympl_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 
 
 def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, GroupElement]:
-    """A slice point together with a nontrivial exact centralizing element.
+    """A slice point xi_s and a unipotent gamma != 1 with Ad_gamma xi_s = xi_s, on every type.
 
-    For rank 1 the slice point f has its own span as centralizer; on A2 a
-    slice point with a repeated eigenvalue carries a rational nilpotent in
-    its centralizer.  The other algebras fall back to the identity witness.
+    xi_s is the slice point (Kostant, 1963) with the invariants of a seeded s
+    in ker alpha_1 (s = 0 on A1), so it is regular but not semisimple.  Its
+    centralizer has rational eigenvalues, so its nilpotents are the radical
+    of the trace form tr(R_i R_j) on its integer rows; gamma exps the first.
     """
-    ks = slice_for(L)
-    if L.rank == 1:
-        xi_s = ks.triple.f
-        gamma = L.group_exp(ks.triple.f.scale(gen.nonzero_fraction()))
-        return xi_s, gamma
-    if L.descriptor == "A2":
-        r = gen.nonzero_fraction(num_bound=3)
-        xi_s = slice_from_invariants(ks, (3 * r * r, -2 * r * r * r))
-        m = L.realize(xi_s)
-        ident = Mat.identity(3)
-        nil = (m - ident.scale(r)) * (m + ident.scale(2 * r))
-        gamma = L.group_exp(L.from_matrix(nil).scale(gen.nonzero_fraction(num_bound=2)))
-        return xi_s, gamma
-    return _add_random_multiples(ks.triple.f, ks.ge_basis, gen), L.group_identity()
+    s = _random_combination(L, build_parabolic(L, (1,)).z_l_I, gen)[1]
+    xi_s = slice_from_invariants(slice_for(L), invariants_eval(s))
+    rows = L.centralizer(xi_s).basis.num
+    mats = [L._combine(row) for row in rows]
+    gram = Mat([[_trace_mul(a, b) for b in mats] for a in mats], 1, len(rows))
+    c = kernel(gram).basis.num[0]
+    z = Element(L, [sum(a * b for a, b in zip(c, col)) for col in zip(*rows)], 1)
+    return xi_s, L.group_exp(z.scale(gen.nonzero_fraction()))
 
 
 def _dressed_witness(

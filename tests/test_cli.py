@@ -147,6 +147,45 @@ def test_unwritable_report_path_is_an_io_error(tmp_path, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
+class _FullStdout:
+    """A standard output on a full device: either each write fails, or (as
+    with a buffered stream) writes are kept and every flush fails."""
+
+    def __init__(self, fails_on, fd):
+        self.fails_on, self.fd = fails_on, fd
+
+    def _fail(self, step):
+        if step == self.fails_on:
+            raise OSError(28, "No space left on device")
+
+    def write(self, text):
+        self._fail("write")
+
+    def flush(self):
+        self._fail("flush")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("fails_on", ["write", "flush"])
+@pytest.mark.parametrize("command", ["verify", "report", "describe"])
+def test_unwritable_stdout_is_an_io_error(tmp_path, capsys, monkeypatch, command, fails_on):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fails_on, fd))
+        args = [command, "A1"] + (["--samples", "1"] if command != "describe" else [])
+        assert main(args) == cli.IO_ERROR == 3
+        assert capsys.readouterr().err == "cannot write report: [Errno 28] No space left on device\n"
+        # a stdout that still cannot flush is pointed at devnull, so the
+        # interpreter's flush at exit cannot fail on the kept bytes again
+        devnull = os.stat(os.devnull)
+        points_at_devnull = os.path.samestat(os.fstat(fd), devnull)
+        assert points_at_devnull == (fails_on == "flush")
+    finally:
+        os.close(fd)
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_a_failed_check_exits_1(tmp_path, capsys, monkeypatch, command):
     def failing_suites(L, names, seed, samples):
@@ -218,6 +257,26 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == A1_DESCRIBE
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("command", [["describe", "A1"], ["verify", "A1", "--samples", "1"]])
+def test_python_dash_m_on_a_full_stdout_exits_3(command):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so the failing flush keeps its bytes
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "ucz", *command],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "cannot write report: [Errno 28] No space left on device\n"
 
 
 # sha256 of `ucz verify <alg> --samples 3 --seed 11 --format json`.  A change

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants
@@ -28,10 +29,18 @@ from ucz.logsympl import (
     stratum_rank,
 )
 from ucz.rng import stream
-from ucz.suites import borel_sample, fiber_sample, positive_unipotent
+from ucz.suites import _centralizer_witness, borel_sample, fiber_sample, positive_unipotent
 from ucz.wonderful import all_subsets, build_parabolic, derived_levi
 
-from .oracles import all_fractions, gauss_jordan, null_space, projection
+from .oracles import (
+    all_fractions,
+    gauss_jordan,
+    identity,
+    null_space,
+    product,
+    projection,
+    span_coordinates,
+)
 
 # cartan[i][j] = <alpha_j, alpha_i^vee>, so alpha_i(h_k) = cartan[k][i]
 CARTAN = {
@@ -417,15 +426,37 @@ def a2_centralizer_pair(a2):
     return xi_s, gamma
 
 
+def test_centralizer_witness_is_a_unipotent_fixing_a_slice_point(any_algebra):
+    # G X = X G, G != I and (G - I)^m = 0 over Fraction products, and
+    # xi_s - f in the span of the slice basis by Gauss-Jordan
+    L = any_algebra
+    m = L.matrix_size
+    ks = slice_for(L)
+    slice_rows = ks.ge_basis.basis.row_list()
+    gen = stream(79, f"witness:{L.descriptor}")
+    for _ in range(5):
+        xi_s, gamma = _centralizer_witness(L, gen)
+        g, x = gamma.mat.row_list(), L.realize(xi_s).row_list()
+        assert product(g, x, m) == product(x, g, m)
+        n = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(g, identity(m))]
+        assert any(v for row in n for v in row)
+        power = n
+        for _ in range(m - 1):
+            power = product(power, n, m)
+        assert not any(v for row in power for v in row)
+        assert span_coordinates(slice_rows, (xi_s - ks.triple.f).coords) is not None
+
+
 def test_normalize_roundtrip_recovers_the_datum(a1, a2):
-    for L, make in ((a1, None), (a2, a2_centralizer_pair)):
-        ks = slice_for(L)
-        if make is None:
-            xi_s = ks.triple.f + L.e(0)
-            m = L.realize(xi_s)
-            gamma = GroupElement(Mat.identity(2).scale(Fraction(5, 4)) + m.scale(Fraction(3, 4)))
-        else:
-            xi_s, gamma = make(L)
+    ks = slice_for(a1)
+    xi_a1 = ks.triple.f + a1.e(0)
+    m = a1.realize(xi_a1)
+    gamma_a1 = GroupElement(Mat.identity(2).scale(Fraction(5, 4)) + m.scale(Fraction(3, 4)))
+    data = [(a1, (xi_a1, gamma_a1)), (a2, a2_centralizer_pair(a2))]
+    for descriptor in ALGEBRA_DESCRIPTORS:
+        L = algebra_from_descriptor(descriptor)
+        data.append((L, _centralizer_witness(L, stream(71, f"witness:{descriptor}"))))
+    for L, (xi_s, gamma) in data:
         gen = stream(71, f"round:{L.descriptor}")
         for _ in range(10):
             n1 = positive_unipotent(L, gen)
