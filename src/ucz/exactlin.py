@@ -42,18 +42,20 @@ content (gcd) to keep the entries small.  `rank` stops after the forward
 elimination.  The reduced rows are brought over one denominator, the lcm
 of their pivots (`_int_rref`): the same canonical RREF as a Fraction
 Gauss-Jordan elimination.  `inverse` of N / d is the right block of the
-RREF of [N | d I]; `det` is the Bareiss (fraction-free) determinant of N
-over d^n.  `Mat.inverse` serves the projectors, the slice solvers and
-`solve`; a determinant-one group element is inverted without elimination,
-as its integer adjugate (`_int_adjugate`, from the Faddeev-LeVerrier run
-the invariants share) over d^(m-1).  Products and `apply` visit only the
-nonzero entries, so a product with a zero factor is never formed.
+RREF of [N | d I].  `Mat.inverse` serves the projectors, the slice
+solvers and `solve`.  One Faddeev-LeVerrier run (`_faddeev_leverrier`)
+gives the characteristic polynomial and the adjugate of an integer
+matrix: the invariants read its coefficients, `det` of N / d is
+(-1)^n c_n(N) over d^n, and a determinant-one group element is inverted
+without elimination, as its integer adjugate (`_int_adjugate`) over
+d^(m-1).  Products and `apply` visit only the nonzero entries, so a
+product with a zero factor is never formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -232,10 +234,13 @@ class Mat:
         return Mat(cols, self.den, self.rows)
 
     def det(self) -> Rat:
-        """Bareiss determinant of num over den^n."""
+        """det(num) = (-1)^n c_n, from its characteristic polynomial, over den^n."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        return Fraction(_int_det(self.num), self.den**self.rows)
+        if not self.rows:
+            return Fraction(1)
+        c_n = _faddeev_leverrier(self.num)[0][-1]
+        return Fraction(-c_n if self.rows % 2 else c_n, self.den**self.rows)
 
     def inverse(self) -> "Mat":
         """Right block of the reduced row echelon form of [num | den I]."""
@@ -249,7 +254,7 @@ class Mat:
         return Mat([row[n:] for row in num], den, n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _identity_rows(m: int) -> IntRows:
     return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
@@ -262,27 +267,6 @@ def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRo
 def _trace_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
     """tr(A B) of two square integer matrices."""
     return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * a[k][j]) // prev
-        prev = p
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _faddeev_leverrier(

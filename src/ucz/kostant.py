@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
@@ -77,7 +77,7 @@ class PrincipalTriple:
         return f"PrincipalTriple({self.algebra.descriptor})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_principal_triple(algebra: LieAlgebra) -> PrincipalTriple:
     """Regular nilpotent e = sum of simple root vectors, completed to a triple."""
     rs = algebra.root_system
@@ -173,7 +173,7 @@ class KostantSlice:
         return f"KostantSlice({self.algebra.descriptor}, degrees={self.degrees})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def slice_for(algebra: LieAlgebra) -> KostantSlice:
     """The slice of the cached principal triple, built once per algebra."""
     return KostantSlice(algebra, build_principal_triple(algebra))
@@ -285,7 +285,7 @@ class InvariantSystem:
         )
 
 
-@lru_cache(maxsize=None)
+@cache
 def invariant_system(algebra: LieAlgebra) -> InvariantSystem:
     return InvariantSystem(algebra)
 

@@ -52,7 +52,7 @@ one `Mat`, read back through the realization table in integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -421,10 +421,10 @@ class GroupElement:
     d^(m-1) (det N = d^m).  The determinant is checked where a matrix enters:
     `GroupElement(mat)`, which `group_exp`, `root_product` and
     `torus_element` go through.  For a triangular N / d, as every one of
-    these but the Steinberg n_i is, det = 1 is read
-    as prod_i N[i][i] = d^n; any other matrix takes the Bareiss `det`.
-    det is multiplicative, so products and inverses, and the identity,
-    have determinant one exactly and are built without the check.
+    these but the Steinberg n_i is, det = 1 is read as prod_i N[i][i] =
+    d^n; any other matrix takes `det`, (-1)^n c_n of its characteristic
+    polynomial.  det is multiplicative, so products and inverses, and the
+    identity, have determinant one exactly and are built without the check.
     """
 
     __slots__ = ("mat", "_inv")
@@ -895,7 +895,7 @@ def _times_exp(
     return out, den * base
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_algebra(type_label: str, rank: int) -> LieAlgebra:
     """Construct (once) the catalogue algebra of the given type and rank."""
     return LieAlgebra(f"{type_label}{rank}")

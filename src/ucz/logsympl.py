@@ -23,7 +23,7 @@ an exact centralizer element over the slice.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -107,7 +107,7 @@ class Chart:
         return f"Chart({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _build_chart_cached(algebra: LieAlgebra, I: frozenset[int]) -> Chart:
     return Chart(algebra, I)
 
@@ -242,10 +242,9 @@ def casimir_check(chart: Chart, S, seed: int = 0, samples: int = 5) -> bool:
     return True
 
 
+@cache
 def _leaf_projector(p: ParabolicData) -> Projector:
-    if p._leaf_projector is None:
-        p._leaf_projector = Projector(p.z_l_I, p.derived_p_I.sum(p.u_I_minus))
-    return p._leaf_projector
+    return Projector(p.z_l_I, p.derived_p_I.sum(p.u_I_minus))
 
 
 def _central_part(p: ParabolicData, xi1: Element, refusal: str) -> tuple[list[int], int]:

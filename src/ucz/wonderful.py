@@ -18,7 +18,7 @@ orbit tables the command line prints.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -90,6 +90,10 @@ class ParabolicData:
     vectors of p_I is a multiple of a root vector of p_I.  So derived_p_I
     is spanned by every positive root vector, the negative Levi root vectors
     and h_i for i in I.
+
+    It hashes by identity, and `build_parabolic` builds one per pair, so
+    the data derived from it (`fiber_algebra`, `derived_levi`,
+    `stabilizer_algebra`, `weyl_translates`) is cached per object.
     """
 
     __slots__ = (
@@ -102,11 +106,6 @@ class ParabolicData:
         "u_I_minus",
         "z_l_I",
         "derived_p_I",
-        "_fiber",
-        "_derived_levi",
-        "_weyl_translates",
-        "_stabilizer",
-        "_leaf_projector",
     )
 
     def __init__(self, algebra: LieAlgebra, I: frozenset[int]):
@@ -163,12 +162,6 @@ class ParabolicData:
         ):
             raise ConstructionError("derived algebra and Levi center do not split the parabolic")
 
-        self._fiber: Subspace | None = None
-        self._derived_levi: Subspace | None = None
-        self._weyl_translates: tuple[tuple[GroupElement, Subspace], ...] | None = None
-        self._stabilizer: Subspace | None = None
-        self._leaf_projector = None
-
     def _levi_center(self) -> Subspace:
         """{h in the Cartan : alpha_i(h) = 0 for i in I}, the center of l_I.
 
@@ -205,7 +198,7 @@ def _coordinates(algebra: LieAlgebra, I: frozenset[int]) -> tuple[list[int], lis
     return levi_idx + levi_f, u_idx, u_minus_idx
 
 
-@lru_cache(maxsize=None)
+@cache
 def _build_parabolic_cached(algebra: LieAlgebra, I: frozenset[int]) -> ParabolicData:
     return ParabolicData(algebra, I)
 
@@ -215,6 +208,7 @@ def build_parabolic(algebra: LieAlgebra, I) -> ParabolicData:
     return _build_parabolic_cached(algebra, _check_subset(algebra.rank, I))
 
 
+@cache
 def fiber_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + x) with u in u_I, v in u_I_minus, x in l_I.
 
@@ -223,8 +217,6 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
     1 is (e_j, 0), j in u_I, and (e_j, e_j), j in l_I, sorted by j, then
     (0, e_j), j in u_I_minus.
     """
-    if p._fiber is not None:
-        return p._fiber
     n = p.algebra.dim
     eye, zero = _identity_rows(n), (0,) * n
     levi = set(p.l_I._pivots)
@@ -233,25 +225,24 @@ def fiber_algebra(p: ParabolicData) -> Subspace:
     fiber = Subspace(2 * n, Mat(rows, 1, 2 * n), _canonical=True)
     if fiber.dim != n:
         raise ConstructionError("fiber algebra has the wrong dimension")
-    p._fiber = fiber
     return fiber
 
 
+@cache
 def derived_levi(p: ParabolicData) -> Subspace:
     """derived_p_I cap l_I: the semisimple part of the Levi.
 
     Two coordinate spans meet in their shared coordinates: e_alpha and
     f_alpha for the Levi roots alpha, and h_i for i in I.
     """
-    if p._derived_levi is None:
-        shared = set(p.derived_p_I._pivots) & set(p.l_I._pivots)
-        levi = Subspace.coordinate_span(p.algebra.dim, shared)
-        if levi.dim != p.l_I.dim - p.z_l_I.dim:
-            raise ConstructionError("semisimple part of the Levi has the wrong dimension")
-        p._derived_levi = levi
-    return p._derived_levi
+    shared = set(p.derived_p_I._pivots) & set(p.l_I._pivots)
+    levi = Subspace.coordinate_span(p.algebra.dim, shared)
+    if levi.dim != p.l_I.dim - p.z_l_I.dim:
+        raise ConstructionError("semisimple part of the Levi has the wrong dimension")
+    return levi
 
 
+@cache
 def stabilizer_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + y) with x - y central in the Levi.
 
@@ -261,8 +252,6 @@ def stabilizer_algebra(p: ParabolicData) -> Subspace:
     every fiber row times d, where the row (e_k, e_k) at the pivot k of
     z_i is reduced to (d e_k, d e_k - z_i).
     """
-    if p._stabilizer is not None:
-        return p._stabilizer
     n = p.algebra.dim
     fiber, centre = fiber_algebra(p), p.z_l_I
     d = centre.basis.den
@@ -275,7 +264,6 @@ def stabilizer_algebra(p: ParabolicData) -> Subspace:
     stab = Subspace(2 * n, Mat([rows[k] for k in sorted(rows)], d, 2 * n), _canonical=True)
     if stab.dim != n + p.algebra.rank - len(p.I):
         raise ConstructionError("stabilizer algebra has the wrong dimension")
-    p._stabilizer = stab
     return stab
 
 
@@ -334,7 +322,7 @@ class OrbitPoset:
         return [r for r in self.rows if r.is_divisor]
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_orbit_poset(algebra: LieAlgebra) -> OrbitPoset:
     return OrbitPoset(algebra)
 
@@ -411,25 +399,24 @@ def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) ->
     return BoundaryPoint(L, p.I, g1, g2, realized)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
     """Each Weyl representative w of L with Ad_w, built once per algebra."""
     return tuple((w, L.adjoint(w)) for w in L.weyl_representatives())
 
 
+@cache
 def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
     """The basepoint fiber of orbit I moved by (w, w), for w in the Weyl group.
 
     One pair (w, fiber) per distinct fiber, keeping the first w in the
     order of `weyl_representatives`: |W / W_I| pairs.  Built once per I.
     """
-    if p._weyl_translates is None:
-        base = fiber_algebra(p)
-        first: dict[Subspace, GroupElement] = {}
-        for w, ad in _weyl_adjoints(p.algebra):
-            first.setdefault(_translate(base, ad, ad), w)
-        p._weyl_translates = tuple((w, fiber) for fiber, w in first.items())
-    return p._weyl_translates
+    base = fiber_algebra(p)
+    first: dict[Subspace, GroupElement] = {}
+    for w, ad in _weyl_adjoints(p.algebra):
+        first.setdefault(_translate(base, ad, ad), w)
+    return tuple((w, fiber) for fiber, w in first.items())
 
 
 def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> bool:

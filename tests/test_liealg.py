@@ -630,7 +630,7 @@ def test_group_layer_error_paths_survive(a2):
 
 
 def test_integer_det_and_adjugate_match_the_oracle():
-    # Bareiss det against Leibniz, the adjugate det * inverse against det * Gauss-Jordan
+    # Mat.det against Leibniz, the adjugate det * inverse against det * Gauss-Jordan
     # inverse, on seeded integer matrices with zero pivots and singular cases
     gen = stream(31, "intdet")
     for n in range(1, 5):
@@ -641,7 +641,7 @@ def test_integer_det_and_adjugate_match_the_oracle():
             if trial % 4 == 1 and n > 1:
                 rows[-1] = list(rows[0])
             det = leibniz_det(rows)
-            assert exactlin._int_det(rows) == det
+            assert Mat(rows, cols=n).det() == det
             adj = exactlin._int_adjugate(rows)
             assert product(rows, adj, n) == product(adj, rows, n) == [
                 [det * x for x in row] for row in identity(n)
@@ -833,7 +833,7 @@ def test_root_product_edges(a2, b2):
 
 def test_group_element_accepts_exactly_the_det_one_matrices():
     # a triangular matrix is checked by its diagonal product, any other by
-    # Bareiss; both must agree with the Leibniz determinant
+    # Mat.det; both must agree with the Leibniz determinant
     shapes = {
         "upper": lambda i, j: i <= j,
         "lower": lambda i, j: i >= j,
@@ -879,7 +879,7 @@ def test_triangular_group_elements_skip_bareiss(monkeypatch, a2):
     # root products of one sign, exp of n and n-, and torus elements are
     # triangular, so their det check reads the diagonal and never calls det
     def no_det(self):
-        raise AssertionError("Bareiss det called on a triangular matrix")
+        raise AssertionError("det called on a triangular matrix")
 
     gen = stream(53, "triangular")
     upper = [(a2.idx_e(k), gen.nonzero_fraction()) for k in range(a2.n_pos)]

@@ -1,24 +1,28 @@
 """Layer and end-to-end timings of ucz checkouts, timed alternately into one file.
 
-    python3 tools/bench.py --src parent=OTHER/src --src change=src --out BENCH_17.json
+    python3 tools/bench.py --src parent=OTHER/src --src change=src --out BENCH_20.json
 
 Each `--src LABEL=DIR` names the `src` directory of a checkout (default:
-`change=` the one next to this file); its `tests` directory sits beside
-it.  The checkouts are timed in turn, step by step, and the order flips
-every repeat, so a phase of the host's speed falls on both sides alike.
-A repeat times, for each checkout, every layer in one fresh process
-(`--layers DIR`, each layer the better of two runs there), then
-`ucz verify <alg> --samples 20` per algebra and the catalogue set-up
-(`import ucz`, then every algebra with every parabolic, then the fiber,
-stabilizer and derived Levi of each), each in a fresh process of its own.
-Every figure is the minimum over the repeats, because single runs on a
-shared host vary by about 30%.  Inputs a layer caches on (group elements
-cache their inverse, the parabolic data of an (algebra, I) pair is built
-once, and so are its fiber, stabilizer and derived Levi) are made fresh
-for every run, outside the timing.  The tier-1 suite and the acceptance
-gate are timed once per checkout, in turn, and are labelled as single
-runs.  Each label's result is merged into `--out`; without `--out` the
-results are printed.  Standard library only.
+`change=` the one next to this file); its `tests`, `perfbench` and
+`BENCHMARK.json` sit beside it.  The checkouts are timed in turn, step by
+step, and the order flips every repeat, so a phase of the host's speed
+falls on both sides alike.  A repeat runs, for each checkout, the
+benchmark's traced mode (`perfbench/run.py --trace 1`) on every workload
+its `BENCHMARK.json` names, then `ucz verify <alg> --samples 20` per
+algebra and the catalogue set-up (`import ucz`, then every algebra with
+every parabolic, then the fiber, stabilizer and derived Levi of each),
+each in a fresh process of its own.
+
+The per-layer rows are the tracer's: `X.F.calls` counts and `X.F.self_s`
+seconds of each wrapped function F of layer X.  A count must be the same
+in every repeat; every other value, like every end-to-end figure, is the
+minimum over the repeats, because single runs on a shared host vary by
+about 30%.  The tier-1 suite and the acceptance gate are timed once per
+checkout, in turn, and are labelled as single runs.  `verify`, tier-1 and
+the gate keep their exit codes; any other process that fails, or a traced
+run that is not correct, stops the tool with an error naming the step.
+Each label's result is merged into `--out`; without `--out` the results
+are printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -34,212 +38,25 @@ from pathlib import Path
 
 ALGEBRAS = ("A1", "A2", "A3", "B2", "G2")
 REPEATS = 5
-IN_PROCESS_RUNS = 2
 VERIFY_SAMPLES = 20
-UNIPOTENT_CALLS = 200
-GROUP_CALLS = 2000
-INVERSE_CALLS = 200
-LEAF_SAMPLES = 10
-FREENESS_PAIRS = 20
-MEMBERSHIP_PAIRS = 100
-FROM_MATRIX_CALLS = 200
 
 
-def best_of(repeats: int, fn, fresh=tuple) -> float:
-    """The least wall time of `repeats` calls fn(*fresh()), fresh() made outside the timing."""
-    best = float("inf")
-    for _ in range(repeats):
-        args = fresh()
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+class BenchError(RuntimeError):
+    """A step whose output the tool needs failed."""
 
 
-def layer_timings(src: Path, repeats: int) -> dict:
-    """Parabolic sweeps, samplers, group inverses, leaf readout and membership, in process."""
-    sys.path.insert(0, str(src))
-    from fractions import Fraction
-
-    from ucz import algebra_from_descriptor
-    from ucz.exactlin import Mat
-    from ucz.kostant import build_principal_triple
-    from ucz.liealg import GroupElement, conjugate, pair_row
-    from ucz.logsympl import leaf_label, leaf_sigma_values, nxn_freeness, same_leaf
-    from ucz.rng import stream
-    from ucz.suites import borel_sample, fiber_sample, group_sample, positive_unipotent
-    from ucz.wonderful import (
-        _build_parabolic_cached,
-        all_subsets,
-        build_parabolic,
-        derived_levi,
-        fiber_algebra,
-        make_boundary_point,
-        stabilizer_algebra,
-    )
-
-    def uncached():
-        _build_parabolic_cached.cache_clear()
-        return ()
-
-    out = {}
-    for alg in ALGEBRAS:
-        L = algebra_from_descriptor(alg)
-        subsets = all_subsets(L.rank)
-
-        def sweep(L=L, subsets=subsets):
-            for I in subsets:
-                build_parabolic(L, I)
-
-        out[f"build_parabolic sweep {alg}"] = _layer(
-            best_of(repeats, sweep, uncached), len(subsets)
-        )
-        parabolics = [build_parabolic(L, I) for I in subsets]
-        for name, fn, slot in (
-            ("fiber_algebra", fiber_algebra, "_fiber"),
-            ("stabilizer_algebra", stabilizer_algebra, "_stabilizer"),
-            ("derived_levi", derived_levi, "_derived_levi"),
-        ):
-
-            def boundary(fn=fn, parabolics=parabolics):
-                for p in parabolics:
-                    fn(p)
-
-            def cleared(slot=slot, parabolics=parabolics):
-                for p in parabolics:
-                    setattr(p, slot, None)
-                return ()
-
-            # the first run builds the fiber a stabilizer reads; only the timed cache is cleared
-            boundary()
-            out[f"{name} sweep {alg}"] = _layer(
-                best_of(repeats, boundary, cleared), len(subsets)
-            )
-    for alg in ("A1", "A2", "A3"):
-        L = algebra_from_descriptor(alg)
-
-        def unipotents(L=L, alg=alg):
-            gen = stream(12, f"bench:unipotent:{alg}")
-            for _ in range(UNIPOTENT_CALLS):
-                positive_unipotent(L, gen)
-
-        unipotents()  # builds any per-algebra cache outside the timing
-        out[f"positive_unipotent {alg}"] = _layer(best_of(repeats, unipotents), UNIPOTENT_CALLS)
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    upper = Mat([(2, half, 1, -3), (0, half, third, 0), (0, 0, 3, 2), (0, 0, 0, third)])
-    lower = Mat([(1, 0, 0, 0), (-2, 1, 0, 0), (third, 0, 1, 0), (0, half, -1, 1)])
-    for name, mat in (("triangular", upper), ("non-triangular", upper * lower)):
-
-        def build(mat=mat):
-            for _ in range(GROUP_CALLS):
-                GroupElement(mat)
-
-        out[f"GroupElement 4x4 {name}"] = _layer(best_of(repeats, build), GROUP_CALLS)
-
-    for alg in ("A2", "A3"):
-        L = algebra_from_descriptor(alg)
-        gen = stream(13, f"bench:inverse:{alg}")
-        mats = [group_sample(L, gen).mat for _ in range(INVERSE_CALLS)]
-
-        def invert(elements):
-            for g in elements:
-                g.inverse()
-
-        def fresh(mats=mats):
-            return ([GroupElement(mat) for mat in mats],)
-
-        best = best_of(repeats, invert, fresh)
-        out[f"GroupElement.inverse {alg}"] = _layer(best, INVERSE_CALLS)
-
-        gen = stream(13, f"bench:freeness:{alg}")
-        pairs = [(borel_sample(L, gen), borel_sample(L, gen)) for _ in range(FREENESS_PAIRS)]
-
-        def freeness(pairs=pairs):
-            for xi1, xi2 in pairs:
-                nxn_freeness(xi1, xi2)
-
-        out[f"nxn_freeness {alg}"] = _layer(best_of(repeats, freeness), FREENESS_PAIRS)
-
-    for alg in ("A2", "A3", "G2"):
-        L = algebra_from_descriptor(alg)
-        parabolics = [build_parabolic(L, I) for I in all_subsets(L.rank)]
-        calls = len(parabolics) * LEAF_SAMPLES
-
-        def draw(L=L, parabolics=parabolics):
-            gen = stream(14, f"bench:fiber:{L.descriptor}")
-            return [[fiber_sample(p, gen) for _ in range(LEAF_SAMPLES)] for p in parabolics]
-
-        # the first run fills the lazy per-parabolic caches; best_of keeps the least run
-        samples = draw()
-        out[f"fiber_sample {alg}"] = _layer(best_of(repeats, draw), calls)
-        for name, fn in (("leaf_label", leaf_label), ("leaf_sigma_values", leaf_sigma_values)):
-
-            def read(fn=fn, parabolics=parabolics, samples=samples):
-                for p, points in zip(parabolics, samples):
-                    for xi1, _, _ in points:
-                        fn(p, xi1)
-
-            out[f"{name} {alg}"] = _layer(best_of(repeats, read), calls)
-
-        def compare(parabolics=parabolics, samples=samples):
-            for p, points in zip(parabolics, samples):
-                for (x1, x2, _), (y1, y2, _) in zip(points, points[1:] + points[:1]):
-                    same_leaf(p, (x1, x2), (y1, y2))
-
-        out[f"same_leaf {alg}"] = _layer(best_of(repeats, compare), calls)
-
-    # Subspace.contains on members and on non-members next to them: the Borel
-    # (a coordinate span) on x - f and x for x in f + b, and a fiber of A3 and
-    # its translate by a pair of group elements on a fiber pair (x1, x2) and
-    # (x1 + h_1, x2), whose Levi parts differ
-    L = algebra_from_descriptor("A3")
-    gen = stream(15, "bench:contains")
-    f = build_principal_triple(L).f
-    points = [borel_sample(L, gen) for _ in range(MEMBERSHIP_PAIRS)]
-    borel = [(x - f).num for x in points] + [x.num for x in points]
-    p = build_parabolic(L, {2})
-    fiber = fiber_algebra(p)
-    pairs = [fiber_sample(p, gen)[:2] for _ in range(MEMBERSHIP_PAIRS)]
-    rows = [pair_row(x1, x2) for x1, x2 in pairs]
-    rows += [pair_row(x1 + L.h(0), x2) for x1, x2 in pairs]
-    g1, g2 = group_sample(L, gen), group_sample(L, gen)
-    point = make_boundary_point(p, g1, g2)
-    moved = [pair_row(conjugate(g1, x1), conjugate(g2, x2)) for x1, x2 in pairs]
-    moved += [pair_row(conjugate(g1, x1 + L.h(0)), conjugate(g2, x2)) for x1, x2 in pairs]
-    for name, space, vectors in (
-        ("coordinate span (Borel) A3", L.borel, borel),
-        ("fiber A3 I={2}", fiber, rows),
-        ("translated fiber A3 I={2}", point.realized_fiber, moved),
-    ):
-        want = [True] * MEMBERSHIP_PAIRS + [False] * MEMBERSHIP_PAIRS
-        if [space.contains(v) for v in vectors] != want:
-            raise AssertionError(f"Subspace.contains {name} misreads a vector")
-
-        def contains(space=space, vectors=vectors):
-            for v in vectors:
-                space.contains(v)
-
-        out[f"Subspace.contains {name}"] = _layer(best_of(repeats, contains), len(vectors))
-
-    for alg in ("A2", "A3"):
-        L = algebra_from_descriptor(alg)
-        gen = stream(16, f"bench:from_matrix:{alg}")
-        mats = [
-            L.realize(L.element([gen.fraction() for _ in range(L.dim)]))
-            for _ in range(FROM_MATRIX_CALLS)
-        ]
-
-        def read(L=L, mats=mats):
-            for mat in mats:
-                L.from_matrix(mat)
-
-        out[f"from_matrix {alg}"] = _layer(best_of(repeats, read), FROM_MATRIX_CALLS)
-    return out
-
-
-def _layer(best_s: float, calls: int) -> dict:
-    per_call_us = round(1e6 * best_s / calls, 3)
-    return {"best_s": round(best_s, 6), "calls": calls, "per_call_us": per_call_us}
+def merge_traced(where: str, runs: list[dict]) -> dict:
+    """One workload's traced results over the repeats: counts kept exactly, the rest the minimum."""
+    for run in runs:
+        if run["correct"] is not True or run["failed"]:
+            raise BenchError(f"{where}: traced run not correct ({run['failed']} failed)")
+    layers = {}
+    for name in runs[0]["metrics"]:
+        values = [run["metrics"][name]["value"] for run in runs]
+        if name.endswith(".calls") and len(set(values)) > 1:
+            raise BenchError(f"{where}: {name} differs between repeats: {values}")
+        layers[name] = min(values)
+    return layers
 
 
 CATALOGUE_STEPS = (
@@ -273,13 +90,30 @@ def _python(src: Path, args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def _steps(src: Path) -> dict:
+def _checked(label: str, step: str, src: Path, args: list[str]) -> str:
+    """Standard output of a fresh process that has to succeed."""
+    done = _python(src, args)
+    if done.returncode != 0:
+        tail = done.stderr.strip().splitlines()[-1:] or ["no message"]
+        raise BenchError(f"{label}: {step} exited with {done.returncode}: {tail[0]}")
+    return done.stdout
+
+
+def _workloads(src: Path) -> list[str]:
+    spec = json.loads((src.parent / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
+def _steps(label: str, src: Path) -> dict:
     """One repeat's timings of src, each step a callable that starts fresh processes."""
 
-    def layers():
-        done = _python(src, [str(Path(__file__).resolve()), "--layers", str(src)])
-        done.check_returncode()
-        return json.loads(done.stdout)
+    def traced(workload: str):
+        script = str(src.parent / "perfbench" / "run.py")
+        args = [script, "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+        out = _checked(label, f"traced {workload}", src, args)
+        run = json.loads(out.strip().splitlines()[-1])
+        merge_traced(f"{label}: traced {workload}", [run])  # stops at the first bad run
+        return run
 
     def verify(alg: str):
         args = ["-m", "ucz", "verify", alg, "--samples", str(VERIFY_SAMPLES)]
@@ -288,10 +122,11 @@ def _steps(src: Path) -> dict:
         return time.perf_counter() - start, code
 
     def catalogue():
-        return json.loads(_python(src, ["-c", CATALOGUE]).stdout)
+        return json.loads(_checked(label, "catalogue", src, ["-c", CATALOGUE]))
 
-    steps = {"layers": layers, "catalogue": catalogue}
+    steps = {f"traced {w}": (lambda w=w: traced(w)) for w in _workloads(src)}
     steps.update({alg: (lambda alg=alg: verify(alg)) for alg in ALGEBRAS})
+    steps["catalogue"] = catalogue
     return steps
 
 
@@ -314,23 +149,24 @@ def _single_runs(src: Path) -> dict:
 def alternate(checkouts: dict[str, Path], repeats: int) -> dict:
     """Every checkout timed step by step in turn, the order flipped every repeat."""
     labels = list(checkouts)
-    steps = {label: _steps(src) for label, src in checkouts.items()}
+    steps = {label: _steps(label, src) for label, src in checkouts.items()}
     runs = {label: {name: [] for name in steps[label]} for label in labels}
-    for src in checkouts.values():
+    names = dict.fromkeys(name for label in labels for name in steps[label])
+    for label, src in checkouts.items():
         # compiled once up front, so no timed run pays for compiling a module it imports
-        _python(src, ["-m", "compileall", "-q", str(src / "ucz")]).check_returncode()
+        _checked(label, "compileall", src, ["-m", "compileall", "-q", str(src / "ucz")])
     for r in range(repeats):
         order = labels if r % 2 == 0 else labels[::-1]
-        for name in steps[labels[0]]:
+        for name in names:
             for label in order:
-                runs[label][name].append(steps[label][name]())
+                if name in steps[label]:
+                    runs[label][name].append(steps[label][name]())
     results = {}
     for label in labels:
         got = runs[label]
-        first = got["layers"][0]
         layers = {
-            row: _layer(min(run[row]["best_s"] for run in got["layers"]), first[row]["calls"])
-            for row in first
+            w: merge_traced(f"{label}: traced {w}", got[f"traced {w}"])
+            for w in _workloads(checkouts[label])
         }
         end_to_end = {
             f"verify {alg} --samples {VERIFY_SAMPLES}": {
@@ -343,11 +179,7 @@ def alternate(checkouts: dict[str, Path], repeats: int) -> dict:
             end_to_end[f"fresh process: {name}"] = {
                 "best_s": round(min(run[k] for run in got["catalogue"]), 4)
             }
-        results[label] = {
-            "repeats": repeats,
-            "layers_best_s": layers,
-            "end_to_end_best_s": end_to_end,
-        }
+        results[label] = {"repeats": repeats, "layers": layers, "end_to_end_best_s": end_to_end}
     for label in labels:
         results[label]["single_runs"] = _single_runs(checkouts[label])
     return results
@@ -362,12 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         help="a checkout's src directory under a label; repeat to time checkouts in turn",
     )
     parser.add_argument("--out", type=Path, default=None, help="JSON file to merge results into")
-    parser.add_argument("--layers", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.layers is not None:
-        # one repeat's layer timings, in this fresh process
-        print(json.dumps(layer_timings(args.layers.resolve(), IN_PROCESS_RUNS)))
-        return 0
     checkouts = {}
     for item in args.src or [f"change={Path(__file__).resolve().parents[1] / 'src'}"]:
         label, sep, path = item.partition("=")
@@ -377,7 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         if not (src / "ucz").is_dir():
             parser.error(f"{src} holds no ucz package")
         checkouts[label] = src
-    results = alternate(checkouts, REPEATS)
+    try:
+        results = alternate(checkouts, REPEATS)
+    except BenchError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 1
     if args.out is None:
         print(json.dumps(results, indent=2))
         return 0
