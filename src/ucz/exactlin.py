@@ -42,14 +42,13 @@ content (gcd) to keep the entries small.  `rank` stops after the forward
 elimination.  The reduced rows are brought over one denominator, the lcm
 of their pivots (`_int_rref`): the same canonical RREF as a Fraction
 Gauss-Jordan elimination.  `inverse` of N / d is the right block of the
-RREF of [N | d I].  `Mat.inverse` serves the projectors, the slice
-solvers and `solve`.  One Faddeev-LeVerrier run (`_faddeev_leverrier`)
-gives the characteristic polynomial and the adjugate of an integer
-matrix: the invariants read its coefficients, `det` of N / d is
-(-1)^n c_n(N) over d^n, and a determinant-one group element is inverted
-without elimination, as its integer adjugate (`_int_adjugate`) over
-d^(m-1).  Products and `apply` visit only the nonzero entries, so a
-product with a zero factor is never formed.
+RREF of [N | d I].  `Mat.inverse` is the one inverse: it serves the
+group elements, the projectors, the slice solvers and `solve`.  One
+Faddeev-LeVerrier run (`_faddeev_leverrier`) gives the characteristic
+polynomial and the adjugate of an integer matrix: the invariants read
+its coefficients and their gradient off its adjugate, and `det` of
+N / d is (-1)^n c_n(N) over d^n.  Products and `apply` visit only the
+nonzero entries, so a product with a zero factor is never formed.
 """
 
 from __future__ import annotations
@@ -294,12 +293,6 @@ def _faddeev_leverrier(
     # the last step needs only tr(Y B[m-1])
     coeffs.append(-_trace_mul(y, b) // m)
     return coeffs, adjugate
-
-
-def _int_adjugate(y: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    """adj(Y) of a square integer matrix: B[m-1] = adj(-Y) = (-1)^(m-1) adj(Y) at t = 0."""
-    last = _faddeev_leverrier(y)[1][-1]
-    return last if len(y) % 2 else [[-x for x in row] for row in last]
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:

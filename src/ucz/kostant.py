@@ -19,9 +19,8 @@ they are -a_d for the degrees d of `root_degrees`, (2, 4) for B2 and
 Y integral, a_k(M) = c_k(Y) / D^k, so each invariant is -c_k(Y) / D^k for
 the integer coefficients c_k of det(lambda I - Y).
 
-
 Their Jacobian comes from the same Faddeev-LeVerrier run on Y
-(`exactlin._faddeev_leverrier`, which the group layer's inverses share).
+(`exactlin._faddeev_leverrier`, which `Mat.det` shares).
 The run also yields the adjugate adj(lambda I - Y) =
 sum_k B_k lambda^(m-1-k), with B_0 = I, c_k = -tr(Y B_(k-1)) / k (an exact integer division) and
 B_k = Y B_(k-1) + c_k I, all integral.  Jacobi's formula

@@ -37,11 +37,9 @@ through the table.  The flattened table spans a `Subspace` of the m x m
 matrices, and a matrix is read only if it passes that span's free-column
 membership test: for sl_m the one free column is the last diagonal
 entry, so the test is the trace.
-A `GroupElement` is one `Mat` of determinant one: products and
+A `GroupElement` is one `Mat` of determinant one: products, inverses and
 `conjugate(g, y) = from_matrix(g realize(y) g^-1)` are `Mat` arithmetic,
-and the determinant is checked where a matrix enters the group.
-det N = d^m for g = N / d, so the inverse is adj(N) / d^(m-1), the
-integer adjugate of `exactlin._int_adjugate`, with no elimination.
+and the determinant is checked only where a matrix enters from outside.
 `root_product` multiplies root factors exp(c e_alpha) straight into one
 integer matrix from each root's cached realization powers; the torus
 elements are products of coroot cocharacters, and the Weyl
@@ -54,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
@@ -65,7 +63,6 @@ from .exactlin import (
     Vector,
     _as_fraction,
     _identity_rows,
-    _int_adjugate,
     _int_matmul,
     _integer_vector,
     kernel,
@@ -416,15 +413,19 @@ class GroupElement:
     """A determinant-one rational matrix acting on an algebra's realization by conjugation.
 
     The element is one `Mat`, `mat`, whose canonical form makes equal
-    elements have equal `mat`; products and conjugation are `Mat`
-    arithmetic, and the inverse of N / d is the integer adjugate of N over
-    d^(m-1) (det N = d^m).  The determinant is checked where a matrix enters:
-    `GroupElement(mat)`, which `group_exp`, `root_product` and
-    `torus_element` go through.  For a triangular N / d, as every one of
-    these but the Steinberg n_i is, det = 1 is read as prod_i N[i][i] =
-    d^n; any other matrix takes `det`, (-1)^n c_n of its characteristic
-    polynomial.  det is multiplicative, so products and inverses, and the
-    identity, have determinant one exactly and are built without the check.
+    elements have equal `mat`; products, conjugation and the inverse are
+    `Mat` arithmetic.  `GroupElement(mat)` is the one edge that checks
+    det = 1.  Everything the library builds is unimodular by construction
+    and skips the check (`_group`):
+      * `group_exp` and each `root_product` factor is exp of a nilpotent,
+        which `_sparse_powers` refuses otherwise, and exp(Y) has det
+        e^(tr Y) = 1;
+      * a torus element has det prod_i t_i^(tr h_i) = 1, as each
+        h_i = [e_i, f_i] is traceless;
+      * the Steinberg n_i and the Weyl representatives are products of
+        such factors;
+      * det is multiplicative, so products, inverses and the identity have
+        determinant one.
     """
 
     __slots__ = ("mat", "_inv")
@@ -432,12 +433,7 @@ class GroupElement:
     def __init__(self, mat: Mat):
         if mat.rows != mat.cols:
             raise DomainError("group element must be square")
-        num = mat.num
-        if _triangular(num):
-            unimodular = prod([row[i] for i, row in enumerate(num)]) == mat.den**mat.rows
-        else:
-            unimodular = mat.det() == 1
-        if not unimodular:
+        if mat.det() != 1:
             raise DomainError("group element must have determinant one")
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_inv", None)
@@ -449,11 +445,10 @@ class GroupElement:
         return self.mat == Mat.identity(self.mat.rows)
 
     def inverse(self) -> "GroupElement":
-        """adj(N) / d^(m-1) for self = N / d, as det N = d^m; cached both ways."""
+        """The inverse matrix, cached both ways."""
         inv = self._inv
         if inv is None:
-            mat = self.mat
-            inv = _group(Mat(_int_adjugate(mat.num), mat.den ** (mat.rows - 1), mat.rows))
+            inv = _group(self.mat.inverse())
             object.__setattr__(inv, "_inv", self)
             object.__setattr__(self, "_inv", inv)
         return inv
@@ -469,17 +464,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.mat!r})"
-
-
-def _triangular(num: IntRows) -> bool:
-    """Is the square matrix num upper or lower triangular?"""
-    upper = lower = True
-    for i, row in enumerate(num):
-        upper = upper and not any(row[:i])
-        lower = lower and not any(row[i + 1 :])
-        if not (upper or lower):
-            return False
-    return True
 
 
 def _group(mat: Mat) -> GroupElement:
@@ -524,7 +508,6 @@ class LieAlgebra:
         self.nilpos = Subspace.coordinate_span(n, range(e_end))
         self.nilneg = Subspace.coordinate_span(n, range(h_end, n))
         self.borel = Subspace.coordinate_span(n, range(h_end))
-        self.borel_minus = Subspace.coordinate_span(n, range(e_end, n))
 
     # -- indices and naming -------------------------------------------------
 
@@ -793,7 +776,7 @@ class LieAlgebra:
         """
         real = self.realize(x)
         num, den = _times_exp(_identity_rows(real.rows), 1, _sparse_powers(real.num), 1, real.den)
-        return GroupElement(Mat(num, den))
+        return _group(Mat(num, den))
 
     def root_product(self, factors: Iterable[tuple[int, object]]) -> GroupElement:
         """The product of exp(c b_idx) over the (basis index, c) pairs, in order.
@@ -813,7 +796,7 @@ class LieAlgebra:
             c = c if type(c) is int else _as_fraction(c)
             if c:
                 num, den = _times_exp(num, den, powers, c.numerator, c.denominator)
-        return GroupElement(Mat(num, den))
+        return _group(Mat(num, den))
 
     def torus_element(self, ts: Sequence) -> GroupElement:
         """prod_i alpha_i^vee(t_i): diagonal entry k is prod_i t_i^(h_i[k][k]), h_i realized."""
@@ -827,7 +810,7 @@ class LieAlgebra:
                 raise DomainError("torus parameters must be nonzero")
             for k, _, v in self._realization[self.idx_h(i)]:
                 rows[k][k] *= t**v
-        return GroupElement(Mat(rows))
+        return _group(Mat(rows))
 
     def weyl_representatives(self) -> list[GroupElement]:
         """The first word in Steinberg's n_i = exp(e_i) exp(-f_i) exp(e_i) over each Weyl element.

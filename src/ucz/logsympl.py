@@ -32,7 +32,7 @@ from .exactlin import Mat, Projector, Rat, rank, vec
 from .kostant import slice_for, slice_normalize, witness_group_element
 from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 from .rng import SplitMix64, stream
-from .wonderful import ParabolicData, fiber_algebra
+from .wonderful import ParabolicData, _check_subset, fiber_algebra
 
 __all__ = [
     "Chart",
@@ -62,10 +62,7 @@ class Chart:
 
     def __init__(self, algebra: LieAlgebra, I: frozenset[int]):
         self.algebra = algebra
-        self.I = frozenset(I)
-        for i in self.I:
-            if not (1 <= i <= algebra.rank):
-                raise DomainError(f"pole set must lie in 1..{algebra.rank}")
+        self.I = _check_subset(algebra.rank, I)
         self.m = algebra.n_pos
         l = algebra.rank
         if 2 * self.m + l != algebra.dim:
@@ -113,7 +110,7 @@ def _build_chart_cached(algebra: LieAlgebra, I: frozenset[int]) -> Chart:
 
 
 def build_chart(algebra: LieAlgebra, I) -> Chart:
-    return _build_chart_cached(algebra, frozenset(I))
+    return _build_chart_cached(algebra, _check_subset(algebra.rank, I))
 
 
 class ChartPoint:
@@ -231,8 +228,10 @@ def casimir_check(chart: Chart, S, seed: int = 0, samples: int = 5) -> bool:
     """Do the s_i, i in S, Poisson-commute with every coordinate on the stratum?
 
     Checked by exact contraction: the s_i rows of the bivector must vanish
-    at seeded sample points with z_i = 0 exactly on S.
+    at seeded sample points with z_i = 0 exactly on S; `samples` must be positive.
     """
+    if samples < 1:
+        raise DomainError("casimir_check needs at least one sample")
     S = _check_stratum(chart, S)
     gen = stream(seed, f"casimir:{chart.algebra.descriptor}:{sorted(chart.I)}:{sorted(S)}")
     for _ in range(samples):

@@ -12,7 +12,7 @@ from math import gcd, prod
 
 import pytest
 
-from ucz import algebra_from_descriptor, build_algebra, exactlin
+from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor, build_algebra
 from ucz.errors import DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
 from ucz.liealg import Element, GroupElement, LieAlgebra, conjugate
@@ -584,13 +584,9 @@ def test_products_and_inverses_stay_unimodular(any_algebra):
         L.torus_element([0] * L.rank)
 
 
-def test_group_inverse_is_the_adjugate_without_elimination(monkeypatch, any_algebra):
-    # g = N / d has det N = d^m, so g^-1 = adj(N) / d^(m-1): checked against
-    # Gauss-Jordan on group samples, root products of both signs, torus
-    # elements and every Weyl representative, with Mat.inverse unavailable
-    def no_elimination(self):
-        raise AssertionError("a group element was inverted by elimination")
-
+def test_group_inverse_matches_gauss_jordan(any_algebra):
+    # g^-1 against the Gauss-Jordan oracle on group samples, root products
+    # of both signs, torus elements and every Weyl representative
     L = any_algebra
     m = L.matrix_size
     gen = stream(97, f"adjugate-inverse:{L.descriptor}")
@@ -600,7 +596,6 @@ def test_group_inverse_is_the_adjugate_without_elimination(monkeypatch, any_alge
     samples += [L.root_product(upper), L.root_product(lower), L.root_product(upper + lower)]
     samples += group_inputs(L, gen)[:2] + L.weyl_representatives()
     assert any(g.mat.den > 1 for g in samples)
-    monkeypatch.setattr(Mat, "inverse", no_elimination)
     for g in samples:
         g_inv = g.inverse()
         assert g_inv.mat == Mat(inverse(g.mat.row_list()), cols=m)
@@ -630,7 +625,7 @@ def test_group_layer_error_paths_survive(a2):
 
 
 def test_integer_det_and_adjugate_match_the_oracle():
-    # Mat.det against Leibniz, the adjugate det * inverse against det * Gauss-Jordan
+    # Mat.det against Leibniz, det * Mat.inverse against det * the Gauss-Jordan
     # inverse, on seeded integer matrices with zero pivots and singular cases
     gen = stream(31, "intdet")
     for n in range(1, 5):
@@ -642,15 +637,10 @@ def test_integer_det_and_adjugate_match_the_oracle():
                 rows[-1] = list(rows[0])
             det = leibniz_det(rows)
             assert Mat(rows, cols=n).det() == det
-            adj = exactlin._int_adjugate(rows)
-            assert product(rows, adj, n) == product(adj, rows, n) == [
-                [det * x for x in row] for row in identity(n)
-            ]
             if det:
                 inv = inverse(rows)
                 want = tuple(tuple(det * x for x in row) for row in inv)
                 assert Mat(rows, cols=n).inverse().scale(det) == Mat(want, cols=n)
-                assert Mat(adj, cols=n) == Mat(want, cols=n)
 
 
 # -- canonical (num, den) form -------------------------------------------------------
@@ -832,8 +822,8 @@ def test_root_product_edges(a2, b2):
 
 
 def test_group_element_accepts_exactly_the_det_one_matrices():
-    # a triangular matrix is checked by its diagonal product, any other by
-    # Mat.det; both must agree with the Leibniz determinant
+    # triangular and full matrices alike are checked by Mat.det, which must
+    # agree with the Leibniz determinant
     shapes = {
         "upper": lambda i, j: i <= j,
         "lower": lambda i, j: i >= j,
@@ -875,22 +865,24 @@ def test_group_element_accepts_exactly_the_det_one_matrices():
             GroupElement(Mat(rows, cols=3))
 
 
-def test_triangular_group_elements_skip_bareiss(monkeypatch, a2):
-    # root products of one sign, exp of n and n-, and torus elements are
-    # triangular, so their det check reads the diagonal and never calls det
+def test_triangular_group_elements_skip_bareiss(monkeypatch):
+    # root products of one sign and of mixed signs, exp of n and n-, torus
+    # elements and every Weyl representative are unimodular by construction,
+    # so building them never calls det, and their Leibniz det is 1
     def no_det(self):
-        raise AssertionError("det called on a triangular matrix")
+        raise AssertionError("det called on a library-built group element")
 
     gen = stream(53, "triangular")
-    upper = [(a2.idx_e(k), gen.nonzero_fraction()) for k in range(a2.n_pos)]
-    lower = [(a2.idx_f(k), gen.nonzero_fraction()) for k in range(a2.n_pos)]
     monkeypatch.setattr(Mat, "det", no_det)
-    built = [
-        a2.root_product(upper),
-        a2.root_product(lower),
-        a2.group_exp(random_nilpos(a2, gen)),
-        a2.torus_element([2, Fraction(-2, 3)]),
-    ]
-    assert all(leibniz_det(g.mat.row_list()) == 1 for g in built)
-    with pytest.raises(AssertionError):
-        a2.root_product(upper + lower)
+    for name in ALGEBRA_DESCRIPTORS:
+        L = algebra_from_descriptor(name)
+        upper = [(L.idx_e(k), gen.nonzero_fraction()) for k in range(L.n_pos)]
+        lower = [(L.idx_f(k), gen.nonzero_fraction()) for k in range(L.n_pos)]
+        built = [
+            L.root_product(upper),
+            L.root_product(lower),
+            L.root_product(upper + lower + upper[:1]),
+            *group_inputs(L, gen),
+            *L.weyl_representatives(),
+        ]
+        assert all(leibniz_det(g.mat.row_list()) == 1 for g in built), name

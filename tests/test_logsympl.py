@@ -68,8 +68,12 @@ def test_chart_labels_a1(a1):
 
 
 def test_chart_rejects_bad_pole_sets(a1):
-    with pytest.raises(DomainError):
-        build_chart(a1, {2})
+    # the same refusals as build_parabolic: indices outside 1..rank and non-integers
+    for bad in ({2}, {1.5}, {0}, {"1"}):
+        with pytest.raises(DomainError):
+            build_chart(a1, bad)
+        with pytest.raises(DomainError):
+            build_parabolic(a1, bad)
     chart = build_chart(a1, {1})
     with pytest.raises(DomainError):
         chart.point((0, 0, 0))
@@ -201,6 +205,15 @@ def test_stratum_must_lie_in_the_pole_set(a2):
     chart = build_chart(a2, {1})
     with pytest.raises(DomainError):
         stratum_rank(chart, {2})
+
+
+def test_casimir_check_refuses_a_vacuous_sample_count(a2):
+    # with no sample nothing is checked, so there is no pass to report
+    chart = build_chart(a2, {1})
+    for samples in (0, -3):
+        with pytest.raises(DomainError):
+            casimir_check(chart, {1}, samples=samples)
+    assert casimir_check(chart, {1}, samples=1)
 
 
 def test_sigma_casimirs_vanish_on_strata(any_algebra):

@@ -181,7 +181,6 @@ def test_coordinate_spans_are_the_spans_of_their_units(any_algebra):
         "nilneg": [L.idx_f(k) for k in range(L.n_pos)],
     }
     blocks["borel"] = blocks["cartan"] + blocks["nilpos"]
-    blocks["borel_minus"] = blocks["nilneg"] + blocks["cartan"]
     for name, idxs in blocks.items():
         assert getattr(L, name) == Subspace.from_vectors(n, _units(n, idxs)), name
     with pytest.raises(DimensionError):
