@@ -3,10 +3,12 @@
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
 (unknown algebra, bad seed, --samples below 1), 3 output I/O failure,
 4 internal error (a library construction or decomposition raised).
-The seed comes from --seed, then the UCZ_SEED environment variable,
-then 42; identical (algebra, seed, samples) configurations produce
-byte-identical JSON reports, so wall time is reported only in the text
-format.
+The algebra is matched, after stripping and upper-casing, against
+ALGEBRA_DESCRIPTORS exactly.  The seed comes from --seed, then the
+UCZ_SEED environment variable, then 42, and must be an integer in
+0..2^64-1, the state space of the generator; identical (algebra, seed,
+samples) configurations produce byte-identical JSON reports, so wall
+time is reported only in the text format.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 )
 from .kostant import build_principal_triple, slice_for
 from .liealg import ALGEBRA_DESCRIPTORS, Element, algebra_from_descriptor
+from .rng import _MASK as _SEED_MAX
 from .suites import SUITE_NAMES, SuiteReport, run_suites
 from .wonderful import build_orbit_poset
 
@@ -59,11 +62,15 @@ def _format_subset(I) -> str:
 
 
 def _resolve_seed(value: str | None) -> int:
+    """The master seed; one outside 0..2^64-1 would alias another seed's stream."""
     text = value if value is not None else os.environ.get("UCZ_SEED", "42")
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    if not 0 <= seed <= _SEED_MAX:
+        raise argparse.ArgumentTypeError(f"seed must lie in 0..{_SEED_MAX}, got {text!r}")
+    return seed
 
 
 def cmd_describe(args) -> int:
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed",
             default=None,
-            help="64-bit master seed (default: UCZ_SEED env var, else 42)",
+            help="64-bit master seed, 0..2^64-1 (default: UCZ_SEED env var, else 42)",
         )
         p.add_argument(
             "--samples", type=int, default=100, help="samples per randomized check"

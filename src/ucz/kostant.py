@@ -98,17 +98,14 @@ def build_principal_triple(algebra: LieAlgebra) -> PrincipalTriple:
 
 
 class KostantSlice:
-    """The slice f + g^e together with the graded solver data for the sweep."""
+    """The slice f + g^e together with the graded solver data for the sweep.
 
-    __slots__ = (
-        "algebra",
-        "triple",
-        "ge_basis",
-        "degrees",
-        "_levels",
-        "_solvers",
-        "_ge_rows_by_degree",
-    )
+    `ge_elements` is the graded basis of g^e, one homogeneous integer
+    element per exponent, lowest degree first, built once here; `ge_basis`
+    is its span.
+    """
+
+    __slots__ = ("algebra", "triple", "ge_elements", "ge_basis", "degrees", "_levels", "_solvers")
 
     def __init__(self, algebra: LieAlgebra, triple: PrincipalTriple):
         self.algebra = algebra
@@ -140,8 +137,8 @@ class KostantSlice:
                     lifted[idx] = c
                 ge_rows_by_degree.setdefault(d, []).append(lifted)
                 exponents.append((d + 2) // 2)
-        self._ge_rows_by_degree = ge_rows_by_degree
         all_rows = [row for d in sorted(ge_rows_by_degree) for row in ge_rows_by_degree[d]]
+        self.ge_elements = tuple(Element(algebra, row, 1) for row in all_rows)
         self.ge_basis = Subspace(n, all_rows)
         self.degrees = tuple(sorted(exponents))
         if self.ge_basis.dim != algebra.rank:
@@ -208,7 +205,7 @@ def slice_normalize(
         for u in terms:
             x = L.exp_ad_apply(u, x)
             applied.append(u)
-    if not kslice.ge_basis.contains((x - f).num):
+    if not kslice.contains(x):
         raise ConstructionError("normalization sweep failed to land on the slice")
     return list(reversed(applied)), x
 
@@ -300,14 +297,14 @@ def slice_from_invariants(kslice: KostantSlice, values) -> Element:
     Solved by back-substitution up the grading: the invariant of degree d_k
     is affine in the slice coordinate of the same degree and cannot involve
     the higher ones, so two probes per level determine each coordinate.
+    The coordinates are along the slice's cached `ge_elements`.
     """
     L = kslice.algebra
     system = invariant_system(L)
     vals = vec(values)
     if len(vals) != L.rank:
         raise DomainError("expected one value per invariant")
-    by_degree = kslice._ge_rows_by_degree
-    ge = [L.element(row) for d in sorted(by_degree) for row in by_degree[d]]
+    ge = kslice.ge_elements
     f = kslice.triple.f
     t: list[Rat] = []
     for k in range(L.rank):

@@ -121,8 +121,8 @@ class RootSystem:
                 f"unsupported algebra {descriptor!r}; choose from {sorted(_CARTAN)}"
             )
         self.descriptor = descriptor
-        self.rank = int(descriptor[1:])
         self._A = _CARTAN[descriptor]
+        self.rank = len(self._A)
         self._d = self._symmetrizer()
         self.simple_roots: list[Root] = [
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
@@ -374,11 +374,6 @@ class Element:
         c = c if type(c) is int else _as_fraction(c)
         p = c.numerator
         return Element(self.algebra, [p * a for a in self.num], self.den * c.denominator)
-
-    def __mul__(self, c) -> "Element":
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -879,19 +874,23 @@ def _times_exp(
 
 
 @cache
+def _catalogue_algebra(descriptor: str) -> LieAlgebra:
+    return LieAlgebra(descriptor)
+
+
 def build_algebra(type_label: str, rank: int) -> LieAlgebra:
     """Construct (once) the catalogue algebra of the given type and rank."""
-    return LieAlgebra(f"{type_label}{rank}")
+    return _catalogue_algebra(f"{type_label}{rank}")
 
 
 def algebra_from_descriptor(descriptor: str) -> LieAlgebra:
-    """Parse a descriptor like "A2" or "G2" and build the algebra."""
-    text = descriptor.strip().upper()
-    if len(text) < 2 or not text[1:].isdigit():
-        raise UnsupportedAlgebraError(
-            f"unsupported algebra {descriptor!r}; choose from {sorted(_CARTAN)}"
-        )
-    return build_algebra(text[0], int(text[1:]))
+    """The catalogue algebra named by a descriptor like "A2" or " g2 ", built once.
+
+    After surrounding space is stripped and letters are upper-cased, the
+    descriptor must be one of `ALGEBRA_DESCRIPTORS` exactly: "A01", "A²"
+    and "A٣" are refused with `UnsupportedAlgebraError`.
+    """
+    return _catalogue_algebra(descriptor.strip().upper())
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:

@@ -56,24 +56,20 @@ _ONE = Fraction(1)
 
 
 class Chart:
-    """Coordinate model of the neighborhood attached to a pole set I."""
+    """Coordinate model of the neighborhood attached to a pole set I.
 
-    __slots__ = ("algebra", "I", "m", "labels")
+    The 2n coordinates are in the order of the module docstring;
+    `z_index` and `sigma_index` locate z_i and s_i in it.
+    """
+
+    __slots__ = ("algebra", "I", "m")
 
     def __init__(self, algebra: LieAlgebra, I: frozenset[int]):
         self.algebra = algebra
         self.I = _check_subset(algebra.rank, I)
         self.m = algebra.n_pos
-        l = algebra.rank
-        if 2 * self.m + l != algebra.dim:
+        if 2 * self.m + algebra.rank != algebra.dim:
             raise ConstructionError("coordinate count does not match the algebra dimension")
-        names = [f"x+{j}" for j in range(1, self.m + 1)]
-        names += [f"x-{j}" for j in range(1, self.m + 1)]
-        names += [f"z{i}" for i in range(1, l + 1)]
-        names += [f"a+{j}" for j in range(1, self.m + 1)]
-        names += [f"a-{j}" for j in range(1, self.m + 1)]
-        names += [f"s{i}" for i in range(1, l + 1)]
-        self.labels = tuple(names)
 
     @property
     def size(self) -> int:
@@ -335,7 +331,8 @@ def nxn_freeness(xi1: Element, xi2: Element) -> bool:
 def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Element]:
     """Push a centralizer-datum (g, xi) over f + b down to the slice.
 
-    Both xi and Ad_g xi must lie in f + b.  Normalizing each gives
+    Both xi and Ad_g xi must lie in f + b; `slice_normalize` refuses
+    either one off it with `DomainError`.  Normalizing each gives
     unipotent witnesses nu2 (for xi) and nu1 (for Ad_g xi) into the
     common slice point xi_S, and g_S = nu1 g nu2^-1 then fixes xi_S.
     The assignment is constant on orbits of the unipotent pair action,
@@ -343,14 +340,8 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     """
     L = xi.algebra
     kslice = slice_for(L)
-    f = kslice.triple.f
-    if not L.borel.contains((xi - f).num):
-        raise DomainError("level-set normalization needs xi in f + b")
-    gxi = conjugate(g, xi)
-    if not L.borel.contains((gxi - f).num):
-        raise DomainError("level-set normalization needs Ad_g xi in f + b")
     w2, xi_s = slice_normalize(kslice, xi)
-    w1, xi_s_check = slice_normalize(kslice, gxi)
+    w1, xi_s_check = slice_normalize(kslice, conjugate(g, xi))
     if xi_s != xi_s_check:
         raise ConstructionError("the two normalizations disagree on the slice point")
     nu1 = witness_group_element(L, w1)

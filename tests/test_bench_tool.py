@@ -2,13 +2,16 @@
 
 Counts must agree across the repeats and are kept as they are; times
 are the least of the repeats; a run that is not correct, or that failed
-an item, stops the tool.
+an item, stops the tool.  The algebras it verifies are each checkout's
+own `ucz.ALGEBRA_DESCRIPTORS`.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from ucz import ALGEBRA_DESCRIPTORS
 
 BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
 
@@ -19,6 +22,11 @@ def bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_the_algebras_are_the_checkouts_catalogue(bench):
+    # read from the package in a fresh process, as the tool keeps ucz out of its own
+    assert bench._algebras("change", BENCH.parents[1] / "src") == list(ALGEBRA_DESCRIPTORS)
 
 
 def traced(calls: int, fractions: int, self_s: float, correct=True, failed=0) -> dict:

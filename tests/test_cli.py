@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ucz import cli
+from ucz import ALGEBRA_DESCRIPTORS, cli
 from ucz.cli import main
 from ucz.errors import (
     ConstructionError,
@@ -82,6 +82,11 @@ def test_unknown_algebra_is_a_usage_error(capsys):
     assert main(["verify", "Q1", "--samples", "1"]) == 2
     err = capsys.readouterr().err
     assert "unsupported algebra" in err
+    # a superscript two is a Unicode digit that int() refuses
+    assert main(["describe", "A²"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "unsupported algebra 'A²'" in captured.err
 
 
 def test_unknown_suite_is_a_usage_error(capsys):
@@ -92,9 +97,26 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert "invalid choice" in err
 
 
-def test_bad_seed_is_a_usage_error(capsys):
-    assert main(["verify", "A1", "--seed", "pi", "--samples", "1"]) == 2
-    assert "seed must be an integer" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        pytest.param("pi", "seed must be an integer", id="pi"),
+        pytest.param("-1", "seed must lie in 0..18446744073709551615", id="-1"),
+        pytest.param("18446744073709551616", "seed must lie in 0..18446744073709551615", id="2^64"),
+    ],
+)
+def test_bad_seed_is_a_usage_error(capsys, monkeypatch, seed, message):
+    assert main(["verify", "A1", "--seed", seed, "--samples", "1"]) == 2
+    monkeypatch.setenv("UCZ_SEED", seed)
+    assert main(["verify", "A1", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{message}, got {seed!r}"] * 2
+
+
+def test_largest_seed_runs(capsys):
+    assert main(["verify", "A1", "--seed", "18446744073709551615", "--samples", "1"]) == 0
+    assert "seed 18446744073709551615" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -300,7 +322,7 @@ def test_verify_json_is_pinned(capsys, descriptor):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256[descriptor]
 
 
-@pytest.mark.parametrize("descriptor", sorted(VERIFY_JSON_SHA256))
+@pytest.mark.parametrize("descriptor", ALGEBRA_DESCRIPTORS)
 def test_verify_runs_every_check_on_every_algebra(capsys, descriptor):
     # no suite or check passes vacuously, with a total of 0, and none is skipped
     assert main(["verify", descriptor, "--samples", "1", "--seed", "5", "--format", "json"]) == 0

@@ -159,6 +159,11 @@ def test_ambient_mismatch_raises():
         a.intersect(b)
     with pytest.raises(DimensionError):
         a.contains((1, 0, 0))
+    with pytest.raises(DimensionError, match="ambient dimensions differ"):
+        Projector(a, b)
+    for basis in (Mat([(1, 0)], cols=2), [(1, 0)]):
+        with pytest.raises(DimensionError, match="basis width"):
+            Subspace(3, basis)
 
 
 def test_project_along_coordinate_split():
@@ -186,6 +191,10 @@ def test_project_along_needs_complement():
     onto = Subspace.from_vectors(3, [(1, 0, 0)])
     along = Subspace.from_vectors(3, [(0, 1, 0)])
     with pytest.raises(DecompositionError):
+        Projector(onto, along)
+    onto = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    along = Subspace.from_vectors(3, [(1, 1, 0)])
+    with pytest.raises(DecompositionError, match="overlap"):
         Projector(onto, along)
 
 
@@ -230,6 +239,9 @@ def test_solve_inconsistent_raises():
     a = Mat([(1, 0), (1, 0)], cols=2)
     with pytest.raises(DecompositionError):
         solve(a, vec((1, 2)))
+    for a, b in ((Mat([(1, 0, 0), (0, 1, 0)], cols=3), (1, 2)), (Mat.identity(2), (1, 2, 3))):
+        with pytest.raises(DimensionError, match="square system"):
+            solve(a, vec(b))
 
 
 # -- oracle for the integer elimination ---------------------------------------
@@ -307,6 +319,11 @@ def test_vec_coerces_at_the_edge():
         Mat([(1, None)], cols=2)
     with pytest.raises(ValueError):
         vec(["one third"])
+    with pytest.raises(ZeroDivisionError, match="denominator is zero"):
+        Mat([(1, 2)], 0)
+    for den in (None, 1):
+        with pytest.raises(DimensionError, match="ragged"):
+            Mat([(1, 2), (3,)], den)
 
 
 def test_subspace_keeps_the_oracle_pivots():
@@ -550,6 +567,16 @@ def test_apply_size_mismatch_raises():
         m.apply(vec((1, 2, 3, 4)))
     with pytest.raises(DimensionError):
         Mat([], cols=2).apply(())
+    with pytest.raises(DimensionError, match="shapes differ"):
+        m + Mat([(1, 2, 3)], cols=3)
+    with pytest.raises(DimensionError, match="shapes differ"):
+        m - Mat([(1, 2), (3, 4)], cols=2)
+    with pytest.raises(DimensionError, match="inner dimensions"):
+        m * m
+    with pytest.raises(DimensionError, match="determinant of a non-square"):
+        m.det()
+    with pytest.raises(DimensionError, match="inverse of a non-square"):
+        m.inverse()
 
 
 # -- zero-aware kernels ------------------------------------------------------------

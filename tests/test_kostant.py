@@ -12,7 +12,7 @@ from math import prod
 import pytest
 
 from ucz.errors import ConstructionError, DomainError
-from ucz.exactlin import Mat, rank, solve
+from ucz.exactlin import Mat, Subspace, rank, solve
 from ucz.kostant import (
     KostantSlice,
     PrincipalTriple,
@@ -128,6 +128,13 @@ def test_slice_basis_is_homogeneous(any_algebra):
     degs = sorted(ks.degrees)
     for d, row in zip(degs, ks.ge_basis.basis.row_list()):
         v = L.element(row)
+        assert L.bracket(t.e, v).is_zero()
+        assert L.bracket(t.h, v) == v.scale(2 * d - 2)
+    # the cached graded basis: integer, homogeneous, lowest degree first
+    assert len(ks.ge_elements) == L.rank
+    assert Subspace(L.dim, [v.num for v in ks.ge_elements]) == ks.ge_basis
+    for d, v in zip(degs, ks.ge_elements):
+        assert v.den == 1
         assert L.bracket(t.e, v).is_zero()
         assert L.bracket(t.h, v) == v.scale(2 * d - 2)
 
@@ -322,6 +329,9 @@ def test_slice_from_invariants_examples(a1):
     ks = slice_for(a1)
     assert slice_from_invariants(ks, (0,)) == ks.triple.f
     assert slice_from_invariants(ks, (5,)) == ks.triple.f + a1.e(0).scale(5)
+    for values in ((), (0, 0)):
+        with pytest.raises(DomainError, match="one value per invariant"):
+            slice_from_invariants(ks, values)
 
 
 def test_slice_from_invariants_roundtrip(any_algebra):

@@ -58,9 +58,10 @@ def test_build_algebra_signature():
 def test_build_algebra_caches():
     assert build_algebra("A", 2) is build_algebra("A", 2)
     assert algebra_from_descriptor("A2") is build_algebra("A", 2)
+    assert algebra_from_descriptor(" a2 ") is build_algebra("A", 2)
 
 
-@pytest.mark.parametrize("bad", ["D4", "A9", "Z2", "A", "", "B0"])
+@pytest.mark.parametrize("bad", ["D4", "A9", "Z2", "A", "", "B0", "A²", "A٣", "A01"])
 def test_unsupported_descriptors(bad):
     with pytest.raises(UnsupportedAlgebraError):
         algebra_from_descriptor(bad)
@@ -603,7 +604,21 @@ def test_group_inverse_matches_gauss_jordan(any_algebra):
         assert (g * g_inv).mat == Mat.identity(m)
 
 
-def test_group_layer_error_paths_survive(a2):
+def test_group_layer_error_paths_survive(a1, a2):
+    with pytest.raises(ZeroDivisionError, match="element denominator"):
+        Element(a2, a2.e(0).num, 0)
+    with pytest.raises(DomainError, match="wrong length"):
+        Element(a2, a1.e(0).num, 1)
+    with pytest.raises(DomainError, match="different algebras"):
+        a2.bracket(a1.e(0), a2.e(0))
+    with pytest.raises(DomainError, match="different algebras"):
+        a2.bracket(a2.e(0), a1.e(0))
+    with pytest.raises(DomainError, match="ad-nilpotent"):
+        a2.exp_ad_apply(a2.h(0), a2.e(0))
+    with pytest.raises(DomainError, match="must be square"):
+        GroupElement(Mat([(1, 0, 0), (0, 1, 0)], cols=3))
+    with pytest.raises(DomainError, match="wrong shape"):
+        a2.from_matrix(Mat.identity(2))
     with pytest.raises(DomainError):
         a2.group_exp(a2.h(0))
     with pytest.raises(DomainError):

@@ -58,13 +58,12 @@ def test_chart_coordinate_bookkeeping(any_algebra):
         chart = build_chart(L, I)
         assert 2 * chart.m + L.rank == L.dim
         assert chart.size == 2 * L.dim
-        assert len(chart.labels) == 2 * L.dim
+        for i in (0, L.rank + 1):
+            with pytest.raises(DomainError, match="z index out of range"):
+                chart.z_index(i)
+            with pytest.raises(DomainError, match="sigma index out of range"):
+                chart.sigma_index(i)
     assert build_chart(L, frozenset()) is build_chart(L, frozenset())
-
-
-def test_chart_labels_a1(a1):
-    chart = build_chart(a1, {1})
-    assert chart.labels == ("x+1", "x-1", "z1", "a+1", "a-1", "s1")
 
 
 def test_chart_rejects_bad_pole_sets(a1):

@@ -9,7 +9,8 @@ step, and the order flips every repeat, so a phase of the host's speed
 falls on both sides alike.  A repeat runs, for each checkout, the
 benchmark's traced mode (`perfbench/run.py --trace 1`) on every workload
 its `BENCHMARK.json` names, then `ucz verify <alg> --samples 20` per
-algebra and the catalogue set-up (`import ucz`, then every algebra with
+algebra of the checkout's `ucz.ALGEBRA_DESCRIPTORS` (read in a fresh
+process) and the catalogue set-up (`import ucz`, then every algebra with
 every parabolic, then the fiber, stabilizer and derived Levi of each),
 each in a fresh process of its own.
 
@@ -36,7 +37,6 @@ import sys
 import time
 from pathlib import Path
 
-ALGEBRAS = ("A1", "A2", "A3", "B2", "G2")
 REPEATS = 5
 VERIFY_SAMPLES = 20
 
@@ -104,7 +104,13 @@ def _workloads(src: Path) -> list[str]:
     return [w["name"] for w in spec["workloads"]]
 
 
-def _steps(label: str, src: Path) -> dict:
+def _algebras(label: str, src: Path) -> list[str]:
+    """The checkout's catalogue, `ucz.ALGEBRA_DESCRIPTORS`, read in a fresh process."""
+    script = "import ucz; print(*ucz.ALGEBRA_DESCRIPTORS)"
+    return _checked(label, "algebra list", src, ["-c", script]).split()
+
+
+def _steps(label: str, src: Path, algebras: list[str]) -> dict:
     """One repeat's timings of src, each step a callable that starts fresh processes."""
 
     def traced(workload: str):
@@ -125,7 +131,7 @@ def _steps(label: str, src: Path) -> dict:
         return json.loads(_checked(label, "catalogue", src, ["-c", CATALOGUE]))
 
     steps = {f"traced {w}": (lambda w=w: traced(w)) for w in _workloads(src)}
-    steps.update({alg: (lambda alg=alg: verify(alg)) for alg in ALGEBRAS})
+    steps.update({alg: (lambda alg=alg: verify(alg)) for alg in algebras})
     steps["catalogue"] = catalogue
     return steps
 
@@ -149,7 +155,8 @@ def _single_runs(src: Path) -> dict:
 def alternate(checkouts: dict[str, Path], repeats: int) -> dict:
     """Every checkout timed step by step in turn, the order flipped every repeat."""
     labels = list(checkouts)
-    steps = {label: _steps(label, src) for label, src in checkouts.items()}
+    algebras = {label: _algebras(label, src) for label, src in checkouts.items()}
+    steps = {label: _steps(label, src, algebras[label]) for label, src in checkouts.items()}
     runs = {label: {name: [] for name in steps[label]} for label in labels}
     names = dict.fromkeys(name for label in labels for name in steps[label])
     for label, src in checkouts.items():
@@ -173,7 +180,7 @@ def alternate(checkouts: dict[str, Path], repeats: int) -> dict:
                 "best_s": round(min(t for t, _ in got[alg]), 4),
                 "exit_codes": sorted({code for _, code in got[alg]}),
             }
-            for alg in ALGEBRAS
+            for alg in algebras[label]
         }
         for k, name in enumerate(CATALOGUE_STEPS):
             end_to_end[f"fresh process: {name}"] = {
