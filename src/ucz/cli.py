@@ -6,9 +6,10 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
 The algebra is matched, after stripping and upper-casing, against
 ALGEBRA_DESCRIPTORS exactly.  The seed comes from --seed, then the
 UCZ_SEED environment variable, then 42, and must be an integer in
-0..2^64-1, the state space of the generator; identical (algebra, seed,
-samples) configurations produce byte-identical JSON reports, so wall
-time is reported only in the text format.
+0..2^64-1 (decimal, leading zeros allowed, or 0x/0o/0b-prefixed), the
+state space of the generator; identical (algebra, seed, samples)
+configurations produce byte-identical JSON reports, so wall time is
+reported only in the text format.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ def _resolve_seed(value: str | None) -> int:
     """The master seed; one outside 0..2^64-1 would alias another seed's stream."""
     text = value if value is not None else os.environ.get("UCZ_SEED", "42")
     try:
-        seed = int(text, 0)
+        seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+        try:
+            seed = int(text, 0)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
     if not 0 <= seed <= _SEED_MAX:
         raise argparse.ArgumentTypeError(f"seed must lie in 0..{_SEED_MAX}, got {text!r}")
     return seed

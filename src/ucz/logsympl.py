@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -167,13 +168,22 @@ def omega_matrix(point: ChartPoint) -> Mat:
 
 
 class Bivector:
-    """The inverse structure of the two-form, polynomial across the divisor."""
+    """The inverse structure of the two-form, polynomial across the divisor.
+
+    The matrix must be square and antisymmetric, which is checked on its
+    nonzero entries alone: each must lie opposite its negative.  That
+    accepts exactly the antisymmetric matrices: a nonzero entry on the
+    diagonal is its own mirror but not its own negative, and a zero
+    opposite a nonzero entry fails the test at the nonzero one.
+    """
 
     __slots__ = ("point", "matrix")
 
     def __init__(self, point: ChartPoint, matrix: Mat):
-        m = matrix.num
-        if matrix.cols != matrix.rows or list(zip(*m)) != [tuple([-x for x in row]) for row in m]:
+        m, cols = matrix.num, range(matrix.cols)
+        if matrix.cols != matrix.rows or any(
+            m[j][i] != -row[j] for i, row in enumerate(m) for j in compress(cols, row)
+        ):
             raise ConstructionError("bivector matrix must be antisymmetric")
         self.point = point
         self.matrix = matrix
@@ -336,7 +346,10 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     unipotent witnesses nu2 (for xi) and nu1 (for Ad_g xi) into the
     common slice point xi_S, and g_S = nu1 g nu2^-1 then fixes xi_S.
     The assignment is constant on orbits of the unipotent pair action,
-    so it inverts the reduction isomorphism exactly.
+    so it inverts the reduction isomorphism exactly.  The fixed point is
+    checked as g_S X = X g_S for X the realization of xi_S: g_S is
+    invertible, so this is Ad_{g_S} xi_S = xi_S without the inverse and
+    the read-back that `conjugate` would make.
     """
     L = xi.algebra
     kslice = slice_for(L)
@@ -347,6 +360,7 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     nu1 = witness_group_element(L, w1)
     nu2 = witness_group_element(L, w2)
     g_s = nu1 * (g * nu2.inverse())
-    if conjugate(g_s, xi_s) != xi_s:
+    x = L.realize(xi_s)
+    if g_s.mat * x != x * g_s.mat:
         raise ConstructionError("reduced group element fails to fix the slice point")
     return g_s, xi_s

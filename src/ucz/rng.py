@@ -67,6 +67,9 @@ class SplitMix64:
         return x
 
     def nonzero_fraction(self, num_bound: int = 9, dens=(1, 1, 2, 3)) -> Fraction:
+        """A `fraction` draw, redrawn until nonzero; `num_bound` must be positive."""
+        if num_bound < 1:
+            raise ValueError("empty range")
         while True:
             x = self.fraction(num_bound, dens)
             if x != 0:

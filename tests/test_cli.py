@@ -233,13 +233,24 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     assert doc["seed"] == 99
     monkeypatch.delenv("UCZ_SEED")
     main(["report", "A1", "--samples", "3"])
-    assert json.loads(capsys.readouterr().out)["seed"] == 42
+    default = capsys.readouterr().out
+    assert json.loads(default)["seed"] == 42
+    # a decimal seed may carry leading zeros; a prefixed one reads in its base
+    for text in ("042", "0x2A"):
+        monkeypatch.setenv("UCZ_SEED", text)
+        assert main(["report", "A1", "--samples", "3"]) == 0
+        assert capsys.readouterr().out == default
 
 
 def test_seed_flag_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("UCZ_SEED", "99")
     main(["report", "A1", "--samples", "3", "--seed", "5"])
     assert json.loads(capsys.readouterr().out)["seed"] == 5
+    main(["report", "A1", "--samples", "3", "--seed", "42"])
+    expected = capsys.readouterr().out
+    for text in ("042", "0x2A"):
+        assert main(["report", "A1", "--samples", "3", "--seed", text]) == 0
+        assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(

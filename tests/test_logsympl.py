@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
+from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor, logsympl
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants
@@ -29,7 +29,13 @@ from ucz.logsympl import (
     stratum_rank,
 )
 from ucz.rng import stream
-from ucz.suites import _centralizer_witness, borel_sample, fiber_sample, positive_unipotent
+from ucz.suites import (
+    _centralizer_witness,
+    _dressed_witness,
+    borel_sample,
+    fiber_sample,
+    positive_unipotent,
+)
 from ucz.wonderful import all_subsets, build_parabolic, derived_levi
 
 from .oracles import (
@@ -140,6 +146,61 @@ def test_bivector_rejects_a_matrix_that_is_not_antisymmetric(a1):
             Bivector(point, Mat(bad, cols=size))
     with pytest.raises(ConstructionError):
         Bivector(point, Mat([r[:-1] for r in rows], cols=size - 1))
+
+
+def test_bivector_accepts_exactly_the_antisymmetric_matrices(a1):
+    point = build_chart(a1, set()).basepoint()
+    gen = stream(83, "antisymmetry")
+
+    def accepted(rows, size):
+        """Bivector's verdict, which must be the dense definition m^T = -m."""
+        m = Mat(rows, cols=size)
+        try:
+            Bivector(point, m)
+        except ConstructionError:
+            verdict = False
+        else:
+            verdict = True
+        assert verdict == (m.transpose() == -m)
+        return verdict
+
+    def antisymmetric(size, dense):
+        rows = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if dense or gen.randint(0, 3) == 0:
+                    rows[i][j] = gen.nonzero_fraction()
+                    rows[j][i] = -rows[i][j]
+        return rows
+
+    assert accepted([], 0) and accepted([[0]], 1)
+    assert not accepted([[1]], 1) and not accepted([[Fraction(-1, 2)]], 1)
+    dens = set()
+    for size in (2, 3, 6, 9):
+        for dense in (False, True):
+            good = antisymmetric(size, dense)
+            dens.add(Mat(good).den)
+            assert accepted(good, size)
+            for _ in range(12):
+                i, j = gen.randint(0, size - 1), gen.randint(0, size - 1)
+                x = gen.nonzero_fraction()
+                # one entry moved: on the diagonal, above it or below it
+                bad = [list(r) for r in good]
+                bad[i][j] += x
+                assert not accepted(bad, size)
+                if i == j:
+                    continue
+                # a zero opposite a nonzero, in both orientations
+                for a, b in ((i, j), (j, i)):
+                    bad = [list(r) for r in good]
+                    bad[a][b], bad[b][a] = x, Fraction(0)
+                    assert not accepted(bad, size)
+                # a mirrored pair moved together stays antisymmetric
+                ok = [list(r) for r in good]
+                ok[i][j] += x
+                ok[j][i] -= x
+                assert accepted(ok, size)
+    assert len(dens) > 1
 
 
 def test_bivector_accepts_a_rebuilt_matrix_of_equal_values(a2):
@@ -488,6 +549,17 @@ def test_normalize_preserves_invariants(a2):
     _, xi_out = level_set_normalize(gamma, xi_s)
     assert invariants_eval(xi_out) == invariants_eval(xi_s)
     assert invariants_eval(xi_in) == invariants_eval(xi_s)
+
+
+def test_normalize_refuses_a_group_element_that_moves_the_slice_point(monkeypatch, any_algebra):
+    # identity witnesses leave g_S = n1 gamma n2^-1, which moves xi_S
+    L = any_algebra
+    xi_s, gamma, g_in, xi_in = _dressed_witness(L, stream(89, f"unfixed:{L.descriptor}"))
+    assert level_set_normalize(g_in, xi_in) == (gamma, xi_s)
+    assert conjugate(g_in, xi_s) != xi_s
+    monkeypatch.setattr(logsympl, "witness_group_element", lambda L, w: L.group_identity())
+    with pytest.raises(ConstructionError, match="fails to fix the slice point"):
+        level_set_normalize(g_in, xi_in)
 
 
 def test_normalize_rejects_points_off_the_level_set(a1):

@@ -59,4 +59,8 @@ def test_fraction_rejects_an_empty_range():
         gen.fraction(-1)
     with pytest.raises(ValueError):
         gen.fraction(dens=())
+    # every draw of a zero bound is 0, so a nonzero draw must be refused up front
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            gen.nonzero_fraction(bound)
     assert gen.state == SplitMix64(3).state
