@@ -12,6 +12,23 @@ over the grading.  The witness list is returned so that
 exp(ad u_1) o exp(ad u_2) o ... o exp(ad u_m) maps the input to the normal
 form, i.e. the LAST list entry is applied first.
 
+The sweep runs on integer rows.  f has degree -2, so on the levels d >= 0
+the point x and x - f agree, and each level is read straight from x.num.
+Each level's solver keeps only the integer rows of its inverse that give
+the correction, with their denominator, so a correction is one integer
+`Element` over that denominator times x.den, fixed before the stepwise
+loop, and `exp_ad_apply` sums its series in integers.
+`witness_group_element` multiplies the exps into one integer product
+(`LieAlgebra.exp_product`), and the reversed, negated witness
+exp(-u_m) ... exp(-u_1) is the inverse, known by construction.
+
+The inverse section `slice_from_invariants` evaluates the invariants once
+per level.  On the slice f + sum_j t_j g_j the invariant I_k of degree d_k
+is weighted homogeneous with t_j of weight d_j, and the degrees of the
+catalogue are distinct, so I_k is c_k t_k plus a polynomial in the lower
+t_j, with the constant c_k = I_k(f + g_k) - I_k(f) cached per slice on
+first use (`slice_pivots`).
+
 Invariants are coefficients of the characteristic polynomial of the
 realization: for det(lambda I - M) = lambda^m + sum_k a_k lambda^(m-k),
 they are -a_d for the degrees d of `root_degrees`, (2, 4) for B2 and
@@ -36,10 +53,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Sequence
 
 from .errors import ConstructionError, DomainError
 from .exactlin import (
+    IntRows,
     Mat,
     Rat,
     Subspace,
@@ -145,11 +164,12 @@ class KostantSlice:
             raise ConstructionError("centralizer of e has the wrong dimension")
 
         # per-level solver: g_d = (g^e cap g_d) + [f, g_{d+2}] for d >= 0, the
-        # columns over ad f's denominator e: the g^e rows times e, then ad f's
+        # columns over ad f's denominator e: the g^e rows times e, then ad f's.
+        # Only the [f, g_{d+2}] rows of the inverse are kept, with its denominator.
         ad_f = algebra.ad(triple.f)
         e = ad_f.den
         self._levels = sorted(d for d in by_degree if d >= 0)
-        self._solvers: dict[int, tuple[list[int], Mat, int, list[int]]] = {}
+        self._solvers: dict[int, tuple[list[int], IntRows, int, list[int]]] = {}
         for d in self._levels:
             rows_idx = by_degree[d]
             ge_part = ge_rows_by_degree.get(d, [])
@@ -158,8 +178,8 @@ class KostantSlice:
             cols += [[ad_f.num[r][w] for r in rows_idx] for w in w_idx]
             if len(cols) != len(rows_idx):
                 raise ConstructionError("graded decomposition is not square at level %d" % d)
-            square = Mat(list(zip(*cols)), e, len(cols))
-            self._solvers[d] = (rows_idx, square.inverse(), len(ge_part), w_idx)
+            inv = Mat(list(zip(*cols)), e, len(cols)).inverse()
+            self._solvers[d] = (rows_idx, inv.num[len(ge_part) :], inv.den, w_idx)
 
     def contains(self, x: Element) -> bool:
         """Membership in f + g^e."""
@@ -186,23 +206,24 @@ def slice_normalize(
     normal form provably cannot (the unipotent action on f + b is free).
     """
     L = kslice.algebra
-    f = kslice.triple.f
-    if not L.borel.contains((xi - f).num):
+    if not L.borel.contains((xi - kslice.triple.f).num):
         raise DomainError("slice_normalize needs a point of f + b")
     x = xi
     applied: list[Element] = []
     for d in kslice._levels:
-        rows_idx, inv, k_ge, w_idx = kslice._solvers[d]
-        resid = x - f
-        v = [resid.num[r] for r in rows_idx]
-        if not any(v):
+        rows_idx, solve_w, solve_den, w_idx = kslice._solvers[d]
+        # f has degree -2, so x - f and x agree on the levels d >= 0
+        v = [x.num[r] for r in rows_idx]
+        # the level's coordinates are v / x.den, so the coefficients are over solve_den * x.den
+        den = solve_den * x.den
+        terms = [(w, c) for w, row in zip(w_idx, solve_w) if (c := sum(map(mul, row, v)))]
+        if not terms:
             continue
-        # the level's coordinates are v / resid.den, so the coefficients are too
-        w_coeffs = [c / resid.den for c in inv.apply(v)[k_ge:]]
-        terms = [L.basis_element(widx).scale(c) for c, widx in zip(w_coeffs, w_idx) if c]
-        if terms and not stepwise:
-            terms = [sum(terms[1:], terms[0])]
-        for u in terms:
+        for part in [[t] for t in terms] if stepwise else [terms]:
+            num = [0] * L.dim
+            for w, c in part:
+                num[w] = c
+            u = Element(L, num, den)
             x = L.exp_ad_apply(u, x)
             applied.append(u)
     if not kslice.contains(x):
@@ -213,13 +234,11 @@ def slice_normalize(
 def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupElement:
     """Group element realizing a witness list: Ad_g = exp(ad u_1) o ... o exp(ad u_m).
 
-    An empty witness gives the identity.
+    The exps are multiplied into one integer product (`LieAlgebra.exp_product`);
+    an empty witness gives the identity.  The reversed, negated witness gives
+    g^-1 = exp(-u_m) ... exp(-u_1) without an inverse.
     """
-    g = algebra.group_identity()
-    for u in witness:
-        algebra._check_same(u.algebra)
-        g = g * algebra.group_exp(u)
-    return g
+    return algebra.exp_product(witness)
 
 
 def root_degrees(L: LieAlgebra) -> tuple[int, ...]:
@@ -291,36 +310,41 @@ def invariants_eval(x: Element) -> tuple[Rat, ...]:
     return invariant_system(x.algebra).eval(x)
 
 
+@cache
+def slice_pivots(kslice: KostantSlice) -> tuple[Rat, ...]:
+    """Per g^e vector g_k, c_k = I_k(f + g_k) - I_k(f), built once per slice on first use.
+
+    c_k is the coefficient of the slice coordinate t_k in the invariant I_k
+    of the same degree (see `slice_from_invariants`).
+    """
+    system = invariant_system(kslice.algebra)
+    f = kslice.triple.f
+    at_f = system.eval(f)
+    pivots = tuple(system.eval(f + g)[k] - at_f[k] for k, g in enumerate(kslice.ge_elements))
+    if not all(pivots):
+        raise ConstructionError("invariant does not move along its slice coordinate")
+    return pivots
+
+
 def slice_from_invariants(kslice: KostantSlice, values) -> Element:
     """The unique slice point with the prescribed invariant values.
 
-    Solved by back-substitution up the grading: the invariant of degree d_k
-    is affine in the slice coordinate of the same degree and cannot involve
-    the higher ones, so two probes per level determine each coordinate.
-    The coordinates are along the slice's cached `ge_elements`.
+    Solved by back-substitution up the grading.  By weighted homogeneity
+    the invariant of degree d_k is, on the slice, c_k t_k plus a polynomial
+    in the lower coordinates, with the constant c_k = I_k(f + g_k) - I_k(f)
+    cached per slice (`slice_pivots`), so one evaluation per level
+    determines each coordinate.  The coordinates are along the slice's
+    cached `ge_elements`, and the point must reproduce the values.
     """
     L = kslice.algebra
     system = invariant_system(L)
     vals = vec(values)
     if len(vals) != L.rank:
         raise DomainError("expected one value per invariant")
-    ge = kslice.ge_elements
-    f = kslice.triple.f
-    t: list[Rat] = []
-    for k in range(L.rank):
-        base = f
-        for coeff, row in zip(t, ge):
-            base = base + row.scale(coeff)
-        f0 = system.eval(base)[k]
-        f1 = system.eval(base + ge[k])[k]
-        pivot = f1 - f0
-        if pivot == 0:
-            raise ConstructionError("invariant does not move along its slice coordinate")
-        t.append((vals[k] - f0) / pivot)
-    out = f
-    for coeff, row in zip(t, ge):
-        out = out + row.scale(coeff)
-    if system.eval(out) != tuple(vals):
+    out = kslice.triple.f
+    for k, (g, pivot) in enumerate(zip(kslice.ge_elements, slice_pivots(kslice))):
+        out = out + g.scale((vals[k] - system.eval(out)[k]) / pivot)
+    if system.eval(out) != vals:
         raise ConstructionError("slice point does not reproduce the invariants")
     return out
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError, UnsupportedAlgebraError
 from .exactlin import (
@@ -68,6 +68,9 @@ from .exactlin import (
     kernel,
     rank,
 )
+
+if TYPE_CHECKING:  # `import ucz` does not load the generator module
+    from .rng import SplitMix64
 
 _ZERO = Fraction(0)
 
@@ -375,9 +378,6 @@ class Element:
         p = c.numerator
         return Element(self.algebra, [p * a for a in self.num], self.den * c.denominator)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)
@@ -586,14 +586,17 @@ class LieAlgebra:
     # -- core operations --------------------------------------------------------
 
     def bracket(self, x: Element, y: Element) -> Element:
-        """[x, y]: the integer table summed over the nonzero coordinate pairs, over x.den * y.den."""
+        """[x, y]: the integer bracket of x.num and y.num (`_bracket_num`), over x.den * y.den."""
         self._check_same(x.algebra)
         self._check_same(y.algebra)
+        return Element(self, self._bracket_num(_nonzero(x.num), y.num), x.den * y.den)
+
+    def _bracket_num(self, xs: list[tuple[int, int]], y: Sequence[int]) -> list[int]:
+        """[X, Y] in integers: the table summed over the nonzero pairs xs of X and those of Y."""
         acc = [0] * self.dim
-        nzx = [(i, c) for i, c in enumerate(x.num) if c]
-        nzy = [(j, c) for j, c in enumerate(y.num) if c]
+        nzy = _nonzero(y)
         table = self._table
-        for i, cx in nzx:
+        for i, cx in xs:
             for j, cy in nzy:
                 if i == j:
                     continue
@@ -603,7 +606,7 @@ class LieAlgebra:
                 s = cx * cy if i < j else -cx * cy
                 for k, c in terms:
                     acc[k] += s * c
-        return Element(self, acc, x.den * y.den)
+        return acc
 
     def ad(self, x: Element) -> Mat:
         """Matrix of ad(x) = [x, .] in the fixed basis (columns are images), over x.den."""
@@ -625,16 +628,29 @@ class LieAlgebra:
         return self.dim - rank(self.ad(x)) == self.rank
 
     def exp_ad_apply(self, x: Element, y: Element) -> Element:
-        """exp(ad x) applied to y by the bracket series (x must be ad-nilpotent)."""
-        out = y
-        term = y
-        for k in range(1, self.dim + 2):
-            term = self.bracket(x, term)
-            term = Element(self, term.num, term.den * k)
-            if term.is_zero():
-                return out
-            out = out + term
-        raise DomainError("exp_ad_apply requires an ad-nilpotent element")
+        """exp(ad x) applied to y by the bracket series (x must be ad-nilpotent).
+
+        With x = U / d and y = Y / e, the integer terms (ad U)^k Y are
+        bracketed until (ad U)^(K+1) Y = 0, and the series is their sum
+        sum_k (K!/k!) d^(K-k) (ad U)^k Y over K! d^K e, one `Element`.
+        """
+        self._check_same(x.algebra)
+        self._check_same(y.algebra)
+        xs = _nonzero(x.num)
+        terms = [y.num]
+        while True:
+            term = self._bracket_num(xs, terms[-1])
+            if not any(term):
+                break
+            if len(terms) > self.dim:
+                raise DomainError("exp_ad_apply requires an ad-nilpotent element")
+            terms.append(term)
+        top, d = len(terms) - 1, x.den
+        acc = [0] * self.dim
+        for k, term in enumerate(terms):
+            w = factorial(top) // factorial(k) * d ** (top - k)
+            acc = [a + w * b for a, b in zip(acc, term)]
+        return Element(self, acc, factorial(top) * d**top * y.den)
 
     # -- matrix realization ---------------------------------------------------------
 
@@ -764,13 +780,19 @@ class LieAlgebra:
         return _group(Mat.identity(self.matrix_size))
 
     def group_exp(self, x: Element) -> GroupElement:
-        """exp of a nilpotent element in the realization.
+        """exp of a nilpotent element in the realization (`exp_product` of one factor)."""
+        return self.exp_product([x])
+
+    def exp_product(self, xs: Iterable[Element]) -> GroupElement:
+        """exp(x_1) ... exp(x_k) for nilpotent x_i, multiplied into one integer product.
 
         With realize(x) = Y / D, exp(x) is exp(c Y) for c = 1 / D (`_times_exp`).
         x is nilpotent exactly when Y^m = 0.
         """
-        real = self.realize(x)
-        num, den = _times_exp(_identity_rows(real.rows), 1, _sparse_powers(real.num), 1, real.den)
+        num, den = _identity_rows(self.matrix_size), 1
+        for x in xs:
+            self._check_same(x.algebra)
+            num, den = _times_exp(num, den, _sparse_powers(self._combine(x.num)), 1, x.den)
         return _group(Mat(num, den))
 
     def root_product(self, factors: Iterable[tuple[int, object]]) -> GroupElement:
@@ -794,18 +816,29 @@ class LieAlgebra:
         return _group(Mat(num, den))
 
     def torus_element(self, ts: Sequence) -> GroupElement:
-        """prod_i alpha_i^vee(t_i): diagonal entry k is prod_i t_i^(h_i[k][k]), h_i realized."""
+        """prod_i alpha_i^vee(t_i): diagonal entry k is prod_i t_i^(h_i[k][k]), h_i realized.
+
+        With t_i = p_i / q_i, entry k is the product of p_i^v / q_i^v over
+        v = h_i[k][k] > 0 and of q_i^-v / p_i^-v over v < 0, in integers.
+        """
         if len(ts) != self.rank:
             raise DomainError("torus element needs one parameter per simple coroot")
         m = self.matrix_size
-        rows = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        nums, dens = [1] * m, [1] * m
         for i, t in enumerate(ts):
-            t = _as_fraction(t)
+            t = t if type(t) is int else _as_fraction(t)
             if not t:
                 raise DomainError("torus parameters must be nonzero")
+            p, q = t.numerator, t.denominator
             for k, _, v in self._realization[self.idx_h(i)]:
-                rows[k][k] *= t**v
-        return _group(Mat(rows))
+                a, b = (p, q) if v > 0 else (q, p)
+                nums[k] *= a ** abs(v)
+                dens[k] *= b ** abs(v)
+        den = lcm(*dens)
+        rows = [[0] * m for _ in range(m)]
+        for k, (a, b) in enumerate(zip(nums, dens)):
+            rows[k][k] = a * (den // b)
+        return _group(Mat(rows, den))
 
     def weyl_representatives(self) -> list[GroupElement]:
         """The first word in Steinberg's n_i = exp(e_i) exp(-f_i) exp(e_i) over each Weyl element.
@@ -838,6 +871,11 @@ def _closure(one, moves, key=lambda x: x) -> list:
                     new.append(y)
         frontier = new
     return list(found.values())
+
+
+def _nonzero(v: Sequence[int]) -> list[tuple[int, int]]:
+    """The (index, value) pairs of the nonzero entries of v."""
+    return [(i, c) for i, c in enumerate(v) if c]
 
 
 def _sparse_powers(y: Sequence[Sequence[int]]) -> Powers:
@@ -894,10 +932,30 @@ def algebra_from_descriptor(descriptor: str) -> LieAlgebra:
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:
-    """Adjoint action Ad_g(y) = g realize(y) g^-1."""
+    """Adjoint action Ad_g(y) = g realize(y) g^-1.
+
+    With g = N / d, g^-1 = M / e and realize(y) = Y / y.den, that is the
+    integer product N Y M over d e y.den, read back once in integers
+    (`_read_int`, which refuses it off the realized span).
+    """
     L = y.algebra
     L._require_acting(g)
-    return L.from_matrix(g.mat * L.realize(y) * g.inverse().mat)
+    mat, inv = g.mat, g.inverse().mat
+    rows = _int_matmul(_int_matmul(mat.num, L._combine(y.num)), inv.num)
+    return Element(L, L._read_int(rows), L._readback[2] * mat.den * inv.den * y.den)
+
+
+def regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:
+    """A regular element of the Cartan subalgebra (distinct root values).
+
+    Each try draws one gen.fraction() coefficient per h_i, in order, until
+    the element is regular.
+    """
+    while True:
+        coeffs = [gen.fraction() for _ in range(L.rank)]
+        s = Element(L, [0] * L.n_pos + coeffs + [0] * L.n_pos)
+        if L.is_regular(s):
+            return s
 
 
 ALGEBRA_DESCRIPTORS = tuple(sorted(_CARTAN))

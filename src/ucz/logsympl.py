@@ -345,6 +345,8 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     either one off it with `DomainError`.  Normalizing each gives
     unipotent witnesses nu2 (for xi) and nu1 (for Ad_g xi) into the
     common slice point xi_S, and g_S = nu1 g nu2^-1 then fixes xi_S.
+    With nu2 = exp(u_1) ... exp(u_m), nu2^-1 is built as it stands,
+    exp(-u_m) ... exp(-u_1), so nu2 is never formed or inverted.
     The assignment is constant on orbits of the unipotent pair action,
     so it inverts the reduction isomorphism exactly.  The fixed point is
     checked as g_S X = X g_S for X the realization of xi_S: g_S is
@@ -358,8 +360,8 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     if xi_s != xi_s_check:
         raise ConstructionError("the two normalizations disagree on the slice point")
     nu1 = witness_group_element(L, w1)
-    nu2 = witness_group_element(L, w2)
-    g_s = nu1 * (g * nu2.inverse())
+    nu2_inv = witness_group_element(L, [-u for u in reversed(w2)])
+    g_s = nu1 * (g * nu2_inv)
     x = L.realize(xi_s)
     if g_s.mat * x != x * g_s.mat:
         raise ConstructionError("reduced group element fails to fix the slice point")

@@ -15,6 +15,7 @@ construction gives every type a nontrivial reduction centralizer witness.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .kostant import (
     slice_from_invariants,
     slice_normalize,
 )
-from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
+from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row, regular_cartan
 from .logsympl import (
     _stratum_sample,
     bivector_matrix,
@@ -54,6 +55,7 @@ from .wonderful import (
     closure_contains,
     derived_levi,
     fiber_algebra,
+    levi_part,
     make_boundary_point,
     orbit_dim,
     stabilizer_algebra,
@@ -75,6 +77,7 @@ __all__ = [
 ]
 
 
+@cache
 def _torus_fixed_count(L: LieAlgebra) -> int:
     """Count of torus-fixed boundary points: |W / W_I| over proper I (De Concini-Procesi, 1983)."""
     order = L.root_system.weyl_order
@@ -301,7 +304,7 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     for k in range(samples):
         p = build_parabolic(L, subsets[k % len(subsets)])
         xi1, _, _ = fiber_sample(p, gen)
-        x = _leaf_levi_part(p, xi1)
+        x = levi_part(p, xi1)
         if invariants_eval(xi1) == invariants_eval(x):
             good += 1
     report.add(
@@ -315,7 +318,7 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     p0 = build_parabolic(L, ())
     good = 0
     for _ in range(samples):
-        s = _regular_cartan(L, gen)
+        s = regular_cartan(L, gen)
         npart = _random_combination(L, L.nilpos, gen)[1]
         mpart = _random_combination(L, L.nilneg, gen)[1]
         g1, g2 = group_sample(L, gen), group_sample(L, gen)
@@ -345,22 +348,6 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         "the open-orbit fiber translated by (g, id) is the graph of Ad_g",
     )
     return report
-
-
-def _leaf_levi_part(p: ParabolicData, xi: Element) -> Element:
-    """Levi component of a parabolic element, by zeroing nilradical coordinates."""
-    num = list(xi.num)
-    for row in p.u_I.basis.num:
-        num[row.index(1)] = 0
-    return Element(xi.algebra, num, xi.den)
-
-
-def _regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:
-    """A regular element of the Cartan subalgebra (distinct root values)."""
-    while True:
-        s = _random_combination(L, L.cartan, gen)[1]
-        if L.is_regular(s):
-            return s
 
 
 # -- wonderful ---------------------------------------------------------------
@@ -426,7 +413,7 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 
     expected = _torus_fixed_count(L)
     gen = stream(seed, f"wonderful:torus:{L.descriptor}")
-    s = _regular_cartan(L, gen)
+    s = regular_cartan(L, gen)
     d = group_sample(L, gen)
     xi = conjugate(d, s)
     points = torus_fixed_fiber_points(xi, d)
@@ -635,7 +622,7 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 
     gen = stream(seed, f"reduction:boundary:{L.descriptor}")
     expected = _torus_fixed_count(L)
-    s = _regular_cartan(L, gen)
+    s = regular_cartan(L, gen)
     points = torus_fixed_fiber_points(s, L.group_identity())
     ok = len(points) == expected and all(translate_contains(q, (s, s)) for q in points)
     report.add(

@@ -242,6 +242,15 @@ def derived_levi(p: ParabolicData) -> Subspace:
     return levi
 
 
+def levi_part(p: ParabolicData, xi: Element) -> Element:
+    """The Levi component of an element of p_I: its u_I coordinates set to zero."""
+    p.algebra._check_same(xi.algebra)
+    num = list(xi.num)
+    for j in p.u_I._pivots:
+        num[j] = 0
+    return Element(xi.algebra, num, xi.den)
+
+
 @cache
 def stabilizer_algebra(p: ParabolicData) -> Subspace:
     """Pairs (u + x, v + y) with x - y central in the Levi.

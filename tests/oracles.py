@@ -4,8 +4,9 @@ Each function is the textbook algorithm, written for clarity and not for
 speed: the Leibniz and elimination determinants, Gauss-Jordan
 elimination, inverse, null space, coordinates in a span and projection
 along a complement, the row-by-column product, the trace of a product,
-the exponential series of a nilpotent matrix, and the order of a Weyl
-group closed from its simple reflections.
+the exponential series of a nilpotent matrix and products of such
+exponentials, and the order of a Weyl group closed from its simple
+reflections.
 The tests compare the library's exact results with these.  Nothing here
 imports `ucz`, which `test_oracles.py` checks, so a fault in the library
 cannot hide in its own oracle.
@@ -149,6 +150,14 @@ def exp_nilpotent(rows) -> list[list[Fraction]]:
             return total
         total = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(total, term)]
     raise ValueError("matrix is not nilpotent")
+
+
+def exp_product(n: int, mats) -> list[list[Fraction]]:
+    """exp(A_1) ... exp(A_k) of nilpotent n x n matrices, in order; the identity for none."""
+    total = identity(n)
+    for rows in mats:
+        total = product(total, exp_nilpotent(rows), n)
+    return total
 
 
 def weyl_group_order(cartan, generators=None) -> int:

@@ -25,12 +25,20 @@ from ucz.kostant import (
     slice_for,
     slice_from_invariants,
     slice_normalize,
+    slice_pivots,
     witness_group_element,
 )
 from ucz.liealg import conjugate
 from ucz.rng import stream
 
-from .oracles import all_fractions, elimination_det, leibniz_det
+from .oracles import (
+    all_fractions,
+    elimination_det,
+    exp_product,
+    identity,
+    leibniz_det,
+    product,
+)
 
 DEGREES = {
     "A1": (2,),
@@ -43,14 +51,14 @@ WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "G2": 12}
 H_COEFFS = {"A1": (1,), "A2": (2, 2), "A3": (3, 4, 3), "B2": (4, 3), "G2": (6, 10)}
 
 
-def borel_point(L, gen):
-    """f plus a seeded element of the Borel."""
+def borel_point(L, gen, dens=(1, 1, 2, 3)):
+    """f plus a seeded element of the Borel, its coordinates over the dens."""
     f = build_principal_triple(L).f
     x = f
     for i in range(L.rank):
-        x = x + L.h(i).scale(gen.fraction())
+        x = x + L.h(i).scale(gen.fraction(dens=dens))
     for k in range(L.n_pos):
-        x = x + L.e(k).scale(gen.fraction())
+        x = x + L.e(k).scale(gen.fraction(dens=dens))
     return x
 
 
@@ -128,14 +136,14 @@ def test_slice_basis_is_homogeneous(any_algebra):
     degs = sorted(ks.degrees)
     for d, row in zip(degs, ks.ge_basis.basis.row_list()):
         v = L.element(row)
-        assert L.bracket(t.e, v).is_zero()
+        assert L.bracket(t.e, v) == L.zero()
         assert L.bracket(t.h, v) == v.scale(2 * d - 2)
     # the cached graded basis: integer, homogeneous, lowest degree first
     assert len(ks.ge_elements) == L.rank
     assert Subspace(L.dim, [v.num for v in ks.ge_elements]) == ks.ge_basis
     for d, v in zip(degs, ks.ge_elements):
         assert v.den == 1
-        assert L.bracket(t.e, v).is_zero()
+        assert L.bracket(t.e, v) == L.zero()
         assert L.bracket(t.h, v) == v.scale(2 * d - 2)
 
 
@@ -397,3 +405,57 @@ def test_gradient_matches_dual_derivatives_and_interpolation(any_algebra):
                 assert row[j] == solve(vander, tuple(s[k] for s in samples))[1]
         # the differentials vanish at 0 and are independent at the regular points
         assert rank(Mat(grad, cols=L.dim)) == (0 if x == L.zero() else L.rank)
+
+
+def oracle_invariants(L, x):
+    """-a_d for the DEGREES d, det(tI - realize(x)) = t^m + sum_k a_k t^(m-k) by elimination."""
+    m = L.matrix_size
+    mat = L.realize(x).row_list()
+    ts = range(m + 1)
+    values = [
+        elimination_det([[int(i == j) * t - mat[i][j] for j in range(m)] for i in range(m)])
+        for t in ts
+    ]
+    a = lagrange_coefficients(ts, values)[::-1]
+    return tuple(-a[d] for d in DEGREES[L.descriptor])
+
+
+def test_cached_pivots_are_the_two_probe_difference(any_algebra):
+    # oracle: interpolated elimination determinants.  At seeded lower slice
+    # coordinates t_j, j < k, over 2, 3 and 5, the coefficient of t_k in
+    # I_k is the cached c_k, which is what lets `slice_from_invariants`
+    # evaluate once per level.  Kills pivots probed along the g^e basis in
+    # reverse order, or each probed at twice its g^e vector
+    L = any_algebra
+    ks = slice_for(L)
+    f, ge = ks.triple.f, ks.ge_elements
+    gen = stream(229, f"pivots:{L.descriptor}")
+    pivots = slice_pivots(ks)
+    assert len(pivots) == L.rank and all_fractions(pivots)
+    for k, g in enumerate(ge):
+        for _ in range(3 if k else 1):
+            base = f
+            for lower in ge[:k]:
+                base = base + lower.scale(gen.nonzero_fraction(num_bound=5, dens=(2, 3, 5)))
+            probe = oracle_invariants(L, base + g)[k] - oracle_invariants(L, base)[k]
+            assert probe == pivots[k] != 0
+
+
+def test_reversed_negated_witness_inverts_the_witness(any_algebra):
+    # oracle: the exps of the realized corrections multiplied in Fractions.
+    # Stepwise witnesses have one factor per coordinate, some of them not
+    # commuting and some over a denominator > 1.  Kills exps multiplied in
+    # reverse order and a factor exp(Y) taken for exp(Y / D)
+    L = any_algebra
+    m = L.matrix_size
+    ks = slice_for(L)
+    gen = stream(227, f"witness-inverse:{L.descriptor}")
+    dens = set()
+    for _ in range(4):
+        witness, _ = slice_normalize(ks, borel_point(L, gen, (2, 3, 5)), stepwise=True)
+        dens.update(u.den for u in witness)
+        got = witness_group_element(L, witness).mat.row_list()
+        assert got == [tuple(row) for row in exp_product(m, [L.realize(u).row_list() for u in witness])]
+        back = witness_group_element(L, [-u for u in reversed(witness)]).mat.row_list()
+        assert product(back, got, m) == identity(m) == product(got, back, m)
+    assert max(dens) > 1

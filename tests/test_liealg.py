@@ -89,7 +89,7 @@ def test_antisymmetry_on_basis(any_algebra):
     L = any_algebra
     basis = [L.basis_element(k) for k in range(L.dim)]
     for i in range(L.dim):
-        assert L.bracket(basis[i], basis[i]).is_zero()
+        assert L.bracket(basis[i], basis[i]) == L.zero()
         for j in range(i + 1, L.dim):
             assert L.bracket(basis[i], basis[j]) == -L.bracket(basis[j], basis[i])
 
@@ -103,7 +103,7 @@ def test_jacobi_identity_full_sweep(any_algebra):
             + L.bracket(L.bracket(y, z), x)
             + L.bracket(L.bracket(z, x), y)
         )
-        assert total.is_zero()
+        assert total == L.zero()
 
 
 def test_chevalley_constants_are_integers(any_algebra):
@@ -147,7 +147,7 @@ def test_cartan_bracket_is_root_value(any_algebra):
 def test_a2_simple_brackets_match_matrices(a2):
     e1, e2 = a2.e(0), a2.e(1)
     w = a2.bracket(e1, e2)
-    assert not w.is_zero()
+    assert w != a2.zero()
     assert a2.realize(w) == (
         a2.realize(e1) * a2.realize(e2) - a2.realize(e2) * a2.realize(e1)
     )
@@ -901,3 +901,78 @@ def test_triangular_group_elements_skip_bareiss(monkeypatch):
             *L.weyl_representatives(),
         ]
         assert all(leibniz_det(g.mat.row_list()) == 1 for g in built), name
+
+
+# -- the adjoint action on integer rows ---------------------------------------------
+
+
+def fraction_element(L, gen, indices):
+    """Non-integral coordinates over 2, 3 or 5 at the indices, zero elsewhere."""
+    coords = [Fraction(0)] * L.dim
+    for j in indices:
+        while coords[j].denominator == 1:
+            coords[j] = gen.nonzero_fraction(num_bound=5, dens=(2, 3, 5))
+    return L.element(coords)
+
+
+def dense_realization(L, x):
+    """sum_j x_j R_j in dense Fractions over the realized basis R_j."""
+    m = L.matrix_size
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for j, c in enumerate(x.coords):
+        if c:
+            rows = L.realize(L.basis_element(j)).row_list()
+            out = [[a + c * b for a, b in zip(r1, r2)] for r1, r2 in zip(out, rows)]
+    return out
+
+
+def test_exp_ad_apply_is_conjugation_by_the_exponential_series(any_algebra):
+    # oracle: exp(U) Y exp(-U) from `exp_nilpotent` in dense Fractions, read
+    # back by Gauss-Jordan; u has denominators 2, 3, 5, so d_u > 1 and
+    # (ad U)^k Y != 0 for some k >= 1.  Kills a dropped d_u^(K-k) weight (every
+    # term over d_u^K) and a dropped K!/k! (every term over K!)
+    L = any_algebra
+    m = L.matrix_size
+    gen = stream(211, f"expad-oracle:{L.descriptor}")
+    realized = [L.realize(L.basis_element(j)).row_list() for j in range(L.dim)]
+    nilpotents = [range(L.n_pos), [L.idx_f(k) for k in range(L.n_pos)], [L.idx_e(L.n_pos - 1)]]
+    for indices in nilpotents:
+        for _ in range(2):
+            u = fraction_element(L, gen, indices)
+            y = fraction_element(L, gen, range(L.dim))
+            assert u.den > 1 and y.den > 1
+            big_u = dense_realization(L, u)
+            minus_u = [[-x for x in row] for row in big_u]
+            moved = product(
+                product(exp_nilpotent(big_u), dense_realization(L, y), m), exp_nilpotent(minus_u), m
+            )
+            assert_canonical_element(L.exp_ad_apply(u, y), oracle_coordinates(realized, moved))
+
+
+def test_conjugate_and_torus_element_match_plain_fraction_products(any_algebra):
+    # oracles: the diagonal prod_i t_i^(h_i[k][k]) by Fraction powers, which
+    # are negative on part of every h_i, and g Y g^-1 by Fraction products and
+    # the Gauss-Jordan inverse.  Kills a torus entry built as t^|v| for
+    # v < 0, a sign lost on a negative t's denominator, and a conjugate read
+    # back without the denominator of g or of g^-1
+    L = any_algebra
+    m = L.matrix_size
+    gen = stream(223, f"conj-oracle:{L.descriptor}")
+    realized = [L.realize(L.basis_element(j)).row_list() for j in range(L.dim)]
+    h_diagonals = [[row[k] for k, row in enumerate(realized[L.idx_h(i)])] for i in range(L.rank)]
+    assert all(min(diag) < 0 < max(diag) for diag in h_diagonals)
+    for _ in range(3):
+        ts = [gen.nonzero_fraction(num_bound=5, dens=(2, 3, 5)) for _ in range(L.rank)]
+        ts[0] = -abs(ts[0])
+        want = identity(m)
+        for t, diag in zip(ts, h_diagonals):
+            for k, v in enumerate(diag):
+                want[k][k] *= t ** int(v)
+        torus = L.torus_element(ts)
+        assert torus.mat.row_list() == [tuple(row) for row in want]
+        sample = group_sample(L, gen)
+        for g in (torus, sample, torus * sample):
+            rows = g.mat.row_list()
+            y = fraction_element(L, gen, range(L.dim))
+            moved = product(product(rows, dense_realization(L, y), m), inverse(rows), m)
+            assert_canonical_element(conjugate(g, y), oracle_coordinates(realized, moved))

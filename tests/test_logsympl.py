@@ -12,7 +12,7 @@ import pytest
 from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor, logsympl
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
-from ucz.kostant import invariants_eval, slice_for, slice_from_invariants
+from ucz.kostant import invariants_eval, slice_for, slice_from_invariants, slice_normalize
 from ucz.liealg import GroupElement, conjugate
 from ucz.logsympl import (
     Bivector,
@@ -40,8 +40,10 @@ from ucz.wonderful import all_subsets, build_parabolic, derived_levi
 
 from .oracles import (
     all_fractions,
+    exp_product,
     gauss_jordan,
     identity,
+    inverse,
     null_space,
     product,
     projection,
@@ -570,3 +572,25 @@ def test_normalize_rejects_points_off_the_level_set(a1):
 
     with pytest.raises(DomainError):
         level_set_normalize(t, f)
+
+
+def test_reduced_element_is_nu1_g_nu2_inverse_in_fractions(any_algebra):
+    # oracle: nu1 g nu2^-1 from the exps of both witnesses, multiplied in
+    # Fractions, and the Gauss-Jordan inverse of nu2.  Kills a forward-order
+    # nu2^-1, exp(-u_1) ... exp(-u_m), once two corrections of xi's witness
+    # do not commute (on A3, B2 and G2)
+    L = any_algebra
+    m = L.matrix_size
+    ks = slice_for(L)
+    gen = stream(233, f"nu2-inverse:{L.descriptor}")
+
+    def oracle(witness):
+        return exp_product(m, [L.realize(u).row_list() for u in witness])
+
+    for _ in range(3):
+        _, _, g_in, xi_in = _dressed_witness(L, gen)
+        w1, _ = slice_normalize(ks, conjugate(g_in, xi_in))
+        w2, _ = slice_normalize(ks, xi_in)
+        want = product(product(oracle(w1), g_in.mat.row_list(), m), inverse(oracle(w2)), m)
+        g_s, _ = level_set_normalize(g_in, xi_in)
+        assert g_s.mat.row_list() == [tuple(row) for row in want]
