@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from .errors import (
     ConstructionError,
@@ -186,7 +187,9 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: `main` run in process reuses it."""
     parser = argparse.ArgumentParser(
         prog="ucz",
         description="Exact verification workbench for centralizer families "
@@ -232,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

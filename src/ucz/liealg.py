@@ -43,8 +43,8 @@ and the determinant is checked only where a matrix enters from outside.
 `root_product` multiplies root factors exp(c e_alpha) straight into one
 integer matrix from each root's cached realization powers; the torus
 elements are products of coroot cocharacters, and the Weyl
-representatives are words in Steinberg's n_i.  `adjoint(g)` is Ad_g as
-one `Mat`, read back through the realization table in integers.
+representatives are words in Steinberg's n_i.  `conjugate` is the one
+action of the group on the algebra: Ad_g is never built as a matrix.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from functools import cache, cached_property
 from itertools import chain
 from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
+from weakref import ref
 
 from .errors import DomainError, UnsupportedAlgebraError
 from .exactlin import (
@@ -423,7 +424,7 @@ class GroupElement:
         determinant one.
     """
 
-    __slots__ = ("mat", "_inv")
+    __slots__ = ("mat", "_inv", "__weakref__")
 
     def __init__(self, mat: Mat):
         if mat.rows != mat.cols:
@@ -440,11 +441,13 @@ class GroupElement:
         return self.mat == Mat.identity(self.mat.rows)
 
     def inverse(self) -> "GroupElement":
-        """The inverse matrix, cached both ways."""
+        """The inverse matrix, cached both ways: g holds it, and it links back to g weakly."""
         inv = self._inv
+        if type(inv) is ref:
+            inv = inv()
         if inv is None:
             inv = _group(self.mat.inverse())
-            object.__setattr__(inv, "_inv", self)
+            object.__setattr__(inv, "_inv", ref(self))
             object.__setattr__(self, "_inv", inv)
         return inv
 
@@ -747,33 +750,6 @@ class LieAlgebra:
             raise DomainError("matrix lies outside the realized algebra")
         return [sum(v * rows[r][c] for r, c, v in terms) for terms in readout]
 
-    def adjoint(self, g: GroupElement) -> Mat:
-        """Ad_g in the fixed basis: column k is Ad_g of basis vector k.
-
-        With g = N / d and g^-1 = M / f, Ad_g(b_k) = g R_k g^-1 is the sum over
-        the entries (r, c, v) of the realization R_k of v (N e_r)(e_c^T M), over
-        d f: outer products of a column of N and a row of M, from one inverse.
-        Its coordinates are read in integers over d f times the readout denominator.
-        """
-        if g.is_identity():
-            return Mat.identity(self.dim)
-        self._require_acting(g)
-        mat, inv = g.mat, g.inverse().mat
-        num, inv_num = mat.num, inv.num
-        m = len(num)
-        images = []
-        for entries in self._realization:
-            acc = [[0] * m for _ in range(m)]
-            for r, c, v in entries:
-                right = inv_num[c]
-                for row, out in zip(num, acc):
-                    left = row[r] * v
-                    if left:
-                        for j, x in enumerate(right):
-                            out[j] += left * x
-            images.append(self._read_int(acc))
-        return Mat(list(zip(*images)), self._readback[2] * mat.den * inv.den)
-
     # -- group operations ----------------------------------------------------------
 
     def group_identity(self) -> GroupElement:
@@ -932,7 +908,7 @@ def algebra_from_descriptor(descriptor: str) -> LieAlgebra:
 
 
 def conjugate(g: GroupElement, y: Element) -> Element:
-    """Adjoint action Ad_g(y) = g realize(y) g^-1.
+    """The action Ad_g(y) = g realize(y) g^-1 of a group element on the algebra.
 
     With g = N / d, g^-1 = M / e and realize(y) = Y / y.den, that is the
     integer product N Y M over d e y.den, read back once in integers

@@ -3,14 +3,15 @@
 A subset I of the simple-root indices {1..l} picks a standard parabolic
 pair (p_I, p_I^-) with shared Levi l_I.  The boundary orbit indexed by I
 carries at its basepoint the fiber algebra: pairs in p_I x p_I^- whose
-Levi components agree.  Translating that subalgebra by a pair of group
-elements represents an arbitrary point of the orbit, and two points are
-equal exactly when the translated subalgebras coincide.  All subspaces
-are kept in canonical echelon form, so equality is literal.
-
-A translate by (g1, g2) moves the fiber's integer echelon rows by the
-pair (Ad_g1, Ad_g2).  Ad_g is `LieAlgebra.adjoint(g)`, one `Mat` built
-once per element, so no fiber row is conjugated one by one.
+Levi components agree.  A point of the orbit is that subalgebra
+translated by a pair (g1, g2) of group elements, and a `BoundaryPoint`
+is the triple (I, g1, g2).  A pair (a, b) lies in the point exactly when
+its pull-back (Ad_g1^-1 a, Ad_g2^-1 b) lies in the cached basepoint
+fiber, so membership is two `conjugate` calls and one free-column test.
+The translated subspace itself, the realized fiber, is built only when
+it is read: by `==` and `hash`, since two points are equal exactly when
+their realized fibers coincide, or by a caller.  All subspaces are kept
+in canonical echelon form, so equality is literal.
 
 Simple-root indices are 1-based in every public signature, matching the
 orbit tables the command line prints.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable
 
 from .errors import ConstructionError, DomainError
 from .exactlin import Mat, Subspace, _identity_rows, kernel, rank
@@ -337,13 +338,13 @@ def build_orbit_poset(algebra: LieAlgebra) -> OrbitPoset:
 
 
 class BoundaryPoint:
-    """A point of the orbit at I, carried as a translated fiber algebra.
+    """A point of the orbit at I: the basepoint fiber algebra translated by (g1, g2).
 
-    Two points are the same exactly when their realized fibers agree as
-    subspaces; the translating pair is kept only as a witness.
+    Points are equal when their realized fibers are, and a caller that
+    holds the realized fiber already may pass it in.
     """
 
-    __slots__ = ("algebra", "I", "g1", "g2", "realized_fiber")
+    __slots__ = ("algebra", "I", "g1", "g2", "_fiber")
 
     def __init__(
         self,
@@ -351,13 +352,25 @@ class BoundaryPoint:
         I: frozenset[int],
         g1: GroupElement,
         g2: GroupElement,
-        realized_fiber: Subspace,
+        realized_fiber: Subspace | None = None,
     ):
         self.algebra = algebra
         self.I = I
         self.g1 = g1
         self.g2 = g2
-        self.realized_fiber = realized_fiber
+        self._fiber = realized_fiber
+
+    @property
+    def realized_fiber(self) -> Subspace:
+        """The basepoint fiber moved by (Ad_g1, Ad_g2), built on first read."""
+        if self._fiber is None:
+            L = self.algebra
+            self._fiber = _translate(
+                build_parabolic(L, self.I),
+                lambda j: conjugate(self.g1, L.basis_element(j)),
+                lambda j: conjugate(self.g2, L.basis_element(j)),
+            )
+        return self._fiber
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoundaryPoint):
@@ -371,47 +384,39 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-def _move(cols: Sequence[Sequence[int]], x: Sequence[int], scale: int) -> list[int]:
-    """scale * sum_k x[k] cols[k], skipping the zero entries of x."""
-    acc = [0] * len(cols)
-    for c, col in zip(x, cols):
-        if c:
-            c *= scale
-            acc = [a + c * y for a, y in zip(acc, col)]
-    return acc
+def _translate(
+    p: ParabolicData, col1: Callable[[int], Element], col2: Callable[[int], Element]
+) -> Subspace:
+    """The basepoint fiber of orbit I moved by (Ad_g1, Ad_g2), col_i(j) = Ad_gi b_j.
 
-
-def _translate(space: Subspace, ad1: Mat, ad2: Mat) -> Subspace:
-    """A subspace of g x g moved by the pair (Ad_g1, Ad_g2) = (C1 / e1, C2 / e2).
-
-    Each canonical integer row (x, y) goes to (e2 C1 x, e1 C2 y), the moved
-    row times e1 e2 times the subspace's denominator.  A pair of identity
-    maps leaves the space itself.
+    Each half of a fiber row is b_j or zero, so the moved rows are
+    (Ad_g1 b_j, 0) for j in u_I, (Ad_g1 b_j, Ad_g2 b_j) for j in l_I and
+    (0, Ad_g2 b_j) for j in u_I_minus: one column per basis vector and side.
     """
-    n = ad1.cols
-    e1, e2 = ad1.den, ad2.den
-    eye = _identity_rows(n)
-    if e1 == e2 == 1 and ad1.num == eye and ad2.num == eye:
-        return space
-    c1, c2 = list(zip(*ad1.num)), list(zip(*ad2.num))
-    vectors = [_move(c1, row[:n], e2) + _move(c2, row[n:], e1) for row in space.basis.num]
-    realized = Subspace(2 * n, vectors)
-    if realized.dim != space.dim:
+    n = p.algebra.dim
+    zero = (0,) * n
+    levi = set(p.l_I._pivots)
+    rows = []
+    for j in p.p_I._pivots:
+        x = col1(j)
+        rows.append(pair_row(x, col2(j)) if j in levi else x.num + zero)
+    rows += [zero + col2(j).num for j in p.u_I_minus._pivots]
+    realized = Subspace(2 * n, rows)
+    if realized.dim != n:
         raise ConstructionError("translated fiber lost dimension")
     return realized
 
 
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
-    """Translate the basepoint fiber of orbit I by (g1, g2)."""
-    L = p.algebra
-    realized = _translate(fiber_algebra(p), L.adjoint(g1), L.adjoint(g2))
-    return BoundaryPoint(L, p.I, g1, g2, realized)
+    """The basepoint fiber of orbit I translated by (g1, g2); nothing is built."""
+    return BoundaryPoint(p.algebra, p.I, g1, g2)
 
 
 @cache
-def _weyl_adjoints(L: LieAlgebra) -> tuple[tuple[GroupElement, Mat], ...]:
-    """Each Weyl representative w of L with Ad_w, built once per algebra."""
-    return tuple((w, L.adjoint(w)) for w in L.weyl_representatives())
+def _weyl_columns(L: LieAlgebra) -> tuple[tuple[GroupElement, tuple[Element, ...]], ...]:
+    """Each Weyl representative w of L with Ad_w b_j for every basis vector, built once."""
+    basis = [L.basis_element(j) for j in range(L.dim)]
+    return tuple((w, tuple(conjugate(w, b) for b in basis)) for w in L.weyl_representatives())
 
 
 @cache
@@ -419,21 +424,23 @@ def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ..
     """The basepoint fiber of orbit I moved by (w, w), for w in the Weyl group.
 
     One pair (w, fiber) per distinct fiber, keeping the first w in the
-    order of `weyl_representatives`: |W / W_I| pairs.  Built once per I.
+    order of `weyl_representatives`: |W / W_I| pairs.  Built once per I,
+    from the columns of each w cached once per algebra.
     """
-    base = fiber_algebra(p)
     first: dict[Subspace, GroupElement] = {}
-    for w, ad in _weyl_adjoints(p.algebra):
-        first.setdefault(_translate(base, ad, ad), w)
+    for w, cols in _weyl_columns(p.algebra):
+        first.setdefault(_translate(p, cols.__getitem__, cols.__getitem__), w)
     return tuple((w, fiber) for fiber, w in first.items())
 
 
 def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> bool:
-    """Is the pair of algebra elements inside the point's realized fiber?"""
+    """Is (a, b) inside the point?  Exactly when (Ad_g1^-1 a, Ad_g2^-1 b) is in `fiber_algebra`."""
     xi1, xi2 = pair
-    point.algebra._check_same(xi1.algebra)
-    point.algebra._check_same(xi2.algebra)
-    return point.realized_fiber.contains(pair_row(xi1, xi2))
+    L = point.algebra
+    L._check_same(xi1.algebra)
+    L._check_same(xi2.algebra)
+    back = pair_row(conjugate(point.g1.inverse(), xi1), conjugate(point.g2.inverse(), xi2))
+    return fiber_algebra(build_parabolic(L, point.I)).contains(back)
 
 
 def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[BoundaryPoint]:
@@ -449,8 +456,9 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
     index (proper subsets of {1..rank}).  Ad_(d w) = Ad_d Ad_w, and
     Ad_d (+) Ad_d is a linear bijection of g x g, so two translates by
     (d w, d w) agree exactly when the translates by (w, w) do: the
-    distinct fibers of `weyl_translates`, |W / W_I| in orbit I, are
-    moved by Ad_d alone, built once per call, with witness d w.
+    points are the distinct fibers of `weyl_translates`, |W / W_I| in
+    orbit I, with witness d w, each checked on (eta, eta) as the point
+    (w, w); only for d = 1 does a point hold its realized fiber.
     """
     L = xi.algebra
     eta = conjugate(diagonalizer.inverse(), xi)
@@ -458,19 +466,20 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    ad_d = L.adjoint(diagonalizer)
+    moved = not diagonalizer.is_identity()
     # orbit I = {} keeps every w, so every product is used
-    witness = {w: diagonalizer * w for w, _ in _weyl_adjoints(L)}
-    pair = (xi, xi)
+    witness = {w: diagonalizer * w for w, _ in _weyl_columns(L)} if moved else {}
+    pair = (eta, eta)
     found: list[BoundaryPoint] = []
     for I in all_subsets(L.rank):
         if len(I) == L.rank:
             continue
         p = build_parabolic(L, I)
         for w, fiber in weyl_translates(p):
-            g = witness[w]
-            point = BoundaryPoint(L, p.I, g, g, _translate(fiber, ad_d, ad_d))
+            point = BoundaryPoint(L, p.I, w, w, fiber)
             if not translate_contains(point, pair):
                 raise ConstructionError("a diagonal Weyl translate misses the torus pair")
+            if moved:
+                point = BoundaryPoint(L, p.I, witness[w], witness[w])
             found.append(point)
     return found

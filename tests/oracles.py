@@ -3,7 +3,8 @@
 Each function is the textbook algorithm, written for clarity and not for
 speed: the Leibniz and elimination determinants, Gauss-Jordan
 elimination, inverse, null space, coordinates in a span and projection
-along a complement, the row-by-column product, the trace of a product,
+along a complement, the row-by-column product, Ad_g of a realized Lie
+algebra as columns of coordinates, the trace of a product,
 the exponential series of a nilpotent matrix and products of such
 exponentials, and the order of a Weyl group closed from its simple
 reflections.
@@ -132,6 +133,37 @@ def product(a, b, cols: int) -> list[list[Fraction]]:
         [sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(cols)]
         for row in a
     ]
+
+
+def adjoint_columns(g, realized) -> list[list[Fraction]]:
+    """Ad_g on a realized Lie algebra: column k is the coordinates of g R_k g^-1 in the R_j.
+
+    g is a square matrix and `realized` the basis matrices R_j; g^-1 is the
+    Gauss-Jordan inverse, and the coordinates are read by `span_coordinates`
+    from the flattened matrices.
+    """
+    m = len(g)
+    g_inv = inverse(g)
+    if g_inv is None:
+        raise ValueError("g is singular")
+    flat = [[x for row in r for x in row] for r in realized]
+    columns = []
+    for r in realized:
+        moved = product(product(g, r, m), g_inv, m)
+        coords = span_coordinates(flat, [x for row in moved for x in row])
+        if coords is None:
+            raise ValueError("g R g^-1 leaves the span of the realized basis")
+        columns.append(coords)
+    return columns
+
+
+def apply_columns(columns, v) -> list[Fraction]:
+    """sum_k v_k columns_k: the matrix with these columns applied to v."""
+    out = [Fraction(0)] * len(columns[0])
+    for c, col in zip(v, columns):
+        if c:
+            out = [a + c * x for a, x in zip(out, col)]
+    return out
 
 
 def trace_product(a, b) -> Fraction:

@@ -5,6 +5,7 @@ output I/O failure, 4 internal error.  JSON reports must be byte-identical
 for identical (algebra, seed, samples) configurations.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -95,6 +96,25 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice" in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # `main` run in process, as the benchmark does, reuses one parser, also
+    # after a call that the parser refused
+    used = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def record(self, *args, **kwargs):
+        used.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+    assert main(["describe", "A1"]) == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "A1", "--suite", "nope"])
+    assert main(["verify", "A1", "--samples", "1", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(used) == 3 and used[0] is used[1] is used[2] is cli.build_parser()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from .oracles import exp_nilpotent
+from .oracles import adjoint_columns, apply_columns, exp_nilpotent
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
@@ -30,3 +30,17 @@ def test_exp_nilpotent_hand_examples():
     assert exp_nilpotent([[0]]) == [[1]]
     with pytest.raises(ValueError):
         exp_nilpotent([[0, 1], [1, 0]])
+
+
+def test_adjoint_columns_hand_example():
+    # sl_2 in the basis (e, h, f) and g = exp(t e): Ad_g e = e,
+    # Ad_g h = h - 2t e and Ad_g f = f + t h - t^2 e
+    t = Fraction(-3, 2)
+    e, h, f = [[0, 1], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [1, 0]]
+    columns = adjoint_columns([[1, t], [0, 1]], [e, h, f])
+    assert columns == [[1, 0, 0], [-2 * t, 1, 0], [-t * t, t, 1]]
+    assert apply_columns(columns, [0, 1, 1]) == [-2 * t - t * t, 1 + t, 1]
+    with pytest.raises(ValueError):
+        adjoint_columns([[1, 1], [1, 1]], [e, h, f])
+    with pytest.raises(ValueError):
+        adjoint_columns([[1, 1], [0, 1]], [e, f])

@@ -10,8 +10,10 @@ by the Gauss-Jordan oracle.
 """
 
 import random
+from functools import cache
 from itertools import combinations, product
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
@@ -37,7 +39,14 @@ from ucz.wonderful import (
     weyl_translates,
 )
 
-from .oracles import gauss_jordan, identity, null_space, weyl_group_order
+from .oracles import (
+    adjoint_columns,
+    apply_columns,
+    gauss_jordan,
+    identity,
+    null_space,
+    weyl_group_order,
+)
 
 
 def full_set(L):
@@ -378,16 +387,23 @@ def test_translated_point_contains_translated_pairs(a2):
 
 
 def test_translate_by_the_identity_is_conjugation_free(any_algebra):
-    # (g, id) is the moment suite's interior translate; Ad_id is the identity map
+    # (g, id) is the moment suite's interior translate: conjugation by the
+    # identity, or by g g^-1, fixes every basis vector, and the point is the
+    # graph of Ad_g, which the pull-back by (g^-1, id) decides
     L = any_algebra
-    assert L.adjoint(L.group_identity()) == Mat.identity(L.dim)
+    one = L.group_identity()
     p = build_parabolic(L, full_set(L))
     gen = stream(53, f"idtrans:{L.descriptor}")
     n = L.dim
+    basis = [L.basis_element(j) for j in range(n)]
+    assert all(conjugate(one, b) == b for b in basis)
     for _ in range(2):
         g = group_sample(L, gen)
-        assert L.adjoint(g * g.inverse()) == Mat.identity(n)
-        point = make_boundary_point(p, g, L.group_identity())
+        assert all(conjugate(g * g.inverse(), b) == b for b in basis)
+        point = make_boundary_point(p, g, one)
+        x = L.element([gen.fraction() for _ in range(n)])
+        assert translate_contains(point, (conjugate(g, x), x))
+        assert translate_contains(point, (x, x)) == (conjugate(g, x) == x)
         moved = [
             conjugate(g, L.element(row[:n])).coords + row[n:]
             for row in fiber_algebra(p).basis.row_list()
@@ -412,30 +428,92 @@ def test_identity_torus_call_reuses_the_weyl_translate_fibers(any_algebra):
     for q, (I, w, fiber) in zip(points, expected):
         assert q.I == I and q.g1 == q.g2 == w
         assert q.realized_fiber is fiber
-    ad = L.adjoint(one)
+    # the identity is the first Weyl representative, and it leaves the fiber as it is
     for I in all_subsets(L.rank):
-        fiber = fiber_algebra(build_parabolic(L, I))
-        assert wonderful._translate(fiber, ad, ad) is fiber
-        assert make_boundary_point(build_parabolic(L, I), one, one).realized_fiber is fiber
+        p = build_parabolic(L, I)
+        fiber = fiber_algebra(p)
+        assert weyl_translates(p)[0] == (one, fiber)
+        assert make_boundary_point(p, one, one).realized_fiber == fiber
+
+
+def _oracle_translate(L, p, ad1, ad2):
+    """The basepoint fiber rows of p moved by the oracle columns (ad1, ad2), in Fractions."""
+    n = L.dim
+    return [
+        apply_columns(ad1, row[:n]) + apply_columns(ad2, row[n:])
+        for row in fiber_algebra(p).basis.row_list()
+    ]
+
+
+@cache
+def _oracle_pair(L):
+    """Two seeded group samples of L and their Ad matrices from the Fraction oracle."""
+    gen = stream(61, f"oracle-pair:{L.descriptor}")
+    realized = [L.realize(L.basis_element(j)).row_list() for j in range(L.dim)]
+    g1, g2 = group_sample(L, gen), group_sample(L, gen)
+    return g1, g2, adjoint_columns(g1.mat.row_list(), realized), adjoint_columns(
+        g2.mat.row_list(), realized
+    )
 
 
 def test_integer_translate_matches_the_fraction_adjoint_pair(any_algebra):
+    # the realized fiber of the point (g1, g2) is the Gauss-Jordan form of the
+    # basepoint fiber rows moved by the oracle's Ad_g1 and Ad_g2
     L = any_algebra
-    gen = stream(61, f"inttrans:{L.descriptor}")
     n = L.dim
-    for _ in range(2):
-        g1, g2 = group_sample(L, gen), group_sample(L, gen)
-        ad1, ad2 = L.adjoint(g1), L.adjoint(g2)
-        for I in all_subsets(L.rank):
-            fiber = fiber_algebra(build_parabolic(L, I))
-            moved = [ad1.apply(row[:n]) + ad2.apply(row[n:]) for row in fiber.basis.row_list()]
-            assert wonderful._translate(fiber, ad1, ad2) == Subspace.from_vectors(2 * n, moved)
+    g1, g2, ad1, ad2 = _oracle_pair(L)
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        echelon, pivots = gauss_jordan(_oracle_translate(L, p, ad1, ad2), 2 * n)
+        assert len(pivots) == n
+        realized = make_boundary_point(p, g1, g2).realized_fiber
+        assert [list(row) for row in realized.basis.row_list()] == echelon
     # |W / W_I| distinct fibers per orbit, the orders from the oracle's reflection group
     cartan = L.root_system.cartan_matrix.num
     for I in all_subsets(L.rank):
         size = weyl_group_order(cartan) // weyl_group_order(cartan, [i - 1 for i in I])
         assert len(weyl_translates(build_parabolic(L, I))) == size
 
+
+def test_membership_by_pull_back_matches_the_oracle_translate(any_algebra):
+    # on every orbit, translate_contains (the pull-back) and the realized
+    # fiber's membership test agree with the span of the basepoint rows moved
+    # by the oracle's (Ad_g1, Ad_g2), decided by its null space: on pairs
+    # inside, on pairs moved by the swapped (Ad_g2, Ad_g1), and on inside
+    # pairs bumped in one coordinate
+    L = any_algebra
+    gen = stream(67, f"pullback:{L.descriptor}")
+    n = L.dim
+    g1, g2, ad1, ad2 = _oracle_pair(L)
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        point = make_boundary_point(p, g1, g2)
+        moved = _oracle_translate(L, p, ad1, ad2)
+        swapped = _oracle_translate(L, p, ad2, ad1)
+
+        def combination(rows):
+            out = [0] * (2 * n)
+            for row in rows:
+                c = gen.fraction()
+                out = [a + c * x for a, x in zip(out, row)]
+            return out
+
+        inside = combination(moved)
+        vectors = [inside, combination(swapped), moved[0]]
+        for k in range(4):
+            bumped = list(inside)
+            bumped[gen.randint(0, 2 * n - 1)] += 1
+            vectors.append(bumped)
+        # v is in the span exactly when every vector the moved rows annihilate annihilates v
+        annihilator = null_space(moved, 2 * n)
+        wants = [not any(sum(map(mul, a, v)) for a in annihilator) for v in vectors]
+        assert wants[0] and wants[2] and not all(wants), sorted(I)
+        for v, want in zip(vectors, wants):
+            assert translate_contains(point, (L.element(v[:n]), L.element(v[n:]))) == want
+        # membership built no realized fiber; reading it builds one that agrees
+        assert point._fiber is None
+        for v, want in zip(vectors, wants):
+            assert point.realized_fiber.contains(v) == want
 
 
 def test_torus_fixed_points_of_a1(a1):
@@ -567,6 +645,40 @@ def test_torus_fixed_points_match_direct_translation_on_a2(a2):
         assert q.g1 == q.g2
         direct = make_boundary_point(build_parabolic(a2, q.I), q.g1, q.g2)
         assert q.realized_fiber == direct.realized_fiber
+
+
+def test_a_moved_torus_builds_no_fiber_and_no_index(a2, a3, monkeypatch):
+    # with d != 1 each point is checked through its Weyl translate, so the
+    # returned points hold no realized fiber, and the call builds no subspace
+    # and no free-column index once the cached ones exist
+    built, indexed = [], []
+    real_init, real_free = Subspace.__init__, Subspace._free_columns
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def free(self):
+        if self._free is None:
+            indexed.append(self)
+        return real_free(self)
+
+    for L in (a2, a3):
+        gen = stream(73, f"torus-lazy:{L.descriptor}")
+        s = build_principal_triple(L).h
+        d = group_sample(L, gen)
+        torus_fixed_fiber_points(conjugate(d, s), d)
+        d = group_sample(L, gen)
+        assert not d.is_identity()
+        xi = conjugate(d, s)
+        with monkeypatch.context() as m:
+            m.setattr(Subspace, "__init__", init)
+            m.setattr(Subspace, "_free_columns", free)
+            found = torus_fixed_fiber_points(xi, d)
+        assert built == [] and indexed == []
+        assert len(found) == suites._torus_fixed_count(L)
+        assert all(q._fiber is None and q.g1 == q.g2 for q in found)
+        assert all(translate_contains(q, (xi, xi)) for q in found)
 
 
 def test_enumeration_walks_diagonal_translates_only():
