@@ -816,12 +816,17 @@ class LieAlgebra:
             rows[k][k] = a * (den // b)
         return _group(Mat(rows, den))
 
-    def weyl_representatives(self) -> list[GroupElement]:
+    def weyl_representatives(self) -> tuple[GroupElement, ...]:
         """The first word in Steinberg's n_i = exp(e_i) exp(-f_i) exp(e_i) over each Weyl element.
 
         n_i acts on the weights as s_i, so a word is monomial and its support
         tells its Weyl element: breadth first, |W| words, the identity first.
+        Built once per algebra, so each word keeps its inverse once computed.
         """
+        return self._weyl_words
+
+    @cached_property
+    def _weyl_words(self) -> tuple[GroupElement, ...]:
         index = self._index_of_root
         steinberg = [
             self.root_product([(index[a], 1), (index[_rneg(a)], -1), (index[a], 1)])
@@ -834,7 +839,7 @@ class LieAlgebra:
         )
 
 
-def _closure(one, moves, key=lambda x: x) -> list:
+def _closure(one, moves, key=lambda x: x) -> tuple:
     """one and all it reaches by the moves, breadth first, keeping the first element per key."""
     found, frontier = {key(one): one}, [one]
     while frontier:
@@ -846,7 +851,7 @@ def _closure(one, moves, key=lambda x: x) -> list:
                     found[key(y)] = y
                     new.append(y)
         frontier = new
-    return list(found.values())
+    return tuple(found.values())
 
 
 def _nonzero(v: Sequence[int]) -> list[tuple[int, int]]:

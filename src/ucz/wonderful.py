@@ -13,6 +13,15 @@ it is read: by `==` and `hash`, since two points are equal exactly when
 their realized fibers coincide, or by a caller.  All subspaces are kept
 in canonical echelon form, so equality is literal.
 
+The torus-fixed points of orbit I are indexed by W / W_I (De Concini-
+Procesi, 1983), and no translated fiber is built to find them.  The
+diagonal stabilizer of the basepoint inside N(T) is N_{L_I}(T), whose
+image in W is W_I, so the translates by (w, w) and (w', w') agree
+exactly when w W_I = w' W_I.  h_I, the sum of h_alpha = [e_alpha,
+f_alpha] over the roots alpha of u_I, has alpha_j(h_I) = 0 for j in I
+and alpha_j(h_I) > 0 off I, so Stab_W(h_I) = W_I and Ad_w h_I names the
+coset of w (`weyl_cosets`).
+
 Simple-root indices are 1-based in every public signature, matching the
 orbit tables the command line prints.
 """
@@ -21,7 +30,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Callable
 
 from .errors import ConstructionError, DomainError
 from .exactlin import Mat, Subspace, _identity_rows, kernel, rank
@@ -32,7 +40,7 @@ __all__ = [
     "build_parabolic",
     "fiber_algebra",
     "derived_levi",
-    "weyl_translates",
+    "weyl_cosets",
     "stabilizer_algebra",
     "orbit_dim",
     "closure_contains",
@@ -94,7 +102,7 @@ class ParabolicData:
 
     It hashes by identity, and `build_parabolic` builds one per pair, so
     the data derived from it (`fiber_algebra`, `derived_levi`,
-    `stabilizer_algebra`, `weyl_translates`) is cached per object.
+    `stabilizer_algebra`, `weyl_cosets`) is cached per object.
     """
 
     __slots__ = (
@@ -246,6 +254,8 @@ def derived_levi(p: ParabolicData) -> Subspace:
 def levi_part(p: ParabolicData, xi: Element) -> Element:
     """The Levi component of an element of p_I: its u_I coordinates set to zero."""
     p.algebra._check_same(xi.algebra)
+    if not p.p_I.contains(xi.num):
+        raise DomainError("Levi part needs a point of the parabolic")
     num = list(xi.num)
     for j in p.u_I._pivots:
         num[j] = 0
@@ -362,14 +372,26 @@ class BoundaryPoint:
 
     @property
     def realized_fiber(self) -> Subspace:
-        """The basepoint fiber moved by (Ad_g1, Ad_g2), built on first read."""
+        """The basepoint fiber translated by (Ad_g1, Ad_g2), built on first read.
+
+        Each half of a fiber row is b_j or zero, so the translated rows are
+        (Ad_g1 b_j, 0) for j in u_I, (Ad_g1 b_j, Ad_g2 b_j) for j in l_I and
+        (0, Ad_g2 b_j) for j in u_I_minus.
+        """
         if self._fiber is None:
-            L = self.algebra
-            self._fiber = _translate(
-                build_parabolic(L, self.I),
-                lambda j: conjugate(self.g1, L.basis_element(j)),
-                lambda j: conjugate(self.g2, L.basis_element(j)),
-            )
+            L, g1, g2 = self.algebra, self.g1, self.g2
+            p = build_parabolic(L, self.I)
+            zero, levi = (0,) * L.dim, set(p.l_I._pivots)
+            rows = []
+            for j in p.p_I._pivots:
+                b = L.basis_element(j)
+                x = conjugate(g1, b)
+                rows.append(pair_row(x, conjugate(g2, b)) if j in levi else x.num + zero)
+            rows += [zero + conjugate(g2, L.basis_element(j)).num for j in p.u_I_minus._pivots]
+            realized = Subspace(2 * L.dim, rows)
+            if realized.dim != L.dim:
+                raise ConstructionError("translated fiber lost dimension")
+            self._fiber = realized
         return self._fiber
 
     def __eq__(self, other) -> bool:
@@ -384,53 +406,27 @@ class BoundaryPoint:
         return f"BoundaryPoint({self.algebra.descriptor}, I={sorted(self.I)})"
 
 
-def _translate(
-    p: ParabolicData, col1: Callable[[int], Element], col2: Callable[[int], Element]
-) -> Subspace:
-    """The basepoint fiber of orbit I moved by (Ad_g1, Ad_g2), col_i(j) = Ad_gi b_j.
-
-    Each half of a fiber row is b_j or zero, so the moved rows are
-    (Ad_g1 b_j, 0) for j in u_I, (Ad_g1 b_j, Ad_g2 b_j) for j in l_I and
-    (0, Ad_g2 b_j) for j in u_I_minus: one column per basis vector and side.
-    """
-    n = p.algebra.dim
-    zero = (0,) * n
-    levi = set(p.l_I._pivots)
-    rows = []
-    for j in p.p_I._pivots:
-        x = col1(j)
-        rows.append(pair_row(x, col2(j)) if j in levi else x.num + zero)
-    rows += [zero + col2(j).num for j in p.u_I_minus._pivots]
-    realized = Subspace(2 * n, rows)
-    if realized.dim != n:
-        raise ConstructionError("translated fiber lost dimension")
-    return realized
-
-
 def make_boundary_point(p: ParabolicData, g1: GroupElement, g2: GroupElement) -> BoundaryPoint:
     """The basepoint fiber of orbit I translated by (g1, g2); nothing is built."""
     return BoundaryPoint(p.algebra, p.I, g1, g2)
 
 
 @cache
-def _weyl_columns(L: LieAlgebra) -> tuple[tuple[GroupElement, tuple[Element, ...]], ...]:
-    """Each Weyl representative w of L with Ad_w b_j for every basis vector, built once."""
-    basis = [L.basis_element(j) for j in range(L.dim)]
-    return tuple((w, tuple(conjugate(w, b) for b in basis)) for w in L.weyl_representatives())
+def weyl_cosets(p: ParabolicData) -> tuple[GroupElement, ...]:
+    """One Weyl representative per coset in W / W_I: |W / W_I| group elements.
 
-
-@cache
-def weyl_translates(p: ParabolicData) -> tuple[tuple[GroupElement, Subspace], ...]:
-    """The basepoint fiber of orbit I moved by (w, w), for w in the Weyl group.
-
-    One pair (w, fiber) per distinct fiber, keeping the first w in the
-    order of `weyl_representatives`: |W / W_I| pairs.  Built once per I,
-    from the columns of each w cached once per algebra.
+    The first w, in the order of `weyl_representatives`, for each distinct
+    Ad_w h_I, h_I the sum of [e_alpha, f_alpha] over the roots of u_I,
+    whose stabilizer in W is W_I.  Built once per I.
     """
-    first: dict[Subspace, GroupElement] = {}
-    for w, cols in _weyl_columns(p.algebra):
-        first.setdefault(_translate(p, cols.__getitem__, cols.__getitem__), w)
-    return tuple((w, fiber) for fiber, w in first.items())
+    L = p.algebra
+    h_I = L.zero()
+    for e, f in zip(p.u_I._pivots, p.u_I_minus._pivots):
+        h_I = h_I + L.bracket(L.basis_element(e), L.basis_element(f))
+    first: dict[Element, GroupElement] = {}
+    for w in L.weyl_representatives():
+        first.setdefault(conjugate(w, h_I), w)
+    return tuple(first.values())
 
 
 def translate_contains(point: BoundaryPoint, pair: tuple[Element, Element]) -> bool:
@@ -455,10 +451,11 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
     the diagonal translates (d w, d w) remain, over every boundary orbit
     index (proper subsets of {1..rank}).  Ad_(d w) = Ad_d Ad_w, and
     Ad_d (+) Ad_d is a linear bijection of g x g, so two translates by
-    (d w, d w) agree exactly when the translates by (w, w) do: the
-    points are the distinct fibers of `weyl_translates`, |W / W_I| in
-    orbit I, with witness d w, each checked on (eta, eta) as the point
-    (w, w); only for d = 1 does a point hold its realized fiber.
+    (d w, d w) agree exactly when the translates by (w, w) do, that is
+    when w and w' differ by the diagonal stabilizer N_{L_I}(T) of the
+    basepoint: the points are the cosets W / W_I of `weyl_cosets`
+    (Stab_W(h_I) = W_I), with witness (d w, d w), each checked on
+    (eta, eta) as the point (w, w).  No point holds its realized fiber.
     """
     L = xi.algebra
     eta = conjugate(diagonalizer.inverse(), xi)
@@ -466,20 +463,16 @@ def torus_fixed_fiber_points(xi: Element, diagonalizer: GroupElement) -> list[Bo
         raise DomainError("diagonalizer does not carry the element into the Cartan")
     if not L.is_regular(eta):
         raise DomainError("torus-fixed point search needs a regular semisimple element")
-    moved = not diagonalizer.is_identity()
     # orbit I = {} keeps every w, so every product is used
-    witness = {w: diagonalizer * w for w, _ in _weyl_columns(L)} if moved else {}
+    witness = {w: diagonalizer * w for w in L.weyl_representatives()}
     pair = (eta, eta)
     found: list[BoundaryPoint] = []
     for I in all_subsets(L.rank):
         if len(I) == L.rank:
             continue
         p = build_parabolic(L, I)
-        for w, fiber in weyl_translates(p):
-            point = BoundaryPoint(L, p.I, w, w, fiber)
-            if not translate_contains(point, pair):
+        for w in weyl_cosets(p):
+            if not translate_contains(BoundaryPoint(L, p.I, w, w), pair):
                 raise ConstructionError("a diagonal Weyl translate misses the torus pair")
-            if moved:
-                point = BoundaryPoint(L, p.I, witness[w], witness[w])
-            found.append(point)
+            found.append(BoundaryPoint(L, p.I, witness[w], witness[w]))
     return found

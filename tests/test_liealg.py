@@ -549,7 +549,7 @@ def test_products_and_inverses_stay_unimodular(any_algebra):
     L = any_algebra
     m = L.matrix_size
     gen = stream(17, f"unimodular:{L.descriptor}")
-    samples = [group_sample(L, gen) for _ in range(4)] + L.weyl_representatives()[:3]
+    samples = [group_sample(L, gen) for _ in range(4)] + [*L.weyl_representatives()[:3]]
     samples += group_inputs(L, gen)
     assert any(g.mat.den > 1 for g in samples)
     ys = [random_element(L, gen) for _ in range(3)] + [L.zero()]
@@ -591,7 +591,7 @@ def test_group_inverse_matches_gauss_jordan(any_algebra):
     lower = [(L.idx_f(k), gen.nonzero_fraction()) for k in range(L.n_pos)]
     samples = [group_sample(L, gen) for _ in range(3)]
     samples += [L.root_product(upper), L.root_product(lower), L.root_product(upper + lower)]
-    samples += group_inputs(L, gen)[:2] + L.weyl_representatives()
+    samples += [*group_inputs(L, gen)[:2], *L.weyl_representatives()]
     assert any(g.mat.den > 1 for g in samples)
     for g in samples:
         g_inv = g.inverse()

@@ -31,12 +31,13 @@ from ucz.wonderful import (
     closure_contains,
     derived_levi,
     fiber_algebra,
+    levi_part,
     make_boundary_point,
     orbit_dim,
     stabilizer_algebra,
     torus_fixed_fiber_points,
     translate_contains,
-    weyl_translates,
+    weyl_cosets,
 )
 
 from .oracles import (
@@ -268,6 +269,20 @@ def test_levi_center_commutes(any_algebra):
             assert all(L.bracket(z, b) == L.zero() for b in levi)
 
 
+def test_levi_part_zeroes_u_I_and_refuses_points_off_the_parabolic(a2):
+    named = {a2.basis_name(j): a2.basis_element(j) for j in range(a2.dim)}
+    # f01 lies outside the Borel p_I, I = {}, so f01 + e11 has no Levi part
+    with pytest.raises(DomainError):
+        levi_part(build_parabolic(a2, ()), named["f01"] + named["e11"])
+    # on I = {1} the Levi is h1, h2, e10, f10 and u_I is spanned by e01 and e11
+    p = build_parabolic(a2, {1})
+    x = named["h1"] + named["h2"].scale(3) + named["e10"].scale(2) - named["f10"]
+    assert levi_part(p, x + named["e01"] + named["e11"].scale(-5)) == x
+    assert levi_part(p, x) == x
+    with pytest.raises(DomainError):
+        levi_part(p, x + named["f11"])
+
+
 def test_fiber_algebra_dimension_and_closure(any_algebra):
     L = any_algebra
     n = L.dim
@@ -411,29 +426,43 @@ def test_translate_by_the_identity_is_conjugation_free(any_algebra):
         assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
 
 
-def test_identity_torus_call_reuses_the_weyl_translate_fibers(any_algebra):
+@cache
+def _first_w_per_fiber(p):
+    """The oracle cosets: the first Weyl representative per distinct realized fiber of (w, w)."""
+    first = {}
+    for w in p.algebra.weyl_representatives():
+        first.setdefault(make_boundary_point(p, w, w).realized_fiber, w)
+    return [(w, fiber) for fiber, w in first.items()]
+
+
+def test_torus_call_returns_the_first_w_per_fiber(any_algebra):
+    # the points are (d w, d w) for the first w per distinct realized fiber of
+    # (w, w), orbit by orbit; at d = 1 they are (w, w), hold no fiber until it
+    # is read, and then realize the oracle's fiber
     L = any_algebra
     one = L.group_identity()
     # ad h is 2 height(alpha) on e_alpha, so the principal h is regular in the Cartan
     s = build_principal_triple(L).h
     assert L.is_regular(s)
-    points = torus_fixed_fiber_points(s, one)
     expected = [
         (I, w, fiber)
         for I in all_subsets(L.rank)
         if len(I) < L.rank
-        for w, fiber in weyl_translates(build_parabolic(L, I))
+        for w, fiber in _first_w_per_fiber(build_parabolic(L, I))
     ]
-    assert len(points) == len(expected)
-    for q, (I, w, fiber) in zip(points, expected):
-        assert q.I == I and q.g1 == q.g2 == w
-        assert q.realized_fiber is fiber
+    points = torus_fixed_fiber_points(s, one)
+    assert [(q.I, q.g1, q.g2) for q in points] == [(I, w, w) for I, w, _ in expected]
+    assert all(q._fiber is None for q in points)
+    assert [q.realized_fiber for q in points] == [fiber for _, _, fiber in expected]
+    d = group_sample(L, stream(79, f"torus-order:{L.descriptor}"))
+    assert not d.is_identity()
+    points = torus_fixed_fiber_points(conjugate(d, s), d)
+    assert [(q.I, q.g1, q.g2) for q in points] == [(I, d * w, d * w) for I, w, _ in expected]
     # the identity is the first Weyl representative, and it leaves the fiber as it is
     for I in all_subsets(L.rank):
         p = build_parabolic(L, I)
-        fiber = fiber_algebra(p)
-        assert weyl_translates(p)[0] == (one, fiber)
-        assert make_boundary_point(p, one, one).realized_fiber == fiber
+        assert weyl_cosets(p)[0] == one
+        assert make_boundary_point(p, one, one).realized_fiber == fiber_algebra(p)
 
 
 def _oracle_translate(L, p, ad1, ad2):
@@ -472,7 +501,7 @@ def test_integer_translate_matches_the_fraction_adjoint_pair(any_algebra):
     cartan = L.root_system.cartan_matrix.num
     for I in all_subsets(L.rank):
         size = weyl_group_order(cartan) // weyl_group_order(cartan, [i - 1 for i in I])
-        assert len(weyl_translates(build_parabolic(L, I))) == size
+        assert len(weyl_cosets(build_parabolic(L, I))) == size
 
 
 def test_membership_by_pull_back_matches_the_oracle_translate(any_algebra):
@@ -610,28 +639,18 @@ def test_torus_fixed_orbit_counts_on_a3(a3):
     assert len(set(points)) == len(points)
 
 
-def test_weyl_translates_are_the_cosets_and_cached(a2, a3):
-    expected = {
-        a2: [6, 3, 3],
-        a3: [24, 12, 12, 12, 4, 6, 4],
-    }
-    for L, sizes in expected.items():
-        proper = [I for I in all_subsets(L.rank) if len(I) < L.rank]
-        assert sizes == [
-            factorial(L.rank + 1) // prod(factorial(b) for b in _levi_blocks(L.rank, I))
-            for I in proper
-        ]
-        reps = L.weyl_representatives()
-        for I, size in zip(proper, sizes):
-            p = build_parabolic(L, I)
-            translates = weyl_translates(p)
-            assert len(translates) == size
-            assert weyl_translates(p) is translates
-            # the first w of each distinct fiber, in Weyl order
-            firsts = {}
-            for w in reps:
-                firsts.setdefault(make_boundary_point(p, w, w).realized_fiber, w)
-            assert list(translates) == [(w, f) for f, w in firsts.items()]
+def test_weyl_cosets_are_the_first_w_per_fiber_and_cached(any_algebra):
+    # one representative per coset of W_I, read off Ad_w h_I, is the first w
+    # per distinct realized fiber of (w, w), in Weyl order
+    L = any_algebra
+    cartan = L.root_system.cartan_matrix.num
+    for I in all_subsets(L.rank):
+        p = build_parabolic(L, I)
+        cosets = weyl_cosets(p)
+        assert weyl_cosets(p) is cosets
+        size = weyl_group_order(cartan) // weyl_group_order(cartan, [i - 1 for i in I])
+        assert len(cosets) == size
+        assert list(cosets) == [w for w, _ in _first_w_per_fiber(p)]
 
 
 def test_torus_fixed_points_match_direct_translation_on_a2(a2):
@@ -648,9 +667,10 @@ def test_torus_fixed_points_match_direct_translation_on_a2(a2):
 
 
 def test_a_moved_torus_builds_no_fiber_and_no_index(a2, a3, monkeypatch):
-    # with d != 1 each point is checked through its Weyl translate, so the
-    # returned points hold no realized fiber, and the call builds no subspace
-    # and no free-column index once the cached ones exist
+    # each point is checked through its Weyl coset representative, so the
+    # returned points hold no realized fiber, and once the cached subspaces
+    # exist a call builds no subspace and no free-column index: at d != 1,
+    # at d = 1, and with the cosets found again (cache cleared)
     built, indexed = [], []
     real_init, real_free = Subspace.__init__, Subspace._free_columns
 
@@ -670,15 +690,18 @@ def test_a_moved_torus_builds_no_fiber_and_no_index(a2, a3, monkeypatch):
         torus_fixed_fiber_points(conjugate(d, s), d)
         d = group_sample(L, gen)
         assert not d.is_identity()
-        xi = conjugate(d, s)
-        with monkeypatch.context() as m:
-            m.setattr(Subspace, "__init__", init)
-            m.setattr(Subspace, "_free_columns", free)
-            found = torus_fixed_fiber_points(xi, d)
-        assert built == [] and indexed == []
-        assert len(found) == suites._torus_fixed_count(L)
-        assert all(q._fiber is None and q.g1 == q.g2 for q in found)
-        assert all(translate_contains(q, (xi, xi)) for q in found)
+        for g, cold in ((d, False), (L.group_identity(), False), (d, True)):
+            xi = conjugate(g, s)
+            if cold:
+                weyl_cosets.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(Subspace, "__init__", init)
+                m.setattr(Subspace, "_free_columns", free)
+                found = torus_fixed_fiber_points(xi, g)
+            assert built == [] and indexed == []
+            assert len(found) == suites._torus_fixed_count(L)
+            assert all(q._fiber is None and q.g1 == q.g2 for q in found)
+            assert all(translate_contains(q, (xi, xi)) for q in found)
 
 
 def test_enumeration_walks_diagonal_translates_only():
