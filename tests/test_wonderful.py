@@ -709,10 +709,62 @@ def test_enumeration_walks_diagonal_translates_only():
     assert not hasattr(wonderful, "product")
 
 
-def test_a_translate_missing_the_torus_pair_is_an_error(a1, monkeypatch):
-    monkeypatch.setattr(wonderful, "translate_contains", lambda point, pair: False)
-    with pytest.raises(ConstructionError):
-        torus_fixed_fiber_points(a1.h(0), a1.group_identity())
+def test_a_translate_missing_the_torus_pair_is_an_error(a1, a2, monkeypatch):
+    # a basepoint fiber that holds no Cartan pair: every coset's check misses
+    d = group_sample(a2, stream(83, "torus-miss"))
+    assert not d.is_identity()
+    s = build_principal_triple(a2).h
+    monkeypatch.setattr(
+        wonderful, "fiber_algebra", lambda p: Subspace.coordinate_span(2 * p.algebra.dim, ())
+    )
+    for xi, g in ((a1.h(0), a1.group_identity()), (conjugate(d, s), d)):
+        with pytest.raises(ConstructionError):
+            torus_fixed_fiber_points(xi, g)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends to the returned list on every call."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_warm_torus_call_pulls_eta_back_once_per_weyl_word(any_algebra, monkeypatch):
+    # one conjugate for eta and one per Weyl word, shared by every orbit whose
+    # cosets hold the word (two per coset, A3 149, kills the per-coset
+    # translate_contains), and no elimination once d^-1 and the words' inverses exist
+    L = any_algebra
+    d = group_sample(L, stream(89, f"torus-cost:{L.descriptor}"))
+    xi = conjugate(d, build_principal_triple(L).h)  # builds d^-1
+    torus_fixed_fiber_points(xi, d)
+    with monkeypatch.context() as m:
+        conjugates = _counting(m, wonderful, "conjugate")
+        inverses = _counting(m, Mat, "inverse")
+        found = torus_fixed_fiber_points(xi, d)
+    assert len(conjugates) == 1 + len(L.weyl_representatives())
+    assert len(conjugates) == {"A1": 3, "A2": 7, "A3": 25, "B2": 9, "G2": 13}[L.descriptor]
+    assert inverses == []
+    assert len(found) == suites._torus_fixed_count(L)
+
+
+def test_identity_torus_witnesses_are_the_weyl_words(any_algebra, monkeypatch):
+    # at d = 1 each witness is the cached word, which holds its inverse, so a
+    # caller's translate_contains on the points eliminates nothing
+    L = any_algebra
+    s = build_principal_triple(L).h
+    torus_fixed_fiber_points(s, L.group_identity())
+    found = torus_fixed_fiber_points(s, L.group_identity())
+    words = {id(w) for w in L.weyl_representatives()}
+    assert all(id(q.g1) in words and q.g2 is q.g1 for q in found)
+    with monkeypatch.context() as m:
+        inverses = _counting(m, Mat, "inverse")
+        assert all(translate_contains(q, (s, s)) for q in found)
+    assert inverses == []
 
 
 def test_torus_fixed_counts_from_the_weyl_group(any_algebra):
