@@ -56,7 +56,7 @@ from math import factorial, gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 from weakref import ref
 
-from .errors import DomainError, UnsupportedAlgebraError
+from .errors import ConstructionError, DomainError, UnsupportedAlgebraError
 from .exactlin import (
     IntRows,
     Mat,
@@ -822,6 +822,10 @@ class LieAlgebra:
         n_i acts on the weights as s_i, so a word is monomial and its support
         tells its Weyl element: breadth first, |W| words, the identity first.
         Built once per algebra, so each word keeps its inverse once computed.
+        Each word normalizes the Cartan, Ad_w^-1 h_i in the Cartan for every
+        simple coroot h_i, which is checked once here (|W| * rank `conjugate`
+        calls, building each word's inverse) and raises `ConstructionError`
+        for a word outside N(T); callers may rely on it.
         """
         return self._weyl_words
 
@@ -832,11 +836,17 @@ class LieAlgebra:
             self.root_product([(index[a], 1), (index[_rneg(a)], -1), (index[a], 1)])
             for a in self.root_system.simple_roots
         ]
-        return _closure(
+        words = _closure(
             self.group_identity(),
             [lambda w, n=n: w * n for n in steinberg],
             key=lambda g: tuple(tuple(map(bool, row)) for row in g.mat.num),
         )
+        for w in words:
+            back = w.inverse()
+            for i in range(self.rank):
+                if not self.cartan.contains(conjugate(back, self.h(i)).num):
+                    raise ConstructionError("a Weyl word does not normalize the Cartan")
+        return words
 
 
 def _closure(one, moves, key=lambda x: x) -> tuple:

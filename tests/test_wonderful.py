@@ -21,7 +21,7 @@ from ucz import suites, wonderful
 from ucz.errors import ConstructionError, DimensionError, DomainError
 from ucz.exactlin import Mat, Subspace
 from ucz.kostant import build_principal_triple
-from ucz.liealg import conjugate
+from ucz.liealg import GroupElement, LieAlgebra, conjugate
 from ucz.rng import stream
 from ucz.suites import group_sample
 from ucz.wonderful import (
@@ -709,15 +709,20 @@ def test_enumeration_walks_diagonal_translates_only():
     assert not hasattr(wonderful, "product")
 
 
-def test_a_translate_missing_the_torus_pair_is_an_error(a1, a2, monkeypatch):
-    # a basepoint fiber that holds no Cartan pair: every coset's check misses
-    d = group_sample(a2, stream(83, "torus-miss"))
+def test_a_translate_missing_the_torus_pair_is_an_error(monkeypatch):
+    # a Weyl word outside N(T) moves the torus pair off the basepoint fibers;
+    # the word builder refuses it once per algebra, so the enumeration raises
+    # at d = 1 and at a seeded d != 1.  Here the Steinberg word of a fresh A2
+    # is exp(e) exp(+f) exp(e), which does not normalize the Cartan
+    L = LieAlgebra("A2")
+    s = build_principal_triple(L).h
+    d = group_sample(L, stream(83, "torus-miss"))
     assert not d.is_identity()
-    s = build_principal_triple(a2).h
-    monkeypatch.setattr(
-        wonderful, "fiber_algebra", lambda p: Subspace.coordinate_span(2 * p.algebra.dim, ())
-    )
-    for xi, g in ((a1.h(0), a1.group_identity()), (conjugate(d, s), d)):
+    real = L.root_product
+    monkeypatch.setattr(L, "root_product", lambda factors: real([(i, abs(c)) for i, c in factors]))
+    with pytest.raises(ConstructionError):
+        L.weyl_representatives()
+    for xi, g in ((s, L.group_identity()), (conjugate(d, s), d)):
         with pytest.raises(ConstructionError):
             torus_fixed_fiber_points(xi, g)
 
@@ -734,22 +739,50 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-def test_a_warm_torus_call_pulls_eta_back_once_per_weyl_word(any_algebra, monkeypatch):
-    # one conjugate for eta and one per Weyl word, shared by every orbit whose
-    # cosets hold the word (two per coset, A3 149, kills the per-coset
-    # translate_contains), and no elimination once d^-1 and the words' inverses exist
+def test_a_warm_torus_call_makes_one_conjugate(any_algebra, monkeypatch):
+    # eta = Ad(d^-1) xi is the one conjugate: no Weyl word is pulled back per
+    # call (the per-word pull-back, 1 + |W| calls, fails this), nothing is
+    # eliminated once d^-1 exists, and the witnesses are one product d w per
+    # word at d != 1 and the cached words, with no product, at d = 1
     L = any_algebra
+    s = build_principal_triple(L).h
     d = group_sample(L, stream(89, f"torus-cost:{L.descriptor}"))
-    xi = conjugate(d, build_principal_triple(L).h)  # builds d^-1
-    torus_fixed_fiber_points(xi, d)
-    with monkeypatch.context() as m:
-        conjugates = _counting(m, wonderful, "conjugate")
-        inverses = _counting(m, Mat, "inverse")
-        found = torus_fixed_fiber_points(xi, d)
-    assert len(conjugates) == 1 + len(L.weyl_representatives())
-    assert len(conjugates) == {"A1": 3, "A2": 7, "A3": 25, "B2": 9, "G2": 13}[L.descriptor]
-    assert inverses == []
-    assert len(found) == suites._torus_fixed_count(L)
+    xi = conjugate(d, s)  # builds d^-1
+    for x, g, products in ((xi, d, len(L.weyl_representatives())), (s, L.group_identity(), 0)):
+        torus_fixed_fiber_points(x, g)
+        with monkeypatch.context() as m:
+            conjugates = _counting(m, wonderful, "conjugate")
+            inverses = _counting(m, Mat, "inverse")
+            multiplied = _counting(m, GroupElement, "__mul__")
+            found = torus_fixed_fiber_points(x, g)
+        assert len(conjugates) == 1
+        assert inverses == []
+        assert len(multiplied) == products
+        assert len(found) == suites._torus_fixed_count(L)
+
+
+def test_the_wonderful_suite_checks_every_torus_point(a2, g2, monkeypatch):
+    # the enumeration tests no point, so the suite's translate_contains is the
+    # per-point check: witnesses w d in place of d w miss the torus pair
+    real = wonderful.torus_fixed_fiber_points
+
+    def swapped(xi, d):
+        out = []
+        for q in real(xi, d):
+            g = d.inverse() * q.g1 * d
+            out.append(wonderful.BoundaryPoint(q.algebra, q.I, g, g))
+        return out
+
+    def torus_check(L):
+        report = suites.run_wonderful_suite(L, 1, 1)
+        (check,) = [c for c in report.checks if c.name == "torus-fixed boundary points"]
+        return check.passed, check.total
+
+    for L in (a2, g2):
+        assert torus_check(L) == (1, 1)
+        with monkeypatch.context() as m:
+            m.setattr(suites, "torus_fixed_fiber_points", swapped)
+            assert torus_check(L) == (0, 1)
 
 
 def test_identity_torus_witnesses_are_the_weyl_words(any_algebra, monkeypatch):
