@@ -6,10 +6,10 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
 The algebra is matched, after stripping and upper-casing, against
 ALGEBRA_DESCRIPTORS exactly.  The seed comes from --seed, then the
 UCZ_SEED environment variable, then 42, and must be an integer in
-0..2^64-1 (decimal, leading zeros allowed, or 0x/0o/0b-prefixed), the
-state space of the generator; identical (algebra, seed, samples)
-configurations produce byte-identical JSON reports, so wall time is
-reported only in the text format.
+0..2^64-1 (ASCII decimal, leading zeros allowed, or 0x/0o/0b-prefixed,
+with no "+" sign and no "_"), the state space of the generator;
+identical (algebra, seed, samples) configurations produce byte-identical
+JSON reports, so wall time is reported only in the text format.
 """
 
 from __future__ import annotations
@@ -66,13 +66,17 @@ def _format_subset(I) -> str:
 def _resolve_seed(value: str | None) -> int:
     """The master seed; one outside 0..2^64-1 would alias another seed's stream."""
     text = value if value is not None else os.environ.get("UCZ_SEED", "42")
+    not_an_integer = argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+    # int() also reads "_" separators, a "+" sign and non-ASCII digits
+    if not text.isascii() or "_" in text or "+" in text:
+        raise not_an_integer
     try:
         seed = int(text)
     except ValueError:
         try:
             seed = int(text, 0)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+            raise not_an_integer
     if not 0 <= seed <= _SEED_MAX:
         raise argparse.ArgumentTypeError(f"seed must lie in 0..{_SEED_MAX}, got {text!r}")
     return seed

@@ -29,10 +29,11 @@ Membership is tested on the free columns.  With RREF rows N_i over d and
 pivots p_i, an integer vector w lies in the span exactly when
 d w_j = sum_i w[p_i] N_i[j] at every free (non-pivot) column j; at the
 pivots both sides are d w[p_i] by construction.  A `Subspace` lists its
-free columns once, on first use: the all-zero ones by index, every other
-one as its integer column over the pivots.  `contains`, `contains_space`
-and `coefficients` compare those columns only, so on a coordinate span
-the test is that w vanishes off the span.  Only `reduce` forms the whole
+free columns once, on first use: the all-zero ones by index, and per
+basis row its nonzero entries at the others.  `contains`, `contains_space`
+and `coefficients` compare those columns only, summing the rows whose
+pivot entry of w is nonzero, so on a coordinate span the test is that w
+vanishes off the span.  Only `reduce` forms the whole
 residue d w - sum_i w[p_i] N_i.
 
 Every elimination runs over the integers, and this module is the only
@@ -465,26 +466,25 @@ class Subspace:
                 return _integer_vector(v)
         return v, 1
 
-    def _free_columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(zero, free, cols) over the free (non-pivot) columns of the RREF, built on first use.
+    def _free_columns(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """(zero, free, rows) over the free (non-pivot) columns of the RREF, built on first use.
 
         zero lists the free columns where every basis row is 0 and free the
-        others; cols holds the integer column of each column in free, one
-        entry per pivot.
+        others; rows holds per basis row its nonzero (t, value) entries at
+        the columns free[t].
         """
         index = self._free
         if index is None:
             num = self.basis.num
             pivots = set(self._pivots)
-            zero, free, cols = [], [], []
+            zero, free = [], []
             for j, col in enumerate(zip(*num) if num else [()] * self.ambient_dim):
                 if j not in pivots:
-                    if any(col):
-                        free.append(j)
-                        cols.append(col)
-                    else:
-                        zero.append(j)
-            index = self._free = (tuple(zero), tuple(free), tuple(cols))
+                    (free if any(col) else zero).append(j)
+            rows = tuple(tuple((t, row[j]) for t, j in enumerate(free) if row[j]) for row in num)
+            index = self._free = (tuple(zero), tuple(free), rows)
         return index
 
     def _inside(self, w: Sequence[int]) -> bool:
@@ -493,18 +493,23 @@ class Subspace:
         w is in the span exactly when den w = sum_i w[p_i] num_i.  At a pivot
         column p_k both sides are den w[p_k] by construction, so only the
         free columns are compared; on a coordinate span every free column is
-        zero and the test is that w vanishes off the span.
+        zero and the test is that w vanishes off the span.  The sum visits
+        only the rows whose pivot entry of w is nonzero, and only their
+        nonzero free entries.
         """
-        zero, free, cols = self._free_columns()
+        zero, free, rows = self._free_columns()
         for j in zero:
             if w[j]:
                 return False
         if free:
             den = self.basis.den
-            at = [w[p] for p in self._pivots]
-            for j, col in zip(free, cols):
-                if den * w[j] != sum(map(mul, at, col)):
-                    return False
+            rest = [den * w[j] for j in free]
+            for p, row in zip(self._pivots, rows):
+                c = w[p]
+                if c:
+                    for t, x in row:
+                        rest[t] -= c * x
+            return not any(rest)
         return True
 
     def _residue(self, w: Sequence[int]) -> list[int]:

@@ -9,11 +9,12 @@ Conventions, fixed once and used everywhere:
   * cartan_matrix[i][j] = <alpha_j, alpha_i^vee>, so a root alpha = sum_j
     m_j alpha_j pairs with the i-th simple coroot as sum_j m_j A[i][j].
   * Structure constants follow the extraspecial-pair normalization: for the
-    extraspecial pair (alpha, beta) of each non-simple positive root the
-    constant is +(p+1), where p is the length of the descending alpha-string
-    through beta.  Every other constant is forced by antisymmetry, the cycle
-    relation for alpha+beta+gamma = 0, and the Jacobi identity; the full
-    Jacobi sweep is re-checked post hoc in the test suite.
+    extraspecial pair (alpha, beta) of each non-simple positive root gamma,
+    alpha the first positive root in root order with gamma - alpha positive,
+    N_{alpha,beta} = +(p+1) and N_{-alpha,-beta} = -(p+1), where p is the
+    length of the descending alpha-string through beta.  The realization
+    below builds the basis from exactly these, and every other constant is
+    read off its commutators (Chevalley's theorem: they are then fixed).
   * [e_alpha, e_-alpha] = h_alpha, the coroot of alpha expanded in simple
     coroots (always integral).
 
@@ -26,14 +27,16 @@ integers.  The structure table is integral, so `bracket` sums integer
 products over x.den * y.den.  `coords` reads the coordinates back as
 `Fraction`s for callers outside.
 
-Group elements act through one m x m realization in a weight basis for
-every algebra: `_GENERATORS` gives m and the simple e_i and f_i, h_i =
-[e_i, f_i], and the other root vectors come from their extraspecial
-brackets, so each h_i is diagonal and each e_alpha strictly upper
-triangular.  The realization is one table of integer matrices, built on
-first use, so `realize(x)` is the integer `Mat` of x.num summed straight
-from it, over x.den, and `from_matrix` reads a `Mat`'s integer rows back
-through the table.  The flattened table spans a `Subspace` of the m x m
+The basis is one m x m realization in a weight basis for every algebra:
+`_GENERATORS` gives m and the simple e_i and f_i, h_i = [e_i, f_i], and
+the other root vectors come from their extraspecial brackets, so each h_i
+is diagonal and each e_alpha strictly upper triangular.  The realization
+is one table of integer matrices, built on first use, so `realize(x)` is
+the integer `Mat` of x.num summed straight from it, over x.den, and
+`from_matrix` reads a `Mat`'s integer rows back through the table; the
+structure table is the commutators of the table's entries, read back the
+same way.  A realization whose brackets are not integral raises
+`ConstructionError`.  The flattened table spans a `Subspace` of the m x m
 matrices, and a matrix is read only if it passes that span's free-column
 membership test: for sl_m the one free column is the last diagonal
 entry, so the test is the trace.
@@ -58,7 +61,6 @@ from weakref import ref
 
 from .errors import ConstructionError, DomainError, UnsupportedAlgebraError
 from .exactlin import (
-    IntRows,
     Mat,
     Subspace,
     Vector,
@@ -117,7 +119,7 @@ def _rneg(a: Root) -> Root:
 
 
 class RootSystem:
-    """Root system data: roots, inner products, Chevalley constants."""
+    """Root system data: simple and positive roots, pairings, root strings."""
 
     def __init__(self, descriptor: str):
         if descriptor not in _CARTAN:
@@ -127,39 +129,14 @@ class RootSystem:
         self.descriptor = descriptor
         self._A = _CARTAN[descriptor]
         self.rank = len(self._A)
-        self._d = self._symmetrizer()
         self.simple_roots: list[Root] = [
             tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)
         ]
         self.positive_roots: list[Root] = self._generate_positive()
         self._pos_set = set(self.positive_roots)
         self._root_set = self._pos_set | {_rneg(a) for a in self.positive_roots}
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
-        self._n_pos: dict[tuple[Root, Root], int] = {}
-        self._n_memo: dict[tuple[Root, Root], int] = {}
-        self._fill_constants()
 
     # -- basic data -------------------------------------------------------
-
-    def _symmetrizer(self) -> list[int]:
-        """Integers d_i with d_i A[i][j] symmetric (half squared lengths)."""
-        l = self.rank
-        d = [1] + [0] * (l - 1)
-        # propagate d_j = d_i A[i][j] / A[j][i] along the (connected) Dynkin
-        # diagram, first scaling every d so that the division is exact
-        changed = True
-        while changed:
-            changed = False
-            for i in range(l):
-                for j in range(l):
-                    if i != j and self._A[i][j] != 0 and d[i] != 0 and d[j] == 0:
-                        num, den = d[i] * self._A[i][j], self._A[j][i]
-                        k = abs(den) // gcd(num, den)
-                        d = [k * x for x in d]
-                        d[j] = k * num // den
-                        changed = True
-        g = gcd(*d)
-        return [x // g for x in d]
 
     @property
     def cartan_matrix(self) -> Mat:
@@ -171,35 +148,9 @@ class RootSystem:
     def order_key(self, alpha: Root) -> tuple:
         return (sum(alpha), alpha)
 
-    def is_root(self, alpha: Root) -> bool:
-        return alpha in self._root_set
-
     def pairing(self, alpha: Root, i: int) -> int:
         """<alpha, alpha_i^vee> for the i-th simple coroot."""
         return sum(m * self._A[i][j] for j, m in enumerate(alpha))
-
-    def inner(self, alpha: Root, beta: Root) -> int:
-        """(alpha, beta) for the symmetric form with (alpha_i, alpha_i) = 2 d_i."""
-        s = 0
-        for i, mi in enumerate(alpha):
-            if mi == 0:
-                continue
-            for j, kj in enumerate(beta):
-                if kj:
-                    s += mi * kj * self._d[i] * self._A[i][j]
-        return s
-
-    def coroot_coeffs(self, alpha: Root) -> tuple[int, ...]:
-        """alpha^vee as an integer combination of simple coroots."""
-        # alpha^vee = 2 alpha / (alpha, alpha) and alpha_i^vee = alpha_i / d_i
-        norm = self.inner(alpha, alpha)
-        out = []
-        for i, m in enumerate(alpha):
-            c, r = divmod(2 * m * self._d[i], norm)
-            if r:
-                raise ArithmeticError("coroot expansion must be integral")
-            out.append(c)
-        return tuple(out)
 
     # -- root generation ---------------------------------------------------
 
@@ -248,71 +199,10 @@ class RootSystem:
 
         return len(_closure(tuple(self.simple_roots), [times_s(i) for i in generators]))
 
-    # -- structure constants ------------------------------------------------
-
     def extraspecial_pair(self, gamma: Root) -> tuple[Root, Root]:
-        """The minimal decomposition gamma = alpha + beta fixing the signs."""
-        return self._extraspecial[gamma]
-
-    def _fill_constants(self) -> None:
-        for gamma in self.positive_roots:
-            if self.height(gamma) < 2:
-                continue
-            cands = [a for a in self.positive_roots if _rsub(gamma, a) in self._pos_set]
-            a0 = cands[0]
-            b0 = _rsub(gamma, a0)
-            self._extraspecial[gamma] = (a0, b0)
-            self._n_pos[(a0, b0)] = self.p_value(a0, b0) + 1
-            for a in cands[1:]:
-                b = _rsub(gamma, a)
-                if self.order_key(a) >= self.order_key(b):
-                    continue
-                self._n_pos[(a, b)] = self._forced_constant(a, b, gamma, a0, b0)
-
-    def _forced_constant(self, a: Root, b: Root, gamma: Root, a1: Root, b1: Root) -> int:
-        # Jacobi identity on (e_{a1}, e_{b1}, e_{-a}) isolates N_{a,b};
-        # every constant on the right involves pairs of strictly smaller
-        # height-sum, so the table is filled in one ascending pass.
-        t = 0
-        if _rsub(b1, a) in self._root_set:
-            t += self.n_constant(b1, _rneg(a)) * self.n_constant(_rsub(b1, a), a1)
-        if _rsub(a1, a) in self._root_set:
-            t += self.n_constant(_rneg(a), a1) * self.n_constant(_rsub(a1, a), b1)
-        val, r = divmod(self.inner(gamma, gamma) * t, self.inner(b, b) * self._n_pos[(a1, b1)])
-        if r or not val:
-            raise ArithmeticError(f"structure constant for {a}+{b} not a nonzero integer")
-        if abs(val) != self.p_value(a, b) + 1:
-            raise ArithmeticError(f"structure constant magnitude broken at {a}+{b}")
-        return val
-
-    def n_constant(self, a: Root, b: Root) -> int:
-        """N_{a,b} with [e_a, e_b] = N_{a,b} e_{a+b}; zero when a+b is not a root."""
-        s = _radd(a, b)
-        if s not in self._root_set:
-            return 0
-        key = (a, b)
-        got = self._n_memo.get(key)
-        if got is not None:
-            return got
-        if a in self._pos_set:
-            if b in self._pos_set:
-                if self.order_key(a) < self.order_key(b):
-                    val = self._n_pos[(a, b)]
-                else:
-                    val = -self._n_pos[(b, a)]
-            elif s in self._pos_set:
-                # cycle relation for the triple (a, b, -s)
-                val, r = divmod(-self.inner(s, s) * self.n_constant(_rneg(b), s), self.inner(a, a))
-                if r:
-                    raise ArithmeticError(f"non-integral structure constant at {a}, {b}")
-            else:
-                val = -self.n_constant(_rneg(a), _rneg(b))
-        elif b in self._pos_set:
-            val = -self.n_constant(b, a)
-        else:
-            val = -self.n_constant(_rneg(a), _rneg(b))
-        self._n_memo[key] = val
-        return val
+        """gamma = alpha + beta in positive roots, alpha the first in root order that allows it."""
+        alpha = next(a for a in self.positive_roots if _rsub(gamma, a) in self._pos_set)
+        return alpha, _rsub(gamma, alpha)
 
 
 class Element:
@@ -495,7 +385,6 @@ class LieAlgebra:
             elif kind == "f":
                 self._root_of_index[idx] = _rneg(rs.positive_roots[k])
         self._index_of_root = {r: i for i, r in self._root_of_index.items()}
-        self._table = self._build_table()
         # the size of the matrix realization, which is built on first use
         self.matrix_size = _GENERATORS[descriptor][0]
         # per root vector index, the powers of its realization, on first use
@@ -549,42 +438,33 @@ class LieAlgebra:
 
     # -- structure table ------------------------------------------------------
 
-    def _build_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """[b_i, b_j] for i < j as its nonzero integer terms (k, c): c b_k."""
+    @cached_property
+    def _table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """[b_i, b_j] for i < j as its nonzero integer terms (k, c): c b_k.
+
+        Each is the commutator R_i R_j - R_j R_i of the realized basis
+        vectors, read back through `_read_int`, which refuses it off the
+        realized span; the coordinates must divide exactly by the readout
+        denominator.
+        """
+        real, m, den = self._realization, self.matrix_size, self._readback[2]
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                terms = self._basis_bracket(i, j)
-                if terms:
-                    table[(i, j)] = tuple(terms)
+                entries = _commutator(real[i], real[j])
+                if not entries:
+                    continue
+                flat = [0] * (m * m)
+                for (r, c), v in entries.items():
+                    flat[r * m + c] = v
+                terms = []
+                for k, x in _nonzero(self._read_int(flat)):
+                    q, rem = divmod(x, den)
+                    if rem:
+                        raise ConstructionError("the structure table must be integral")
+                    terms.append((k, q))
+                table[(i, j)] = tuple(terms)
         return table
-
-    def _basis_bracket(self, i: int, j: int) -> list[tuple[int, int]]:
-        rs = self.root_system
-        ki, ii = self.labels[i]
-        kj, jj = self.labels[j]
-        if ki == "h" and kj == "h":
-            return []
-        if ki == "h" or kj == "h":
-            if ki == "h":
-                cart, ridx = ii, j
-                sign = 1
-            else:
-                cart, ridx = jj, i
-                sign = -1
-            root = self._root_of_index[ridx]
-            c = rs.pairing(root, cart) * sign
-            return [(ridx, c)] if c else []
-        alpha = self._root_of_index[i]
-        beta = self._root_of_index[j]
-        s = _radd(alpha, beta)
-        if all(x == 0 for x in s):
-            coeffs = rs.coroot_coeffs(alpha)
-            return [(self.idx_h(t), c) for t, c in enumerate(coeffs) if c]
-        if rs.is_root(s):
-            n = rs.n_constant(alpha, beta)
-            return [(self._index_of_root[s], n)] if n else []
-        return []
 
     # -- core operations --------------------------------------------------------
 
@@ -665,57 +545,45 @@ class LieAlgebra:
     def _realization(self) -> list[Entries]:
         """Per basis vector, the nonzero integer (row, col, value) entries of its realization."""
         rs = self.root_system
-        m, simple_e, simple_f = _GENERATORS[self.descriptor]
+        _, simple_e, simple_f = _GENERATORS[self.descriptor]
         index = self._index_of_root
-        real: list[IntRows | None] = [None] * self.dim
+        real: list[Entries] = [()] * self.dim
 
-        def matrix(entries: Entries) -> IntRows:
-            out = [[0] * m for _ in range(m)]
-            for r, c, v in entries:
-                out[r][c] = v
-            return tuple(map(tuple, out))
-
-        def bracket_over(ia: int, ib: int, n: int) -> IntRows:
-            ab, ba = _int_matmul(real[ia], real[ib]), _int_matmul(real[ib], real[ia])
-            out = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-            if any(x % n for row in out for x in row):
-                raise ArithmeticError("the realization table must be integral")
-            return tuple(tuple(x // n for x in row) for row in out)
+        def bracket_over(ia: int, ib: int, n: int) -> Entries:
+            out = _commutator(real[ia], real[ib])
+            if any(v % n for v in out.values()):
+                raise ConstructionError("the realization table must be integral")
+            return tuple((r, c, v // n) for (r, c), v in sorted(out.items()))
 
         for i, alpha in enumerate(rs.simple_roots):
             ie, jf = index[alpha], index[_rneg(alpha)]
-            real[ie], real[jf] = matrix(simple_e[i]), matrix(simple_f[i])
+            real[ie], real[jf] = simple_e[i], simple_f[i]
             real[self.idx_h(i)] = bracket_over(ie, jf, 1)
-        # non-simple root vectors through their extraspecial brackets keeps
-        # realization signs consistent with the abstract constants
+        # each non-simple root vector is fixed by its extraspecial pair (a, b):
+        # N_{a,b} = p + 1 and N_{-a,-b} = -(p + 1), which fixes every constant
         for alpha in rs.positive_roots:
             if rs.height(alpha) < 2:
                 continue
             a, b = rs.extraspecial_pair(alpha)
-            n = rs.n_constant(a, b)
+            n = rs.p_value(a, b) + 1
             real[index[alpha]] = bracket_over(index[a], index[b], n)
             real[index[_rneg(alpha)]] = bracket_over(index[_rneg(a)], index[_rneg(b)], -n)
-        return [
-            tuple((r, c, v) for r, row in enumerate(mk) for c, v in enumerate(row) if v)
-            for mk in real
-        ]
+        return real
 
     @cached_property
-    def _readback(self) -> tuple[Subspace, list[Entries], int]:
-        """(span, readout, D) for reading coordinates off a realized matrix.
+    def _readback(self) -> tuple[Subspace, list[tuple[int, tuple[tuple[int, int], ...]]], int]:
+        """(span, readout, D) for reading coordinates off a flattened realized matrix.
 
         span is the realized algebra in the flattened m x m matrices, and
-        readout lists per coordinate the (row, col, value) entries at the
-        span's pivots that read it, times D.
+        readout lists per pivot p of the span the nonzero (coordinate, value)
+        terms that entry p adds to the coordinates, times D.
         """
         m = self.matrix_size
         flat = [list(chain.from_iterable(self._combine(unit))) for unit in _identity_rows(self.dim)]
         span = Subspace(m * m, flat)
         pivots = span._pivots
         square = Mat([[row[p] for row in flat] for p in pivots], 1, self.dim).inverse()
-        readout = [
-            tuple(divmod(p, m) + (v,) for p, v in zip(pivots, row) if v) for row in square.num
-        ]
+        readout = [(p, tuple(_nonzero(column))) for p, column in zip(pivots, zip(*square.num))]
         return span, readout, square.den
 
     def _combine(self, ints: Sequence[int]) -> list[list[int]]:
@@ -737,18 +605,25 @@ class LieAlgebra:
         m = self.matrix_size
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        return Element(self, self._read_int(mat.num), self._readback[2] * mat.den)
+        flat = list(chain.from_iterable(mat.num))
+        return Element(self, self._read_int(flat), self._readback[2] * mat.den)
 
-    def _read_int(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Coordinates, times the readout denominator, of the element realized by rows.
+    def _read_int(self, flat: list[int]) -> list[int]:
+        """Coordinates, times the readout denominator, of the element realized by the rows of flat.
 
-        The flattened rows must lie in the realized span, which the free-column
-        test of `Subspace` decides; for sl_m that is the one free column, the trace.
+        flat must lie in the realized span, which the free-column test of
+        `Subspace` decides; for sl_m that is the one free column, the trace.
         """
         span, readout, _ = self._readback
-        if not span._inside(list(chain.from_iterable(rows))):
+        if not span._inside(flat):
             raise DomainError("matrix lies outside the realized algebra")
-        return [sum(v * rows[r][c] for r, c, v in terms) for terms in readout]
+        out = [0] * self.dim
+        for p, terms in readout:
+            x = flat[p]
+            if x:
+                for k, v in terms:
+                    out[k] += v * x
+        return out
 
     # -- group operations ----------------------------------------------------------
 
@@ -864,6 +739,17 @@ def _closure(one, moves, key=lambda x: x) -> tuple:
     return tuple(found.values())
 
 
+def _commutator(x: Entries, y: Entries) -> dict[tuple[int, int], int]:
+    """The nonzero entries (row, col): value of XY - YX, for X and Y given by theirs."""
+    out: dict[tuple[int, int], int] = {}
+    for a, b, sign in ((x, y, 1), (y, x, -1)):
+        for r, c, v in a:
+            for k, s, w in b:
+                if c == k:
+                    out[r, s] = out.get((r, s), 0) + sign * v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
 def _nonzero(v: Sequence[int]) -> list[tuple[int, int]]:
     """The (index, value) pairs of the nonzero entries of v."""
     return [(i, c) for i, c in enumerate(v) if c]
@@ -933,7 +819,8 @@ def conjugate(g: GroupElement, y: Element) -> Element:
     L._require_acting(g)
     mat, inv = g.mat, g.inverse().mat
     rows = _int_matmul(_int_matmul(mat.num, L._combine(y.num)), inv.num)
-    return Element(L, L._read_int(rows), L._readback[2] * mat.den * inv.den * y.den)
+    flat = list(chain.from_iterable(rows))
+    return Element(L, L._read_int(flat), L._readback[2] * mat.den * inv.den * y.den)
 
 
 def regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:

@@ -623,8 +623,11 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     gen = stream(seed, f"reduction:boundary:{L.descriptor}")
     expected = _torus_fixed_count(L)
     s = regular_cartan(L, gen)
-    points = torus_fixed_fiber_points(s, L.group_identity())
-    ok = len(points) == expected and all(translate_contains(q, (s, s)) for q in points)
+    # at d != 1 the witnesses d w and w d differ, so the test tells their order apart
+    d = group_sample(L, gen)
+    xi = conjugate(d, s)
+    points = torus_fixed_fiber_points(xi, d)
+    ok = len(points) == expected and all(translate_contains(q, (xi, xi)) for q in points)
     report.add(
         "boundary fiber membership",
         1 if ok else 0,

@@ -6,8 +6,9 @@ elimination, inverse, null space, coordinates in a span and projection
 along a complement, the row-by-column product, Ad_g of a realized Lie
 algebra as columns of coordinates, the trace of a product,
 the exponential series of a nilpotent matrix and products of such
-exponentials, and the order of a Weyl group closed from its simple
-reflections.
+exponentials, the order of a Weyl group closed from its simple
+reflections, the positive roots as the Weyl orbit of the simple roots,
+and the symmetrizer and coroots of a Cartan matrix.
 The tests compare the library's exact results with these.  Nothing here
 imports `ucz`, which `test_oracles.py` checks, so a fault in the library
 cannot hide in its own oracle.
@@ -221,3 +222,49 @@ def weyl_group_order(cartan, generators=None) -> int:
                     new.append(ws)
         frontier = new
     return len(seen)
+
+
+def positive_roots(cartan) -> list[tuple[int, ...]]:
+    """The positive roots in simple-root coordinates, sorted by height then coordinates.
+
+    The roots are the orbit of the simple roots under the simple reflections
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, <beta, alpha_i^vee> =
+    sum_j beta_j cartan[i][j]; the positive ones have no negative coordinate.
+    """
+    l = len(cartan)
+
+    def reflect(i, beta):
+        c = sum(b * cartan[i][j] for j, b in enumerate(beta))
+        return tuple(b - (c if j == i else 0) for j, b in enumerate(beta))
+
+    simple = [tuple(int(j == i) for j in range(l)) for i in range(l)]
+    seen, frontier = set(simple), list(simple)
+    while frontier:
+        new = [reflect(i, beta) for beta in frontier for i in range(l)]
+        frontier = [beta for beta in new if beta not in seen]
+        seen.update(frontier)
+    return sorted((beta for beta in seen if min(beta) >= 0), key=lambda b: (sum(b), b))
+
+
+def symmetrizer(cartan) -> list[Fraction]:
+    """d_i with d_i cartan[i][j] = d_j cartan[j][i] and d_0 = 1, for a connected diagram."""
+    l = len(cartan)
+    d = [Fraction(1)] + [None] * (l - 1)
+    while None in d:
+        for i in range(l):
+            for j in range(l):
+                if d[i] is not None and d[j] is None and cartan[i][j]:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+    return d
+
+
+def coroot(cartan, alpha) -> list[Fraction]:
+    """alpha^vee = 2 alpha / (alpha, alpha) in simple coroots alpha_i^vee = alpha_i / d_i.
+
+    (alpha, beta) = sum_ij alpha_i beta_j d_i cartan[i][j], so the i-th
+    coordinate is 2 alpha_i d_i / (alpha, alpha).
+    """
+    d = symmetrizer(cartan)
+    l = len(cartan)
+    norm = sum(alpha[i] * alpha[j] * d[i] * cartan[i][j] for i in range(l) for j in range(l))
+    return [2 * alpha[i] * d[i] / norm for i in range(l)]

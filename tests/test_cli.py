@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ucz import ALGEBRA_DESCRIPTORS, cli
+from ucz import ALGEBRA_DESCRIPTORS, cli, liealg
 from ucz.cli import main
 from ucz.errors import (
     ConstructionError,
@@ -121,6 +121,10 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     "seed, message",
     [
         pytest.param("pi", "seed must be an integer", id="pi"),
+        pytest.param("4_2", "seed must be an integer", id="underscore"),
+        pytest.param("0x_2a", "seed must be an integer", id="prefixed-underscore"),
+        pytest.param("+42", "seed must be an integer", id="plus"),
+        pytest.param("\u0664\u0662", "seed must be an integer", id="arabic-indic"),
         pytest.param("-1", "seed must lie in 0..18446744073709551615", id="-1"),
         pytest.param("18446744073709551616", "seed must lie in 0..18446744073709551615", id="2^64"),
     ],
@@ -286,6 +290,25 @@ def test_library_error_is_an_internal_error(capsys, monkeypatch, command, error)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"internal error: {error.__name__}: no preimage\n"
+
+
+def test_a_broken_generator_is_a_construction_error(capsys, monkeypatch):
+    # G2's e1 with a 3 in place of its 2 has no integral extraspecial
+    # brackets: the library raises ConstructionError, and the CLI exits 4
+    m, simple_e, simple_f = liealg._GENERATORS["G2"]
+    e1 = tuple((r, c, 3 if (r, c) == (2, 3) else v) for r, c, v in simple_e[0])
+    monkeypatch.setitem(liealg._GENERATORS, "G2", (m, [e1, *simple_e[1:]], simple_f))
+    liealg._catalogue_algebra.cache_clear()
+    try:
+        with pytest.raises(ConstructionError):
+            liealg.LieAlgebra("G2")._table
+        assert main(["verify", "G2", "--samples", "1"]) == cli.INTERNAL_ERROR == 4
+    finally:
+        liealg._catalogue_algebra.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ConstructionError: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_other_exceptions_still_propagate(monkeypatch):

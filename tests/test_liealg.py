@@ -23,6 +23,7 @@ from ucz.suites import group_sample, negative_unipotent, positive_unipotent
 
 from .oracles import (
     all_fractions,
+    coroot,
     elimination_det,
     exp_nilpotent,
     gauss_jordan,
@@ -30,6 +31,7 @@ from .oracles import (
     inverse,
     leibniz_det,
     product,
+    positive_roots as oracle_positive_roots,
     span_coordinates,
     trace_product,
     weyl_group_order,
@@ -116,10 +118,29 @@ def test_chevalley_constants_are_integers(any_algebra):
             assert all(c.denominator == 1 for c in w.coords)
 
 
+def _root_vector(L, alpha):
+    """e_alpha for a positive root alpha, f_-alpha for a negative one."""
+    pos = L.root_system.positive_roots
+    if alpha in pos:
+        return L.e(pos.index(alpha))
+    return L.f(pos.index(tuple(-m for m in alpha)))
+
+
+def _structure_constant(L, a, b):
+    """N_{a,b} with [e_a, e_b] = N_{a,b} e_{a+b}, read off the bracket."""
+    w = _root_vector(L, tuple(x + y for x, y in zip(a, b)))
+    got = L.bracket(_root_vector(L, a), _root_vector(L, b))
+    (k,) = [k for k, c in enumerate(w.coords) if c]
+    n = got.coords[k]
+    assert got == w.scale(n)
+    return n
+
+
 def test_structure_constants_are_ints_of_magnitude_p_plus_one(any_algebra):
     # a Chevalley basis has N_{a,b} = +-(p + 1) whenever a + b is a root, p the
     # largest integer with b - p a a root, counted here from the root set
-    rs = any_algebra.root_system
+    L = any_algebra
+    rs = L.root_system
     roots = sorted(set(rs.positive_roots) | {tuple(-m for m in a) for a in rs.positive_roots})
     pairs = 0
     for a in roots:
@@ -129,11 +150,40 @@ def test_structure_constants_are_ints_of_magnitude_p_plus_one(any_algebra):
             p = 0
             while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
                 p += 1
-            n = rs.n_constant(a, b)
-            assert type(n) is int and abs(n) == p + 1
+            n = _structure_constant(L, a, b)
+            assert n.denominator == 1 and abs(n) == p + 1
             pairs += 1
     # A1 has no such pair
-    assert pairs or any_algebra.rank == 1
+    assert pairs or L.rank == 1
+
+
+def test_chevalley_basis_matches_root_data(any_algebra):
+    # against root data computed here from the Cartan matrix alone:
+    # [e_a, f_a] is the coroot of a in simple coroots, and the extraspecial
+    # pair (a, b) of each non-simple positive root, a the first positive root
+    # in (height, coordinates) order with b positive, has N_{a,b} = p + 1
+    # and N_{-a,-b} = -(p + 1)
+    L = any_algebra
+    cartan = [[int(x) for x in row] for row in L.root_system.cartan_matrix.row_list()]
+    pos = oracle_positive_roots(cartan)
+    assert pos == L.root_system.positive_roots
+    roots = set(pos) | {tuple(-m for m in a) for a in pos}
+    for alpha in pos:
+        c = coroot(cartan, alpha)
+        assert all(x.denominator == 1 for x in c)
+        h = L.element([0] * L.n_pos + c + [0] * L.n_pos)
+        assert L.bracket(_root_vector(L, alpha), _root_vector(L, tuple(-m for m in alpha))) == h
+    for gamma in pos:
+        if sum(gamma) < 2:
+            continue
+        a = next(a for a in pos if tuple(g - x for g, x in zip(gamma, a)) in pos)
+        b = tuple(g - x for g, x in zip(gamma, a))
+        p = 0
+        while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
+            p += 1
+        assert _structure_constant(L, a, b) == p + 1
+        neg = tuple(-x for x in a), tuple(-y for y in b)
+        assert _structure_constant(L, *neg) == -(p + 1)
 
 
 def test_cartan_bracket_is_root_value(any_algebra):

@@ -761,28 +761,43 @@ def test_a_warm_torus_call_makes_one_conjugate(any_algebra, monkeypatch):
         assert len(found) == suites._torus_fixed_count(L)
 
 
+def _swapped_witnesses(xi, d):
+    """The torus-fixed points with witnesses w d in place of d w."""
+    out = []
+    for q in wonderful.torus_fixed_fiber_points(xi, d):
+        g = d.inverse() * q.g1 * d
+        out.append(wonderful.BoundaryPoint(q.algebra, q.I, g, g))
+    return out
+
+
+def _torus_check(run, name, L, monkeypatch, swap):
+    with monkeypatch.context() as m:
+        if swap:
+            m.setattr(suites, "torus_fixed_fiber_points", _swapped_witnesses)
+        (check,) = [c for c in run(L, 1, 1).checks if c.name == name]
+    return check.passed, check.total
+
+
 def test_the_wonderful_suite_checks_every_torus_point(a2, g2, monkeypatch):
     # the enumeration tests no point, so the suite's translate_contains is the
     # per-point check: witnesses w d in place of d w miss the torus pair
-    real = wonderful.torus_fixed_fiber_points
-
-    def swapped(xi, d):
-        out = []
-        for q in real(xi, d):
-            g = d.inverse() * q.g1 * d
-            out.append(wonderful.BoundaryPoint(q.algebra, q.I, g, g))
-        return out
-
-    def torus_check(L):
-        report = suites.run_wonderful_suite(L, 1, 1)
-        (check,) = [c for c in report.checks if c.name == "torus-fixed boundary points"]
-        return check.passed, check.total
-
     for L in (a2, g2):
-        assert torus_check(L) == (1, 1)
-        with monkeypatch.context() as m:
-            m.setattr(suites, "torus_fixed_fiber_points", swapped)
-            assert torus_check(L) == (0, 1)
+        for swap, want in ((False, (1, 1)), (True, (0, 1))):
+            got = _torus_check(
+                suites.run_wonderful_suite, "torus-fixed boundary points", L, monkeypatch, swap
+            )
+            assert got == want
+
+
+def test_the_reduction_suite_checks_every_torus_point(a2, g2, monkeypatch):
+    # the reduction suite enumerates at a seeded d != 1, where w d and d w
+    # differ, so swapped witnesses fail its membership check too
+    for L in (a2, g2):
+        for swap, want in ((False, (1, 1)), (True, (0, 1))):
+            got = _torus_check(
+                suites.run_reduction_suite, "boundary fiber membership", L, monkeypatch, swap
+            )
+            assert got == want
 
 
 def test_identity_torus_witnesses_are_the_weyl_words(any_algebra, monkeypatch):
