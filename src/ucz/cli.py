@@ -7,7 +7,9 @@ The algebra is matched, after stripping and upper-casing, against
 ALGEBRA_DESCRIPTORS exactly.  The seed comes from --seed, then the
 UCZ_SEED environment variable, then 42, and must be an integer in
 0..2^64-1 (ASCII decimal, leading zeros allowed, or 0x/0o/0b-prefixed,
-with no "+" sign and no "_"), the state space of the generator;
+with no "+" sign and no "_"), the state space of the generator.
+Surrounding whitespace is stripped, as int() strips it, so --seed " 42 "
+and a UCZ_SEED of "42" and a newline both run seed 42.  Runs of
 identical (algebra, seed, samples) configurations produce byte-identical
 JSON reports, so wall time is reported only in the text format.
 """

@@ -48,8 +48,10 @@ group elements, the projectors, the slice solvers and `solve`.  One
 Faddeev-LeVerrier run (`_faddeev_leverrier`) gives the characteristic
 polynomial and the adjugate of an integer matrix: the invariants read
 its coefficients and their gradient off its adjugate, and `det` of
-N / d is (-1)^n c_n(N) over d^n.  Products and `apply` visit only the
-nonzero entries, so a product with a zero factor is never formed.
+N / d is (-1)^n c_n(N) over d^n.  `_int_matmul` is the one integer
+matrix product, of `Mat`, `intersect`, Faddeev-LeVerrier, `conjugate`,
+the realization powers and the samplers: it skips the zero entries of
+both factors, as `apply` skips those of its vector.
 """
 
 from __future__ import annotations
@@ -200,17 +202,7 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ in mul")
-        bsupport = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.num]
-        width = other.cols
-        out = []
-        for arow in self.num:
-            orow = [0] * width
-            for a, bnz in zip(arow, bsupport):
-                if a:
-                    for j, b in bnz:
-                        orow[j] += a * b
-            out.append(orow)
-        return Mat(out, self.den * other.den, width)
+        return Mat(_int_matmul(self.num, other.num, other.cols), self.den * other.den, other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector; only the nonzero entries of v are visited."""
@@ -259,13 +251,26 @@ def _identity_rows(m: int) -> IntRows:
     return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 
-def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntRows:
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+def _int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], width=None) -> IntRows:
+    """The integer product A B: each nonzero A[i][k] adds the nonzero entries of B's row k.
+
+    `width`, the column count of B, is read off B unless B has no rows.
+    """
+    width = len(b[0]) if width is None else width
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, entries in zip(row, support):
+            if x:
+                for j, y in entries:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _trace_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> int:
-    """tr(A B) of two square integer matrices."""
+    """tr(A B) of two square integer matrices, summed without forming A B."""
     return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
@@ -562,14 +567,8 @@ class Subspace:
         # solve u A = v B: the columns of the stacked system are the rows of A and -B
         stacked = [a + tuple([-x for x in b]) for a, b in zip(zip(*mine), zip(*theirs))]
         ker = _kernel_rows(stacked, self.dim + other.dim)
-        pts = []
-        for coeffs in ker:
-            point = [0] * self.ambient_dim
-            for c, row in zip(coeffs, mine):
-                if c:
-                    point = [a + c * x for a, x in zip(point, row)]
-            pts.append(point)
-        result = Subspace(self.ambient_dim, pts)
+        # u A for each kernel row (u, v): the product reads only the first dim entries
+        result = Subspace(self.ambient_dim, _int_matmul(ker, mine, self.ambient_dim))
         # Grassmann by rank-nullity: (u, v) -> u A is injective on the kernel
         if result.dim != len(ker):
             raise DecompositionError("intersection lost dimension against the kernel")

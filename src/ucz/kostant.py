@@ -18,9 +18,6 @@ Each level's solver keeps only the integer rows of its inverse that give
 the correction, with their denominator, so a correction is one integer
 `Element` over that denominator times x.den, fixed before the stepwise
 loop, and `exp_ad_apply` sums its series in integers.
-`witness_group_element` multiplies the exps into one integer product
-(`LieAlgebra.exp_product`), and the reversed, negated witness
-exp(-u_m) ... exp(-u_1) is the inverse, known by construction.
 
 The inverse section `slice_from_invariants` evaluates the invariants once
 per level.  On the slice f + sum_j t_j g_j the invariant I_k of degree d_k
@@ -37,7 +34,8 @@ Y integral, a_k(M) = c_k(Y) / D^k, so each invariant is -c_k(Y) / D^k for
 the integer coefficients c_k of det(lambda I - Y).
 
 Their Jacobian comes from the same Faddeev-LeVerrier run on Y
-(`exactlin._faddeev_leverrier`, which `Mat.det` shares).
+(`exactlin._faddeev_leverrier`, which `Mat.det` shares; its products
+Y B_(k-1) are `_int_matmul`, which skips the many zero entries of Y).
 The run also yields the adjugate adj(lambda I - Y) =
 sum_k B_k lambda^(m-1-k), with B_0 = I, c_k = -tr(Y B_(k-1)) / k (an exact integer division) and
 B_k = Y B_(k-1) + c_k I, all integral.  Jacobi's formula
@@ -69,7 +67,7 @@ from .exactlin import (
     solve,
     vec,
 )
-from .liealg import Element, GroupElement, LieAlgebra
+from .liealg import Element, LieAlgebra
 
 
 class PrincipalTriple:
@@ -229,16 +227,6 @@ def slice_normalize(
     if not kslice.contains(x):
         raise ConstructionError("normalization sweep failed to land on the slice")
     return list(reversed(applied)), x
-
-
-def witness_group_element(algebra: LieAlgebra, witness: list[Element]) -> GroupElement:
-    """Group element realizing a witness list: Ad_g = exp(ad u_1) o ... o exp(ad u_m).
-
-    The exps are multiplied into one integer product (`LieAlgebra.exp_product`);
-    an empty witness gives the identity.  The reversed, negated witness gives
-    g^-1 = exp(-u_m) ... exp(-u_1) without an inverse.
-    """
-    return algebra.exp_product(witness)
 
 
 def root_degrees(L: LieAlgebra) -> tuple[int, ...]:

@@ -740,7 +740,10 @@ def _closure(one, moves, key=lambda x: x) -> tuple:
 
 
 def _commutator(x: Entries, y: Entries) -> dict[tuple[int, int], int]:
-    """The nonzero entries (row, col): value of XY - YX, for X and Y given by theirs."""
+    """The nonzero entries (row, col): value of XY - YX, for X and Y given by theirs.
+
+    The set-up works on entry lists, not rows, so it pairs them without `_int_matmul`.
+    """
     out: dict[tuple[int, int], int] = {}
     for a, b, sign in ((x, y, 1), (y, x, -1)):
         for r, c, v in a:
@@ -756,7 +759,10 @@ def _nonzero(v: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _sparse_powers(y: Sequence[Sequence[int]]) -> Powers:
-    """The nonzero (row, col, value) entries of Y, ..., Y^K, Y^(K+1) = 0, for nilpotent Y."""
+    """The nonzero (row, col, value) entries of Y, ..., Y^K, Y^(K+1) = 0, for nilpotent Y.
+
+    Each power is one `_int_matmul`, which skips the zero entries of Y.
+    """
     out, power = [], y
     while any(any(row) for row in power):
         if len(out) == len(y) - 1:
@@ -773,7 +779,7 @@ def _times_exp(
 
     With Y^(K+1) = 0 that is sum_k (K!/k!) p^k q^(K-k) N Y^k over D K! q^K,
     and N Y^k adds v times column r of N to column s for each nonzero entry
-    (r, s, v) of Y^k, so only those entries are visited.
+    (r, s, v) of Y^k: one pass over the cached entries, no N Y^k formed.
     """
     top = len(powers)
     base = factorial(top) * q**top
@@ -813,7 +819,8 @@ def conjugate(g: GroupElement, y: Element) -> Element:
 
     With g = N / d, g^-1 = M / e and realize(y) = Y / y.den, that is the
     integer product N Y M over d e y.den, read back once in integers
-    (`_read_int`, which refuses it off the realized span).
+    (`_read_int`, which refuses it off the realized span).  `_int_matmul`
+    skips the zero entries of Y and of N Y, so a sparse y costs little.
     """
     L = y.algebra
     L._require_acting(g)

@@ -30,7 +30,7 @@ from operator import mul
 
 from .errors import ConstructionError, DomainError, PoleError
 from .exactlin import Mat, Projector, Rat, rank, vec
-from .kostant import slice_for, slice_normalize, witness_group_element
+from .kostant import slice_for, slice_normalize
 from .liealg import Element, GroupElement, LieAlgebra, conjugate, pair_row
 from .rng import SplitMix64, stream
 from .wonderful import ParabolicData, _check_subset, fiber_algebra
@@ -345,8 +345,9 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     either one off it with `DomainError`.  Normalizing each gives
     unipotent witnesses nu2 (for xi) and nu1 (for Ad_g xi) into the
     common slice point xi_S, and g_S = nu1 g nu2^-1 then fixes xi_S.
-    With nu2 = exp(u_1) ... exp(u_m), nu2^-1 is built as it stands,
-    exp(-u_m) ... exp(-u_1), so nu2 is never formed or inverted.
+    Each is one `exp_product` of its witness, and the reversed, negated
+    witness is the inverse: nu2^-1 = exp(-u_m) ... exp(-u_1) for
+    nu2 = exp(u_1) ... exp(u_m), so nu2 is never formed or inverted.
     The assignment is constant on orbits of the unipotent pair action,
     so it inverts the reduction isomorphism exactly.  The fixed point is
     checked as g_S X = X g_S for X the realization of xi_S: g_S is
@@ -359,8 +360,8 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     w1, xi_s_check = slice_normalize(kslice, conjugate(g, xi))
     if xi_s != xi_s_check:
         raise ConstructionError("the two normalizations disagree on the slice point")
-    nu1 = witness_group_element(L, w1)
-    nu2_inv = witness_group_element(L, [-u for u in reversed(w2)])
+    nu1 = L.exp_product(w1)
+    nu2_inv = L.exp_product([-u for u in reversed(w2)])
     g_s = nu1 * (g * nu2_inv)
     x = L.realize(xi_s)
     if g_s.mat * x != x * g_s.mat:

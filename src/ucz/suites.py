@@ -19,7 +19,7 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, Subspace, _trace_mul, kernel
+from .exactlin import Mat, Subspace, _int_matmul, _trace_mul, kernel
 from .kostant import (
     build_principal_triple,
     in_fiber_product,
@@ -129,15 +129,12 @@ def _random_combination(
     """(c, sum_i c_i b_i) over the RREF rows b_i of space, one gen.fraction() c_i each, in order.
 
     With c_i = p_i / q_i and b_i = N_i / D the sum is the integer row
-    sum_i p_i (q / q_i) N_i over q D, q the lcm of the q_i.
+    sum_i p_i (q / q_i) N_i over q D, q the lcm of the q_i: one `_int_matmul`.
     """
     coeffs = tuple([gen.fraction() for _ in range(space.dim)])
     q = lcm(*[c.denominator for c in coeffs])
-    total = [0] * L.dim
-    for c, row in zip(coeffs, space.basis.num):
-        if c:
-            k = c.numerator * (q // c.denominator)
-            total = [a + k * x for a, x in zip(total, row)]
+    ks = [c.numerator * (q // c.denominator) for c in coeffs]
+    total = _int_matmul([ks], space.basis.num, L.dim)[0]
     return coeffs, Element(L, total, q * space.basis.den)
 
 
@@ -553,7 +550,7 @@ def _centralizer_witness(L: LieAlgebra, gen: SplitMix64) -> tuple[Element, Group
     mats = [L._combine(row) for row in rows]
     gram = Mat([[_trace_mul(a, b) for b in mats] for a in mats], 1, len(rows))
     c = kernel(gram).basis.num[0]
-    z = Element(L, [sum(a * b for a, b in zip(c, col)) for col in zip(*rows)], 1)
+    z = Element(L, _int_matmul([c], rows)[0], 1)
     return xi_s, L.group_exp(z.scale(gen.nonzero_fraction()))
 
 

@@ -259,8 +259,9 @@ def test_seed_falls_back_to_environment(capsys, monkeypatch):
     main(["report", "A1", "--samples", "3"])
     default = capsys.readouterr().out
     assert json.loads(default)["seed"] == 42
-    # a decimal seed may carry leading zeros; a prefixed one reads in its base
-    for text in ("042", "0x2A"):
+    # a decimal seed may carry leading zeros; a prefixed one reads in its base;
+    # surrounding whitespace is stripped, as the algebra parser strips it
+    for text in ("042", "0x2A", "42\n"):
         monkeypatch.setenv("UCZ_SEED", text)
         assert main(["report", "A1", "--samples", "3"]) == 0
         assert capsys.readouterr().out == default
@@ -272,7 +273,7 @@ def test_seed_flag_beats_environment(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["seed"] == 5
     main(["report", "A1", "--samples", "3", "--seed", "42"])
     expected = capsys.readouterr().out
-    for text in ("042", "0x2A"):
+    for text in ("042", "0x2A", " 42 "):
         assert main(["report", "A1", "--samples", "3", "--seed", text]) == 0
         assert capsys.readouterr().out == expected
 

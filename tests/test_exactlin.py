@@ -19,6 +19,7 @@ from ucz.exactlin import (
     Mat,
     Projector,
     Subspace,
+    _int_matmul,
     kernel,
     rank,
     rref,
@@ -652,6 +653,39 @@ def test_sparse_mat_product_and_apply_match_the_oracle():
         assert got == oracle_apply(rows, v) and all_fractions(got)
         count += 1
     assert count == 36
+
+
+def test_int_matmul_matches_the_oracle_product():
+    # the one integer product, on seeded operands with a zero row and a zero
+    # column, all-zero and dense ones, and 1 x n times n x 1; with inner
+    # dimension 0, r x 0 times 0 x c is the r x c zero matrix, whose width
+    # only the caller knows
+    rnd = random.Random(179)
+
+    def operand(r, c, density):
+        rows = [[rnd.randint(-9, 9) if rnd.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+        if r > 1:
+            rows[rnd.randrange(r)] = [0] * c
+        if c > 1:
+            j = rnd.randrange(c)
+            for row in rows:
+                row[j] = 0
+        return rows
+
+    count = 0
+    for r, n, c in ((1, 5, 1), (3, 4, 2), (5, 5, 5), (4, 1, 3), (2, 6, 7), (6, 3, 1)):
+        for density in (0.0, 0.3, 1.0):
+            a, b = operand(r, n, density), operand(n, c, density)
+            want = [tuple(row) for row in product(a, b, c)]
+            for got in (_int_matmul(a, b), _int_matmul(a, b, c)):
+                assert list(got) == want
+                assert all(type(x) is int for row in got for x in row)
+            count += 1
+    assert count == 18
+    for r, c in ((3, 4), (1, 1), (2, 0), (0, 2)):
+        got = _int_matmul([[]] * r, [], c)
+        assert list(got) == [tuple(row) for row in product([[]] * r, [], c)] == [(0,) * c] * r
 
 
 def arrow(n):

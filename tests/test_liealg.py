@@ -136,6 +136,14 @@ def _structure_constant(L, a, b):
     return n
 
 
+def _string_length(a, b, roots):
+    """p, the largest integer with b - p a in the root set."""
+    p = 0
+    while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
+        p += 1
+    return p
+
+
 def test_structure_constants_are_ints_of_magnitude_p_plus_one(any_algebra):
     # a Chevalley basis has N_{a,b} = +-(p + 1) whenever a + b is a root, p the
     # largest integer with b - p a a root, counted here from the root set
@@ -147,9 +155,7 @@ def test_structure_constants_are_ints_of_magnitude_p_plus_one(any_algebra):
         for b in roots:
             if tuple(x + y for x, y in zip(a, b)) not in roots:
                 continue
-            p = 0
-            while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
-                p += 1
+            p = _string_length(a, b, roots)
             n = _structure_constant(L, a, b)
             assert n.denominator == 1 and abs(n) == p + 1
             pairs += 1
@@ -162,7 +168,8 @@ def test_chevalley_basis_matches_root_data(any_algebra):
     # [e_a, f_a] is the coroot of a in simple coroots, and the extraspecial
     # pair (a, b) of each non-simple positive root, a the first positive root
     # in (height, coordinates) order with b positive, has N_{a,b} = p + 1
-    # and N_{-a,-b} = -(p + 1)
+    # and N_{-a,-b} = -(p + 1); and Chevalley's law holds on every pair of
+    # roots whose sum is a root: |N_{a,b}| = p + 1 and N_{-a,-b} = -N_{a,b}
     L = any_algebra
     cartan = [[int(x) for x in row] for row in L.root_system.cartan_matrix.row_list()]
     pos = oracle_positive_roots(cartan)
@@ -178,12 +185,17 @@ def test_chevalley_basis_matches_root_data(any_algebra):
             continue
         a = next(a for a in pos if tuple(g - x for g, x in zip(gamma, a)) in pos)
         b = tuple(g - x for g, x in zip(gamma, a))
-        p = 0
-        while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
-            p += 1
+        p = _string_length(a, b, roots)
         assert _structure_constant(L, a, b) == p + 1
         neg = tuple(-x for x in a), tuple(-y for y in b)
         assert _structure_constant(L, *neg) == -(p + 1)
+    for a in roots:
+        for b in roots:
+            if tuple(x + y for x, y in zip(a, b)) in roots:
+                n = _structure_constant(L, a, b)
+                assert abs(n) == _string_length(a, b, roots) + 1
+                neg = tuple(-x for x in a), tuple(-y for y in b)
+                assert _structure_constant(L, *neg) == -n
 
 
 def test_cartan_bracket_is_root_value(any_algebra):
@@ -207,17 +219,18 @@ def test_a2_simple_brackets_match_matrices(a2):
 
 def test_realization_is_a_homomorphism(any_algebra):
     # every basis bracket of the structure table is the commutator of the
-    # realized basis vectors; the realization is faithful, each h_i diagonal
-    # and each positive root vector strictly upper triangular
+    # realized basis vectors, multiplied by the oracle; the realization is
+    # faithful, each h_i diagonal and each positive root vector strictly
+    # upper triangular
     L = any_algebra
     m = L.matrix_size
-    real = [L.realize(L.basis_element(i)) for i in range(L.dim)]
+    rows = [L.realize(L.basis_element(i)).row_list() for i in range(L.dim)]
     for i in range(L.dim):
         for j in range(L.dim):
-            assert L.realize(L.bracket(L.basis_element(i), L.basis_element(j))) == (
-                real[i] * real[j] - real[j] * real[i]
-            )
-    rows = [r.row_list() for r in real]
+            ij, ji = product(rows[i], rows[j], m), product(rows[j], rows[i], m)
+            commutator = [tuple(x - y for x, y in zip(r, s)) for r, s in zip(ij, ji)]
+            got = L.realize(L.bracket(L.basis_element(i), L.basis_element(j)))
+            assert got.row_list() == commutator
     assert len(gauss_jordan([[x for row in r for x in row] for r in rows], m * m)[1]) == L.dim
     for i in range(L.rank):
         h = rows[L.idx_h(i)]

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor, logsympl
+from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants, slice_normalize
-from ucz.liealg import GroupElement, conjugate
+from ucz.liealg import GroupElement, LieAlgebra, conjugate
 from ucz.logsympl import (
     Bivector,
     bivector_matrix,
@@ -559,7 +559,7 @@ def test_normalize_refuses_a_group_element_that_moves_the_slice_point(monkeypatc
     xi_s, gamma, g_in, xi_in = _dressed_witness(L, stream(89, f"unfixed:{L.descriptor}"))
     assert level_set_normalize(g_in, xi_in) == (gamma, xi_s)
     assert conjugate(g_in, xi_s) != xi_s
-    monkeypatch.setattr(logsympl, "witness_group_element", lambda L, w: L.group_identity())
+    monkeypatch.setattr(LieAlgebra, "exp_product", lambda L, w: L.group_identity())
     with pytest.raises(ConstructionError, match="fails to fix the slice point"):
         level_set_normalize(g_in, xi_in)
 
