@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedAlgebraError,
 )
 from .kostant import build_principal_triple, slice_for
-from .liealg import ALGEBRA_DESCRIPTORS, Element, algebra_from_descriptor
+from .liealg import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
 from .rng import _MASK as _SEED_MAX
 from .suites import SUITE_NAMES, SuiteReport, run_suites
 from .wonderful import build_orbit_poset
@@ -43,22 +43,6 @@ INTERNAL_ERROR = 4
 
 # library errors that mean the workbench itself failed, not a checked claim
 _INTERNAL_ERRORS = (ConstructionError, DecompositionError, DomainError, DimensionError, PoleError)
-
-
-def _format_element(x: Element) -> str:
-    L = x.algebra
-    terms = []
-    for idx, c in enumerate(x.coords):
-        if c == 0:
-            continue
-        name = L.basis_name(idx)
-        if c == 1:
-            terms.append(name)
-        elif c == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{c}*{name}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def _format_subset(I) -> str:
@@ -92,9 +76,9 @@ def cmd_describe(args) -> int:
         f"algebra {L.descriptor}: dim n = {L.dim}, rank l = {L.rank}, "
         f"positive roots = {L.n_pos}",
         "principal triple:",
-        f"  e = {_format_element(t.e)}",
-        f"  h = {_format_element(t.h)}",
-        f"  f = {_format_element(t.f)}",
+        f"  e = {t.e}",
+        f"  h = {t.h}",
+        f"  f = {t.f}",
         f"slice degrees: {ks.degrees}",
         "orbit table:",
         f"  {'I':<10} {'dim':>4} {'stab':>5} {'divisor':>8}",

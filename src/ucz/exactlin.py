@@ -429,10 +429,6 @@ class Subspace:
         self._free = None
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return Subspace(ambient_dim, Mat(vectors, cols=ambient_dim))
-
-    @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, ())
 

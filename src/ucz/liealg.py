@@ -280,14 +280,17 @@ class Element:
     def __hash__(self) -> int:
         return hash((id(self.algebra), self.den, self.num))
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """The sum of the nonzero terms c*name, with name for c = 1 and -name for c = -1."""
         terms = []
         for k, c in enumerate(self.coords):
-            if c != 0:
+            if c:
                 name = self.algebra.basis_name(k)
-                terms.append(name if c == 1 else f"{c}*{name}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{self.algebra.descriptor}: {body}>"
+                terms.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+    def __repr__(self) -> str:
+        return f"<{self.algebra.descriptor}: {self}>"
 
 
 def pair_row(x: Element, y: Element) -> tuple[int, ...]:
@@ -326,9 +329,6 @@ class GroupElement:
 
     def __setattr__(self, *args):
         raise AttributeError("GroupElement is immutable")
-
-    def is_identity(self) -> bool:
-        return self.mat == Mat.identity(self.mat.rows)
 
     def inverse(self) -> "GroupElement":
         """The inverse matrix, cached both ways: g holds it, and it links back to g weakly."""
@@ -443,11 +443,10 @@ class LieAlgebra:
         """[b_i, b_j] for i < j as its nonzero integer terms (k, c): c b_k.
 
         Each is the commutator R_i R_j - R_j R_i of the realized basis
-        vectors, read back through `_read_int`, which refuses it off the
-        realized span; the coordinates must divide exactly by the readout
-        denominator.
+        vectors, read back through `_read`, which refuses it off the
+        realized span; the element read must have denominator 1.
         """
-        real, m, den = self._realization, self.matrix_size, self._readback[2]
+        real, m = self._realization, self.matrix_size
         table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -457,13 +456,10 @@ class LieAlgebra:
                 flat = [0] * (m * m)
                 for (r, c), v in entries.items():
                     flat[r * m + c] = v
-                terms = []
-                for k, x in _nonzero(self._read_int(flat)):
-                    q, rem = divmod(x, den)
-                    if rem:
-                        raise ConstructionError("the structure table must be integral")
-                    terms.append((k, q))
-                table[(i, j)] = tuple(terms)
+                x = self._read(flat, 1)
+                if x.den != 1:
+                    raise ConstructionError("the structure table must be integral")
+                table[(i, j)] = tuple(_nonzero(x.num))
         return table
 
     # -- core operations --------------------------------------------------------
@@ -605,16 +601,15 @@ class LieAlgebra:
         m = self.matrix_size
         if mat.rows != m or mat.cols != m:
             raise DomainError("matrix has the wrong shape for this algebra")
-        flat = list(chain.from_iterable(mat.num))
-        return Element(self, self._read_int(flat), self._readback[2] * mat.den)
+        return self._read(list(chain.from_iterable(mat.num)), mat.den)
 
-    def _read_int(self, flat: list[int]) -> list[int]:
-        """Coordinates, times the readout denominator, of the element realized by the rows of flat.
+    def _read(self, flat: list[int], den: int) -> Element:
+        """The element realized by the integer matrix flat / den, its rows concatenated.
 
         flat must lie in the realized span, which the free-column test of
         `Subspace` decides; for sl_m that is the one free column, the trace.
         """
-        span, readout, _ = self._readback
+        span, readout, readout_den = self._readback
         if not span._inside(flat):
             raise DomainError("matrix lies outside the realized algebra")
         out = [0] * self.dim
@@ -623,7 +618,7 @@ class LieAlgebra:
             if x:
                 for k, v in terms:
                     out[k] += v * x
-        return out
+        return Element(self, out, readout_den * den)
 
     # -- group operations ----------------------------------------------------------
 
@@ -818,16 +813,15 @@ def conjugate(g: GroupElement, y: Element) -> Element:
     """The action Ad_g(y) = g realize(y) g^-1 of a group element on the algebra.
 
     With g = N / d, g^-1 = M / e and realize(y) = Y / y.den, that is the
-    integer product N Y M over d e y.den, read back once in integers
-    (`_read_int`, which refuses it off the realized span).  `_int_matmul`
-    skips the zero entries of Y and of N Y, so a sparse y costs little.
+    integer product N Y M over d e y.den, read back once by `_read`,
+    which refuses it off the realized span.  `_int_matmul` skips the
+    zero entries of Y and of N Y, so a sparse y costs little.
     """
     L = y.algebra
     L._require_acting(g)
     mat, inv = g.mat, g.inverse().mat
     rows = _int_matmul(_int_matmul(mat.num, L._combine(y.num)), inv.num)
-    flat = list(chain.from_iterable(rows))
-    return Element(L, L._read_int(flat), L._readback[2] * mat.den * inv.den * y.den)
+    return L._read(list(chain.from_iterable(rows)), mat.den * inv.den * y.den)
 
 
 def regular_cartan(L: LieAlgebra, gen: SplitMix64) -> Element:

@@ -350,6 +350,22 @@ def run_moment_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
 # -- wonderful ---------------------------------------------------------------
 
 
+def _torus_fixed_check(L: LieAlgebra, gen: SplitMix64) -> tuple[int, int, bool]:
+    """(count, expected, ok) for the torus-fixed points through xi = Ad_d s, s and d seeded.
+
+    ok when the count is the Weyl group's and every point contains (xi, xi);
+    the enumeration tests no point, so this is the per-point check.  At
+    d != 1 the witnesses d w and w d differ, so it tells their order apart.
+    """
+    expected = _torus_fixed_count(L)
+    s = regular_cartan(L, gen)
+    d = group_sample(L, gen)
+    xi = conjugate(d, s)
+    points = torus_fixed_fiber_points(xi, d)
+    ok = len(points) == expected and all(translate_contains(q, (xi, xi)) for q in points)
+    return len(points), expected, ok
+
+
 def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     report = SuiteReport("wonderful", L.descriptor)
     n = L.dim
@@ -408,18 +424,13 @@ def run_wonderful_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
         "open orbit dim n; rank-many divisors; closure order respects dimension",
     )
 
-    expected = _torus_fixed_count(L)
     gen = stream(seed, f"wonderful:torus:{L.descriptor}")
-    s = regular_cartan(L, gen)
-    d = group_sample(L, gen)
-    xi = conjugate(d, s)
-    points = torus_fixed_fiber_points(xi, d)
-    pair_ok = all(translate_contains(q, (xi, xi)) for q in points)
+    count, expected, ok = _torus_fixed_check(L, gen)
     report.add(
         "torus-fixed boundary points",
-        1 if (len(points) == expected and pair_ok) else 0,
+        1 if ok else 0,
         1,
-        f"count {len(points)}, expected {expected}; all contain the diagonal pair",
+        f"count {count}, expected {expected}; all contain the diagonal pair",
     )
     return report
 
@@ -618,18 +629,12 @@ def run_reduction_suite(L: LieAlgebra, seed: int, samples: int) -> SuiteReport:
     )
 
     gen = stream(seed, f"reduction:boundary:{L.descriptor}")
-    expected = _torus_fixed_count(L)
-    s = regular_cartan(L, gen)
-    # at d != 1 the witnesses d w and w d differ, so the test tells their order apart
-    d = group_sample(L, gen)
-    xi = conjugate(d, s)
-    points = torus_fixed_fiber_points(xi, d)
-    ok = len(points) == expected and all(translate_contains(q, (xi, xi)) for q in points)
+    count, expected, ok = _torus_fixed_check(L, gen)
     report.add(
         "boundary fiber membership",
         1 if ok else 0,
         1,
-        f"{len(points)} torus-fixed points, expected {expected}, all in the fiber",
+        f"{count} torus-fixed points, expected {expected}, all in the fiber",
     )
     return report
 

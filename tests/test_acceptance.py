@@ -316,7 +316,7 @@ def test_criterion_11_torus_fixed_boundary_points():
                     left = conjugate(w1, L.element(row[:n]))
                     right = conjugate(w2, L.element(row[n:]))
                     vectors.append(tuple(left.coords) + tuple(right.coords))
-                realized = Subspace.from_vectors(2 * n, vectors)
+                realized = Subspace(2 * n, Mat(vectors, cols=2 * n))
                 if not realized.contains(tuple(xi.coords) * 2):
                     continue
                 if realized not in distinct:

@@ -78,7 +78,7 @@ def test_kernel_identity_is_zero():
 
 def test_kernel_zero_map_is_everything():
     m = Mat([(0, 0, 0), (0, 0, 0)], cols=3)
-    assert kernel(m) == Subspace.from_vectors(3, identity(3))
+    assert kernel(m) == Subspace(3, Mat(identity(3), cols=3))
 
 
 def test_kernel_single_relation():
@@ -90,21 +90,21 @@ def test_kernel_single_relation():
 
 
 def test_subspace_equality_is_canonical():
-    a = Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 2)])
-    b = Subspace.from_vectors(3, [(0, 0, 1), (3, 3, 5), (1, 1, 1)])
+    a = Subspace(3, Mat([(1, 1, 0), (0, 0, 2)], cols=3))
+    b = Subspace(3, Mat([(0, 0, 1), (3, 3, 5), (1, 1, 1)], cols=3))
     assert a == b
     assert a.basis == b.basis
 
 
 def test_subspace_contains_space():
-    big = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
-    small = Subspace.from_vectors(3, [(1, 1, 0)])
+    big = Subspace(3, Mat([(1, 0, 0), (0, 1, 0)], cols=3))
+    small = Subspace(3, Mat([(1, 1, 0)], cols=3))
     assert big.contains_space(small)
     assert not small.contains_space(big)
 
 
 def test_subspace_coefficients_reconstruct():
-    s = Subspace.from_vectors(4, [(1, 2, 0, 0), (0, 0, 1, 3)])
+    s = Subspace(4, Mat([(1, 2, 0, 0), (0, 0, 1, 3)], cols=4))
     v = (2, 4, -1, -3)
     coeffs = s.coefficients(v)
     rebuilt = [Fraction(0)] * 4
@@ -119,7 +119,7 @@ def test_subspace_coefficients_reconstruct():
 
 
 def test_subspace_coefficients_outside_raises():
-    s = Subspace.from_vectors(3, [(1, 0, 0)])
+    s = Subspace(3, Mat([(1, 0, 0)], cols=3))
     with pytest.raises(DecompositionError):
         s.coefficients((0, 1, 0))
     with pytest.raises(DecompositionError):
@@ -127,33 +127,34 @@ def test_subspace_coefficients_outside_raises():
 
 
 def test_intersect_and_sum_of_equal_spaces():
-    s = Subspace.from_vectors(3, [(1, 2, 3), (0, 1, 1)])
+    s = Subspace(3, Mat([(1, 2, 3), (0, 1, 1)], cols=3))
     assert s.intersect(s) == s
     assert s.sum(s) == s
 
 
 def test_intersect_of_complementary_lines():
-    a = Subspace.from_vectors(2, [(1, 0)])
-    b = Subspace.from_vectors(2, [(0, 1)])
+    a = Subspace(2, Mat([(1, 0)], cols=2))
+    b = Subspace(2, Mat([(0, 1)], cols=2))
     assert a.intersect(b).dim == 0
-    assert a.sum(b) == Subspace.from_vectors(2, identity(2))
+    assert a.sum(b) == Subspace(2, Mat(identity(2), cols=2))
 
 
 def test_grassmann_identity_in_six_space():
     gen = stream(17, "grassmann")
+
+    def random_space():
+        rows = [[gen.fraction() for _ in range(6)] for _ in range(gen.randint(1, 4))]
+        return Subspace(6, Mat(rows, cols=6))
+
     for _ in range(15):
-        a = Subspace.from_vectors(
-            6, [tuple(gen.fraction() for _ in range(6)) for _ in range(gen.randint(1, 4))]
-        )
-        b = Subspace.from_vectors(
-            6, [tuple(gen.fraction() for _ in range(6)) for _ in range(gen.randint(1, 4))]
-        )
+        a = random_space()
+        b = random_space()
         assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
 
 
 def test_ambient_mismatch_raises():
-    a = Subspace.from_vectors(2, [(1, 0)])
-    b = Subspace.from_vectors(3, [(1, 0, 0)])
+    a = Subspace(2, Mat([(1, 0)], cols=2))
+    b = Subspace(3, Mat([(1, 0, 0)], cols=3))
     with pytest.raises(DimensionError):
         a.sum(b)
     with pytest.raises(DimensionError):
@@ -168,15 +169,15 @@ def test_ambient_mismatch_raises():
 
 
 def test_project_along_coordinate_split():
-    onto = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    along = Subspace.from_vectors(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    onto = Subspace(4, Mat([(1, 0, 0, 0), (0, 1, 0, 0)], cols=4))
+    along = Subspace(4, Mat([(0, 0, 1, 0), (0, 0, 0, 1)], cols=4))
     assert Projector(onto, along).apply((1, 2, 3, 4)) == vec((1, 2, 0, 0))
 
 
 def test_project_along_fixes_onto_and_kills_along():
     gen = stream(19, "projector")
-    onto = Subspace.from_vectors(5, [(1, 1, 0, 0, 0), (0, 0, 1, 0, 1)])
-    along = Subspace.from_vectors(5, [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    onto = Subspace(5, Mat([(1, 1, 0, 0, 0), (0, 0, 1, 0, 1)], cols=5))
+    along = Subspace(5, Mat([(0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)], cols=5))
     proj = Projector(onto, along)
     for _ in range(10):
         c1, c2 = gen.fraction(), gen.fraction()
@@ -189,19 +190,19 @@ def test_project_along_fixes_onto_and_kills_along():
 
 
 def test_project_along_needs_complement():
-    onto = Subspace.from_vectors(3, [(1, 0, 0)])
-    along = Subspace.from_vectors(3, [(0, 1, 0)])
+    onto = Subspace(3, Mat([(1, 0, 0)], cols=3))
+    along = Subspace(3, Mat([(0, 1, 0)], cols=3))
     with pytest.raises(DecompositionError):
         Projector(onto, along)
-    onto = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
-    along = Subspace.from_vectors(3, [(1, 1, 0)])
+    onto = Subspace(3, Mat([(1, 0, 0), (0, 1, 0)], cols=3))
+    along = Subspace(3, Mat([(1, 1, 0)], cols=3))
     with pytest.raises(DecompositionError, match="overlap"):
         Projector(onto, along)
 
 
 def test_projector_is_idempotent():
-    onto = Subspace.from_vectors(4, [(1, 1, 1, 1), (1, 0, 0, 0)])
-    along = Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)])
+    onto = Subspace(4, Mat([(1, 1, 1, 1), (1, 0, 0, 0)], cols=4))
+    along = Subspace(4, Mat([(0, 1, 0, 0), (0, 0, 1, 0)], cols=4))
     proj = Projector(onto, along)
     gen = stream(29, "idem")
     for _ in range(10):
@@ -298,7 +299,7 @@ def test_rref_rank_kernel_match_the_oracle():
 
 
 def test_subspace_basis_entries_are_fractions():
-    s = Subspace.from_vectors(3, [(2, 4, 6), ("1/3", 0, 1)])
+    s = Subspace(3, Mat([(2, 4, 6), ("1/3", 0, 1)], cols=3))
     assert s.basis == Mat([(1, 0, 3), (0, 1, 0)], cols=3)
     assert all_fractions(*s.basis.row_list())
 
@@ -342,10 +343,10 @@ def test_subspace_keeps_the_oracle_pivots():
         assert space.coefficients(v) == tuple(coeffs)
         assert space.reduce(v) == (Fraction(0),) * cols
     assert Subspace.zero(3)._pivots == []
-    full = Subspace.from_vectors(3, identity(3))
+    full = Subspace(3, Mat(identity(3), cols=3))
     assert full._pivots == [0, 1, 2]
-    assert full == Subspace.from_vectors(3, [(0, 0, 5), (0, 2, 1), (1, 1, 1)])
-    assert hash(full) == hash(Subspace.from_vectors(3, [(3, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert full == Subspace(3, Mat([(0, 0, 5), (0, 2, 1), (1, 1, 1)], cols=3))
+    assert hash(full) == hash(Subspace(3, Mat([(3, 0, 0), (0, 1, 0), (0, 0, 1)], cols=3)))
     assert full.coefficients((1, 2, 3)) == vec((1, 2, 3))
     assert not Subspace.zero(3).contains((0, 0, 1))
 
@@ -396,7 +397,7 @@ def test_two_spanning_sets_of_one_space_are_equal_and_hash_equal():
     rnd = random.Random(151)
     count = 0
     for rows, cols in seeded_spans(151):
-        space = Subspace.from_vectors(cols, rows)
+        space = Subspace(cols, Mat(rows, cols=cols))
         # row i plus multiples of the later rows is an invertible change of spanning set
         other = []
         for i, row in enumerate(rows):
@@ -406,7 +407,7 @@ def test_two_spanning_sets_of_one_space_are_equal_and_hash_equal():
                 new = [a + c * b for a, b in zip(new, later)]
             other.append(new)
         other = other[::-1] + [[Fraction(0)] * cols]
-        twin = Subspace.from_vectors(cols, other)
+        twin = Subspace(cols, Mat(other, cols=cols))
         assert twin == space and hash(twin) == hash(space)
         # integer rows with a common factor left in span the same space
         ints = []
@@ -422,7 +423,7 @@ def test_contains_agrees_with_a_zero_residue_and_the_oracle_rank():
     rnd = random.Random(157)
     inside = outside = 0
     for rows, cols in seeded_spans(157):
-        space = Subspace.from_vectors(cols, rows)
+        space = Subspace(cols, Mat(rows, cols=cols))
         rank_before = len(gauss_jordan(rows, cols)[1])
         vectors = [tuple(Fraction(int(i == j)) for i in range(cols)) for j in range(cols)]
         for _ in range(3):
@@ -443,11 +444,11 @@ def test_contains_agrees_with_a_zero_residue_and_the_oracle_rank():
 def membership_spaces(seed):
     """(space, spanning rows, cols): seeded dense spans, coordinate spans, zero and full spaces."""
     for rows, cols in seeded_spans(seed):
-        yield Subspace.from_vectors(cols, rows), rows, cols
+        yield Subspace(cols, Mat(rows, cols=cols)), rows, cols
     rnd = random.Random(seed)
     for cols in (1, 4, 9):
         yield Subspace.zero(cols), [], cols
-        yield Subspace.from_vectors(cols, identity(cols)), identity(cols), cols
+        yield Subspace(cols, Mat(identity(cols), cols=cols)), identity(cols), cols
         for size in range(cols + 1):
             idxs = rnd.sample(range(cols), size)
             units = [[Fraction(int(i == j)) for j in range(cols)] for i in idxs]
@@ -496,8 +497,8 @@ def test_membership_matches_the_oracle_rank_in_every_input_form():
                     space.coefficients(ints, k)
             counts[inside] += 1
         # a space is contained exactly when stacking its rows keeps the oracle rank
-        others = [Subspace.from_vectors(cols, vectors[:3]), Subspace.from_vectors(cols, vectors)]
-        others += [Subspace.zero(cols), Subspace.from_vectors(cols, identity(cols))]
+        others = [Subspace(cols, Mat(rows, cols=cols)) for rows in (vectors[:3], vectors)]
+        others += [Subspace.zero(cols), Subspace(cols, Mat(identity(cols), cols=cols))]
         for other in others:
             stacked = want + [list(row) for row in other.basis.row_list()]
             inside = len(gauss_jordan(stacked, cols)[1]) == len(pivots)
@@ -508,7 +509,7 @@ def test_membership_matches_the_oracle_rank_in_every_input_form():
 
 def test_membership_checks_lengths():
     for space in (
-        Subspace.from_vectors(3, [(1, Fraction(1, 2), 0)]),
+        Subspace(3, Mat([(1, Fraction(1, 2), 0)], cols=3)),
         Subspace.coordinate_span(3, [1]),
         Subspace.zero(3),
     ):
@@ -787,7 +788,7 @@ def test_sparse_intersect_matches_the_annihilator_oracle():
             # V holds the shared rows only through sums, so its basis differs from U's
             v = [[a + b for a, b in zip(row, common[-1])] for row in common[:-1]] + common[-1:]
             v += [sparse_row(cols) for _ in range(extra_v)]
-            got = Subspace.from_vectors(cols, u).intersect(Subspace.from_vectors(cols, v))
+            got = Subspace(cols, Mat(u, cols=cols)).intersect(Subspace(cols, Mat(v, cols=cols)))
             ann = oracle_null(u, cols) + oracle_null(v, cols)
             want, pivots = gauss_jordan(oracle_null(ann, cols), cols)
             assert got.basis == Mat(want[: len(pivots)], cols=cols)

@@ -15,7 +15,7 @@ from math import gcd, prod
 import pytest
 
 from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor, build_algebra
-from ucz.errors import DomainError, UnsupportedAlgebraError
+from ucz.errors import ConstructionError, DomainError, UnsupportedAlgebraError
 from ucz.exactlin import Mat
 from ucz.liealg import Element, GroupElement, LieAlgebra, conjugate
 from ucz.rng import stream
@@ -144,32 +144,14 @@ def _string_length(a, b, roots):
     return p
 
 
-def test_structure_constants_are_ints_of_magnitude_p_plus_one(any_algebra):
-    # a Chevalley basis has N_{a,b} = +-(p + 1) whenever a + b is a root, p the
-    # largest integer with b - p a a root, counted here from the root set
-    L = any_algebra
-    rs = L.root_system
-    roots = sorted(set(rs.positive_roots) | {tuple(-m for m in a) for a in rs.positive_roots})
-    pairs = 0
-    for a in roots:
-        for b in roots:
-            if tuple(x + y for x, y in zip(a, b)) not in roots:
-                continue
-            p = _string_length(a, b, roots)
-            n = _structure_constant(L, a, b)
-            assert n.denominator == 1 and abs(n) == p + 1
-            pairs += 1
-    # A1 has no such pair
-    assert pairs or L.rank == 1
-
-
 def test_chevalley_basis_matches_root_data(any_algebra):
     # against root data computed here from the Cartan matrix alone:
     # [e_a, f_a] is the coroot of a in simple coroots, and the extraspecial
     # pair (a, b) of each non-simple positive root, a the first positive root
     # in (height, coordinates) order with b positive, has N_{a,b} = p + 1
     # and N_{-a,-b} = -(p + 1); and Chevalley's law holds on every pair of
-    # roots whose sum is a root: |N_{a,b}| = p + 1 and N_{-a,-b} = -N_{a,b}
+    # roots whose sum is a root: N_{a,b} is an integer, |N_{a,b}| = p + 1 and
+    # N_{-a,-b} = -N_{a,b}
     L = any_algebra
     cartan = [[int(x) for x in row] for row in L.root_system.cartan_matrix.row_list()]
     pos = oracle_positive_roots(cartan)
@@ -189,13 +171,17 @@ def test_chevalley_basis_matches_root_data(any_algebra):
         assert _structure_constant(L, a, b) == p + 1
         neg = tuple(-x for x in a), tuple(-y for y in b)
         assert _structure_constant(L, *neg) == -(p + 1)
+    pairs = 0
     for a in roots:
         for b in roots:
             if tuple(x + y for x, y in zip(a, b)) in roots:
                 n = _structure_constant(L, a, b)
-                assert abs(n) == _string_length(a, b, roots) + 1
+                assert n.denominator == 1 and abs(n) == _string_length(a, b, roots) + 1
                 neg = tuple(-x for x in a), tuple(-y for y in b)
                 assert _structure_constant(L, *neg) == -n
+                pairs += 1
+    # A1 has no such pair
+    assert pairs or L.rank == 1
 
 
 def test_cartan_bracket_is_root_value(any_algebra):
@@ -238,6 +224,16 @@ def test_realization_is_a_homomorphism(any_algebra):
     for k in range(L.n_pos):
         e = rows[L.idx_e(k)]
         assert all(not e[r][c] for r in range(m) for c in range(r + 1))
+
+
+def test_a_non_integral_structure_table_is_refused():
+    # the table is read off the commutators over the readout denominator D;
+    # read over 2 D every odd structure constant leaves a denominator 2
+    L = LieAlgebra("A2")
+    span, readout, den = L._readback
+    L._readback = (span, readout, 2 * den)
+    with pytest.raises(ConstructionError, match="the structure table must be integral"):
+        L._table
 
 
 def test_realization_of_simple_generators(a2):
@@ -683,7 +679,7 @@ def test_an_inverse_links_back_weakly(a2, monkeypatch):
         gc.enable()
     # with g gone, its inverse's inverse is eliminated again, and equal
     again = g_inv.inverse()
-    assert len(eliminations) == 2 and (again * g_inv).is_identity()
+    assert len(eliminations) == 2 and again * g_inv == a2.group_identity()
     assert again.inverse() is g_inv
 
 
@@ -906,13 +902,13 @@ def test_root_product_sums_higher_powers():
 
 def test_root_product_edges(a2, b2):
     assert a2.root_product([]) == a2.group_identity()
-    assert a2.root_product([(a2.idx_e(1), 0), (a2.idx_f(0), Fraction(0))]).is_identity()
+    assert a2.root_product([(a2.idx_e(1), 0), (a2.idx_f(0), Fraction(0))]) == a2.group_identity()
     for bad in (a2.idx_h(0), a2.idx_h(1), a2.dim, -1):
         for c in (1, 0):
             with pytest.raises(DomainError):
                 a2.root_product([(a2.idx_e(0), 1), (bad, c)])
     assert b2.root_product([]) == b2.group_identity()
-    assert b2.root_product([(b2.idx_e(0), 1), (b2.idx_e(0), -1)]).is_identity()
+    assert b2.root_product([(b2.idx_e(0), 1), (b2.idx_e(0), -1)]) == b2.group_identity()
     with pytest.raises(DomainError):
         b2.root_product([(b2.idx_h(0), 1)])
 
@@ -961,10 +957,10 @@ def test_group_element_accepts_exactly_the_det_one_matrices():
             GroupElement(Mat(rows, cols=3))
 
 
-def test_triangular_group_elements_skip_bareiss(monkeypatch):
+def test_library_built_group_elements_skip_the_det_check(monkeypatch):
     # root products of one sign and of mixed signs, exp of n and n-, torus
     # elements and every Weyl representative are unimodular by construction,
-    # so building them never calls det, and their Leibniz det is 1
+    # so building them never calls det, and the oracle's elimination det is 1
     def no_det(self):
         raise AssertionError("det called on a library-built group element")
 
@@ -981,7 +977,7 @@ def test_triangular_group_elements_skip_bareiss(monkeypatch):
             *group_inputs(L, gen),
             *L.weyl_representatives(),
         ]
-        assert all(leibniz_det(g.mat.row_list()) == 1 for g in built), name
+        assert all(elimination_det(g.mat.row_list()) == 1 for g in built), name
 
 
 # -- the adjoint action on integer rows ---------------------------------------------

@@ -183,7 +183,7 @@ def test_coordinate_spans_are_the_spans_of_their_units(any_algebra):
         units = _units(n, idxs)
         for order in (idxs, sorted(idxs), idxs[::-1] + idxs[:1]):
             space = Subspace.coordinate_span(n, order)
-            assert space == Subspace.from_vectors(n, units)
+            assert space == Subspace(n, Mat(units, cols=n))
             assert space._pivots == sorted(idxs)
     blocks = {
         "cartan": [L.idx_h(i) for i in range(L.rank)],
@@ -192,7 +192,7 @@ def test_coordinate_spans_are_the_spans_of_their_units(any_algebra):
     }
     blocks["borel"] = blocks["cartan"] + blocks["nilpos"]
     for name, idxs in blocks.items():
-        assert getattr(L, name) == Subspace.from_vectors(n, _units(n, idxs)), name
+        assert getattr(L, name) == Subspace(n, Mat(_units(n, idxs), cols=n)), name
     with pytest.raises(DimensionError):
         Subspace.coordinate_span(n, [n])
     with pytest.raises(DimensionError):
@@ -211,7 +211,7 @@ def test_empty_set_gives_the_borel(any_algebra):
 def test_full_set_gives_the_whole_algebra(any_algebra):
     L = any_algebra
     p = build_parabolic(L, full_set(L))
-    whole = Subspace.from_vectors(L.dim, identity(L.dim))
+    whole = Subspace(L.dim, Mat(identity(L.dim), cols=L.dim))
     assert p.p_I == whole
     assert p.u_I.dim == 0
     assert p.z_l_I.dim == 0
@@ -259,6 +259,71 @@ def test_a_nilradical_root_vector_in_the_levi_list_is_refused(any_algebra, monke
     assert moved == sum(build_parabolic(L, I).u_I.dim for I in all_subsets(L.rank)) > 0
 
 
+def test_a_wrong_levi_center_is_refused(a2, monkeypatch):
+    # the centre is the kernel of the pairings alpha_i(h_j), i in I: with every
+    # pairing 0 it is the whole Cartan, of the wrong dimension; with
+    # alpha_i(h_j) = 0 exactly at j = i it is h_i, inside [p_I, p_I], which
+    # has the right dimension but does not split the parabolic
+    wonderful.ParabolicData(a2, {1})  # the true pairings pass
+    rs = a2.root_system
+    for pairing, message in (
+        (lambda alpha, j: 0, "Levi center has the wrong dimension"),
+        (lambda alpha, j: 0 if alpha[j] else 1, "do not split the parabolic"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(rs, "pairing", pairing)
+            with pytest.raises(ConstructionError, match=message):
+                wonderful.ParabolicData(a2, {1})
+
+
+def _wonderful_check(L, name):
+    (check,) = [c for c in suites.run_wonderful_suite(L, 1, 1).checks if c.name == name]
+    return check.passed, check.total
+
+
+def test_the_wonderful_suite_counts_the_constructed_dimensions(a2, g2, monkeypatch):
+    # fiber_algebra, stabilizer_algebra and the orbit poset check no dimension
+    # of their own, so the suite's checks must fail when one is wrong: a fiber
+    # short of a row, a stabilizer short of a central shift, and an open orbit
+    # of the wrong dimension
+    real_fiber = suites.fiber_algebra
+
+    def short_fiber(p):
+        fiber = real_fiber(p)
+        return Subspace(fiber.ambient_dim, fiber.basis.num[1:])
+
+    def short_stabilizer(p):
+        n = p.algebra.dim
+        shifts = [(0,) * n + z for z in p.z_l_I.basis.num[1:]]
+        return Subspace(2 * n, list(real_fiber(p).basis.num) + shifts)
+
+    for L in (a2, g2):
+        open_orbit = build_orbit_poset(L).row(full_set(L))
+        mutations = (
+            ("fiber dimensions", suites, "fiber_algebra", short_fiber),
+            ("stabilizer codimension", suites, "stabilizer_algebra", short_stabilizer),
+            ("orbit poset", open_orbit, "dim", L.dim - 1),
+        )
+        for name, owner, attr, value in mutations:
+            passed, total = _wonderful_check(L, name)
+            assert passed == total > 0
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, value)
+                passed, total = _wonderful_check(L, name)
+            assert passed < total, (L.descriptor, name)
+
+
+def test_a_translate_that_loses_dimension_is_refused(a2, monkeypatch):
+    # the realized fiber reads its rows off conjugate; a conjugate by g2 that
+    # returns zero empties every second half, leaving dim p_I < n rows
+    p = build_parabolic(a2, ())
+    g = group_sample(a2, stream(97, "lost-dimension"))
+    real = wonderful.conjugate
+    monkeypatch.setattr(wonderful, "conjugate", lambda h, y: a2.zero() if h is g else real(h, y))
+    with pytest.raises(ConstructionError, match="lost dimension"):
+        make_boundary_point(p, a2.group_identity(), g).realized_fiber
+
+
 def test_levi_center_commutes(any_algebra):
     L = any_algebra
     for I in all_subsets(L.rank):
@@ -301,7 +366,7 @@ def test_fiber_on_the_full_set_is_the_diagonal(any_algebra):
     L = any_algebra
     n = L.dim
     fiber = fiber_algebra(build_parabolic(L, full_set(L)))
-    diag = Subspace.from_vectors(2 * n, [row + row for row in identity(n)])
+    diag = Subspace(2 * n, Mat([row + row for row in identity(n)], cols=2 * n))
     assert fiber == diag
 
 
@@ -423,7 +488,7 @@ def test_translate_by_the_identity_is_conjugation_free(any_algebra):
             conjugate(g, L.element(row[:n])).coords + row[n:]
             for row in fiber_algebra(p).basis.row_list()
         ]
-        assert point.realized_fiber == Subspace.from_vectors(2 * n, moved)
+        assert point.realized_fiber == Subspace(2 * n, Mat(moved, cols=2 * n))
 
 
 @cache
@@ -455,7 +520,7 @@ def test_torus_call_returns_the_first_w_per_fiber(any_algebra):
     assert all(q._fiber is None for q in points)
     assert [q.realized_fiber for q in points] == [fiber for _, _, fiber in expected]
     d = group_sample(L, stream(79, f"torus-order:{L.descriptor}"))
-    assert not d.is_identity()
+    assert d != one
     points = torus_fixed_fiber_points(conjugate(d, s), d)
     assert [(q.I, q.g1, q.g2) for q in points] == [(I, d * w, d * w) for I, w, _ in expected]
     # the identity is the first Weyl representative, and it leaves the fiber as it is
@@ -604,14 +669,12 @@ def test_torus_fixed_points_match_the_pair_brute_force_on_a2(a2):
         base = fiber_algebra(build_parabolic(a2, I))
         for w1, w2 in product(a2.weyl_representatives(), repeat=2):
             g1, g2 = d * w1, d * w2
-            realized = Subspace.from_vectors(
-                2 * n,
-                [
-                    tuple(conjugate(g1, a2.element(row[:n])).coords)
-                    + tuple(conjugate(g2, a2.element(row[n:])).coords)
-                    for row in base.basis.row_list()
-                ],
-            )
+            moved = [
+                tuple(conjugate(g1, a2.element(row[:n])).coords)
+                + tuple(conjugate(g2, a2.element(row[n:])).coords)
+                for row in base.basis.row_list()
+            ]
+            realized = Subspace(2 * n, Mat(moved, cols=2 * n))
             if realized.contains(tuple(xi.coords) * 2) and all(
                 realized != r for _, r, _, _ in brute
             ):
@@ -689,7 +752,7 @@ def test_a_moved_torus_builds_no_fiber_and_no_index(a2, a3, monkeypatch):
         d = group_sample(L, gen)
         torus_fixed_fiber_points(conjugate(d, s), d)
         d = group_sample(L, gen)
-        assert not d.is_identity()
+        assert d != L.group_identity()
         for g, cold in ((d, False), (L.group_identity(), False), (d, True)):
             xi = conjugate(g, s)
             if cold:
@@ -717,7 +780,7 @@ def test_a_translate_missing_the_torus_pair_is_an_error(monkeypatch):
     L = LieAlgebra("A2")
     s = build_principal_triple(L).h
     d = group_sample(L, stream(83, "torus-miss"))
-    assert not d.is_identity()
+    assert d != L.group_identity()
     real = L.root_product
     monkeypatch.setattr(L, "root_product", lambda factors: real([(i, abs(c)) for i, c in factors]))
     with pytest.raises(ConstructionError):
@@ -742,23 +805,21 @@ def _counting(monkeypatch, owner, name):
 def test_a_warm_torus_call_makes_one_conjugate(any_algebra, monkeypatch):
     # eta = Ad(d^-1) xi is the one conjugate: no Weyl word is pulled back per
     # call (the per-word pull-back, 1 + |W| calls, fails this), nothing is
-    # eliminated once d^-1 exists, and the witnesses are one product d w per
-    # word at d != 1 and the cached words, with no product, at d = 1
+    # eliminated once d^-1 exists, and the witnesses are one product d w per word
     L = any_algebra
     s = build_principal_triple(L).h
     d = group_sample(L, stream(89, f"torus-cost:{L.descriptor}"))
     xi = conjugate(d, s)  # builds d^-1
-    for x, g, products in ((xi, d, len(L.weyl_representatives())), (s, L.group_identity(), 0)):
-        torus_fixed_fiber_points(x, g)
-        with monkeypatch.context() as m:
-            conjugates = _counting(m, wonderful, "conjugate")
-            inverses = _counting(m, Mat, "inverse")
-            multiplied = _counting(m, GroupElement, "__mul__")
-            found = torus_fixed_fiber_points(x, g)
-        assert len(conjugates) == 1
-        assert inverses == []
-        assert len(multiplied) == products
-        assert len(found) == suites._torus_fixed_count(L)
+    torus_fixed_fiber_points(xi, d)
+    with monkeypatch.context() as m:
+        conjugates = _counting(m, wonderful, "conjugate")
+        inverses = _counting(m, Mat, "inverse")
+        multiplied = _counting(m, GroupElement, "__mul__")
+        found = torus_fixed_fiber_points(xi, d)
+    assert len(conjugates) == 1
+    assert inverses == []
+    assert len(multiplied) == len(L.weyl_representatives())
+    assert len(found) == suites._torus_fixed_count(L)
 
 
 def _swapped_witnesses(xi, d):
@@ -798,21 +859,6 @@ def test_the_reduction_suite_checks_every_torus_point(a2, g2, monkeypatch):
                 suites.run_reduction_suite, "boundary fiber membership", L, monkeypatch, swap
             )
             assert got == want
-
-
-def test_identity_torus_witnesses_are_the_weyl_words(any_algebra, monkeypatch):
-    # at d = 1 each witness is the cached word, which holds its inverse, so a
-    # caller's translate_contains on the points eliminates nothing
-    L = any_algebra
-    s = build_principal_triple(L).h
-    torus_fixed_fiber_points(s, L.group_identity())
-    found = torus_fixed_fiber_points(s, L.group_identity())
-    words = {id(w) for w in L.weyl_representatives()}
-    assert all(id(q.g1) in words and q.g2 is q.g1 for q in found)
-    with monkeypatch.context() as m:
-        inverses = _counting(m, Mat, "inverse")
-        assert all(translate_contains(q, (s, s)) for q in found)
-    assert inverses == []
 
 
 def test_torus_fixed_counts_from_the_weyl_group(any_algebra):
