@@ -563,12 +563,9 @@ class Subspace:
         # solve u A = v B: the columns of the stacked system are the rows of A and -B
         stacked = [a + tuple([-x for x in b]) for a, b in zip(zip(*mine), zip(*theirs))]
         ker = _kernel_rows(stacked, self.dim + other.dim)
-        # u A for each kernel row (u, v): the product reads only the first dim entries
-        result = Subspace(self.ambient_dim, _int_matmul(ker, mine, self.ambient_dim))
-        # Grassmann by rank-nullity: (u, v) -> u A is injective on the kernel
-        if result.dim != len(ker):
-            raise DecompositionError("intersection lost dimension against the kernel")
-        return result
+        # u A for each kernel row (u, v): the product reads only the first dim entries;
+        # A's and B's RREF rows are independent, so the map is injective on the kernel
+        return Subspace(self.ambient_dim, _int_matmul(ker, mine, self.ambient_dim))
 
 
 def kernel(m: Mat) -> Subspace:

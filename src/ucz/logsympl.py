@@ -69,8 +69,6 @@ class Chart:
         self.algebra = algebra
         self.I = _check_subset(algebra.rank, I)
         self.m = algebra.n_pos
-        if 2 * self.m + algebra.rank != algebra.dim:
-            raise ConstructionError("coordinate count does not match the algebra dimension")
 
     @property
     def size(self) -> int:
@@ -349,21 +347,14 @@ def level_set_normalize(g: GroupElement, xi: Element) -> tuple[GroupElement, Ele
     witness is the inverse: nu2^-1 = exp(-u_m) ... exp(-u_1) for
     nu2 = exp(u_1) ... exp(u_m), so nu2 is never formed or inverted.
     The assignment is constant on orbits of the unipotent pair action,
-    so it inverts the reduction isomorphism exactly.  The fixed point is
-    checked as g_S X = X g_S for X the realization of xi_S: g_S is
-    invertible, so this is Ad_{g_S} xi_S = xi_S without the inverse and
-    the read-back that `conjugate` would make.
+    so it inverts the reduction isomorphism exactly.  Nothing is checked
+    here: the reduction suite's "slice recovery" compares (g_S, xi_S) with
+    the centralizer datum that it dressed.
     """
     L = xi.algebra
     kslice = slice_for(L)
     w2, xi_s = slice_normalize(kslice, xi)
-    w1, xi_s_check = slice_normalize(kslice, conjugate(g, xi))
-    if xi_s != xi_s_check:
-        raise ConstructionError("the two normalizations disagree on the slice point")
+    w1, _ = slice_normalize(kslice, conjugate(g, xi))
     nu1 = L.exp_product(w1)
     nu2_inv = L.exp_product([-u for u in reversed(w2)])
-    g_s = nu1 * (g * nu2_inv)
-    x = L.realize(xi_s)
-    if g_s.mat * x != x * g_s.mat:
-        raise ConstructionError("reduced group element fails to fix the slice point")
-    return g_s, xi_s
+    return nu1 * (g * nu2_inv), xi_s

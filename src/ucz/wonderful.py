@@ -298,19 +298,21 @@ class OrbitRow:
 
 
 class OrbitPoset:
-    """All 2^rank orbits with dimensions and the closure order."""
+    """All 2^rank orbits with dimensions and the closure order.
+
+    A row is a divisor when its orbit has codimension one, dim g - 1, read
+    off `orbit_dim`; the wonderful suite's "orbit poset" counts rank of them.
+    """
 
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
-        l = algebra.rank
         self.rows = []
-        for I in all_subsets(l):
+        for I in all_subsets(algebra.rank):
             p = build_parabolic(algebra, I)
-            self.rows.append(
-                OrbitRow(I, orbit_dim(p), stabilizer_algebra(p).dim, len(I) == l - 1)
-            )
+            d = orbit_dim(p)
+            self.rows.append(OrbitRow(I, d, stabilizer_algebra(p).dim, d == algebra.dim - 1))
 
     def row(self, I) -> OrbitRow:
         key = frozenset(I)

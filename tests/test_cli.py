@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ucz import ALGEBRA_DESCRIPTORS, cli, liealg
+from ucz import ALGEBRA_DESCRIPTORS, cli, kostant, liealg
 from ucz.cli import main
 from ucz.errors import (
     ConstructionError,
@@ -248,6 +248,17 @@ def test_a_failed_check_exits_1(tmp_path, capsys, monkeypatch, command):
         target = tmp_path / "report.json"
         assert main([command, "A1", "--samples", "3", "-o", str(target)]) == 1
         assert json.loads(target.read_text(encoding="utf-8")) == doc
+
+
+def test_a_broken_construction_exits_1_through_the_suites(capsys, monkeypatch):
+    # the section checks nothing of its own: with doubled pivots its points
+    # miss the prescribed invariants, a failed check rather than an internal error
+    real = kostant.slice_pivots
+    monkeypatch.setattr(kostant, "slice_pivots", lambda ks: tuple(2 * c for c in real(ks)))
+    assert main(["verify", "A2", "--suite", "kostant", "--samples", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "    slice roundtrip: 0/2" in captured.out
+    assert captured.err == ""
 
 
 def test_seed_falls_back_to_environment(capsys, monkeypatch):

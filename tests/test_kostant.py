@@ -11,7 +11,8 @@ from math import prod
 
 import pytest
 
-from ucz.errors import ConstructionError, DomainError
+from ucz import kostant, suites, wonderful
+from ucz.errors import DomainError
 from ucz.exactlin import Mat, Subspace, rank, solve
 from ucz.kostant import (
     KostantSlice,
@@ -27,8 +28,9 @@ from ucz.kostant import (
     slice_normalize,
     slice_pivots,
 )
-from ucz.liealg import conjugate
+from ucz.liealg import LieAlgebra, conjugate
 from ucz.rng import stream
+from ucz.wonderful import OrbitPoset
 
 from .oracles import (
     all_fractions,
@@ -103,14 +105,6 @@ def test_a2_a3_principal_h_matrices(a2, a3):
     )
 
 
-def test_bad_triple_is_rejected(a1):
-    e, h, f = a1.e(0), a1.h(0), a1.f(0)
-    with pytest.raises(ConstructionError):
-        PrincipalTriple(a1, e, h.scale(2), f)
-    with pytest.raises(ConstructionError):
-        PrincipalTriple(a1, e, h, f.scale(3))
-
-
 def test_slice_degrees_and_dimension(any_algebra):
     L = any_algebra
     ks = slice_for(L)
@@ -144,6 +138,43 @@ def test_slice_basis_is_homogeneous(any_algebra):
         assert v.den == 1
         assert L.bracket(t.e, v) == L.zero()
         assert L.bracket(t.h, v) == v.scale(2 * d - 2)
+
+
+def test_the_suites_count_what_the_constructions_do_not_check(a2, g2, monkeypatch):
+    # the triple, the slice, the sweep, the section, level_set_normalize and
+    # the orbit poset's divisors check nothing of their own, so the suite's
+    # check must fail when one is wrong
+    def check(L, suite, name):
+        (c,) = [c for c in suites.run_suite(suite, L, 5, 3).checks if c.name == name]
+        return c.passed, c.total
+
+    real_pivots, real_orbit_dim = kostant.slice_pivots, wonderful.orbit_dim
+    for L in (a2, g2):
+        t = build_principal_triple(L)
+        short = KostantSlice(L, t)
+        short.ge_basis = Subspace(L.dim, short.ge_basis.basis.num[1:])
+        with monkeypatch.context() as m:
+            # the closed orbit, I = {}, at the dimension of a divisor
+            m.setattr(wonderful, "orbit_dim", lambda p: L.dim - 1 if not p.I else real_orbit_dim(p))
+            moved = OrbitPoset(L)
+        mutations = (
+            ("kostant", "sl2 relations", suites, "build_principal_triple",
+             lambda L: PrincipalTriple(L, t.e, t.h.scale(2), t.f)),
+            ("kostant", "centralizer dimension", suites, "slice_for", lambda L: short),
+            ("kostant", "normalization sweep", LieAlgebra, "exp_ad_apply", lambda L, u, y: y),
+            ("kostant", "slice roundtrip", kostant, "slice_pivots",
+             lambda ks: tuple(2 * c for c in real_pivots(ks))),
+            ("reduction", "slice recovery", LieAlgebra, "exp_product",
+             lambda L, xs: L.group_identity()),
+            ("wonderful", "orbit poset", suites, "build_orbit_poset", lambda L: moved),
+        )
+        for suite, name, owner, attr, value in mutations:
+            passed, total = check(L, suite, name)
+            assert passed == total > 0
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, value)
+                passed, total = check(L, suite, name)
+            assert passed < total, (L.descriptor, name)
 
 
 def test_build_slice_and_slice_for_agree(any_algebra):

@@ -13,7 +13,7 @@ from ucz import ALGEBRA_DESCRIPTORS, algebra_from_descriptor
 from ucz.errors import ConstructionError, DomainError, PoleError
 from ucz.exactlin import Mat
 from ucz.kostant import invariants_eval, slice_for, slice_from_invariants, slice_normalize
-from ucz.liealg import GroupElement, LieAlgebra, conjugate
+from ucz.liealg import GroupElement, conjugate
 from ucz.logsympl import (
     Bivector,
     bivector_matrix,
@@ -551,17 +551,6 @@ def test_normalize_preserves_invariants(a2):
     _, xi_out = level_set_normalize(gamma, xi_s)
     assert invariants_eval(xi_out) == invariants_eval(xi_s)
     assert invariants_eval(xi_in) == invariants_eval(xi_s)
-
-
-def test_normalize_refuses_a_group_element_that_moves_the_slice_point(monkeypatch, any_algebra):
-    # identity witnesses leave g_S = n1 gamma n2^-1, which moves xi_S
-    L = any_algebra
-    xi_s, gamma, g_in, xi_in = _dressed_witness(L, stream(89, f"unfixed:{L.descriptor}"))
-    assert level_set_normalize(g_in, xi_in) == (gamma, xi_s)
-    assert conjugate(g_in, xi_s) != xi_s
-    monkeypatch.setattr(LieAlgebra, "exp_product", lambda L, w: L.group_identity())
-    with pytest.raises(ConstructionError, match="fails to fix the slice point"):
-        level_set_normalize(g_in, xi_in)
 
 
 def test_normalize_rejects_points_off_the_level_set(a1):
